@@ -67,15 +67,29 @@ def _group_payload(group):
     return [documents.encode_int(f) for f in group.invariant_factors]
 
 
-def _load_valid(path, inputs):
-    """Load and semantically validate one stack-data file."""
-    data, digest = documents.load_stacky_file(path)
-    inputs.append((str(path), digest))
+def _require_valid(data):
+    """Raise a located document error at the first violation of ``data``."""
     report = validate_data(data)
     if not report.valid:
         first = report.first()
         raise DocumentError(f"invalid data: {first.message}", first.code)
+
+
+def _load_valid(path, inputs):
+    """Load and semantically validate one stack-data file."""
+    data, digest = documents.load_stacky_file(path)
+    inputs.append((str(path), digest))
+    _require_valid(data)
     return data
+
+
+def _load_valid_morphism(path, inputs):
+    """Load one morphism file and validate its source and target data."""
+    md, digest = documents.load_morphism_file(path)
+    inputs.append((str(path), digest))
+    _require_valid(md.source)
+    _require_valid(md.target)
+    return md
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +283,7 @@ def _cmd_classify(args):
 
 def _cmd_morphism(args):
     inputs = []
-    md, digest = documents.load_morphism_file(args.paths[0])
-    inputs.append((str(args.paths[0]), digest))
+    md = _load_valid_morphism(args.paths[0], inputs)
     if args.mode == "check":
         condition_a = check_condition_a(md)
         verdict = check_condition_b(md, sample_budget=args.sample_budget, seed=args.seed)
@@ -284,8 +297,7 @@ def _cmd_morphism(args):
             code = EXIT_OK
         return code, _report("morphism", inputs, **payload)
 
-    md2, digest2 = documents.load_morphism_file(args.paths[1])
-    inputs.append((str(args.paths[1]), digest2))
+    md2 = _load_valid_morphism(args.paths[1], inputs)
     verdict = check_two_isomorphic(md, md2)
     payload = {"mode": "iso", "iso": {"status": verdict.status}}
     if verdict.ratios is not None:

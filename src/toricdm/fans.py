@@ -2,10 +2,14 @@
 
 A fan is given by its ray vectors and an explicit list of cones (as sets of
 ray indices) that must already contain every face.  Validation covers
-simpliciality, face closure, duplicate ray directions and the pairwise
-intersection condition; the latter is decided by exact integer
-Fourier-Motzkin elimination.  Completeness uses the facet-pairing criterion,
-which is what completeness means for the simplicial fans handled here.
+simpliciality, face closure, duplicate ray directions and the intersection
+condition.  When every maximal cone is full-dimensional the intersection
+condition is first certified in near-linear time by facet pairing (each
+facet in exactly two maximal cones, on opposite sides of its hyperplane)
+plus one generic vector covered exactly once; fans that certificate does not
+accept are decided pair by pair with exact integer Fourier-Motzkin
+elimination.  Completeness of a valid fan is the facet-pairing half of the
+same certificate, read off one shared facet-owner map.
 """
 
 from __future__ import annotations
@@ -173,9 +177,17 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
     """Check every fan invariant, reporting the first violation with a witness.
 
     The checks run in dependency order: ray sanity, duplicate directions, cone
-    index ranges, simpliciality, face closure, and finally pairwise
-    intersection compatibility of the maximal cones (which implies it for all
-    faces once closure and simpliciality hold).
+    index ranges, simpliciality, face closure, and finally intersection
+    compatibility of the maximal cones (which implies it for all faces once
+    closure and simpliciality hold).
+
+    Simpliciality is checked on the maximal cones only, since a face of an
+    independent set is independent; the faces are scanned only to name the
+    first dependent cone once a maximal cone fails.  When every maximal cone
+    is full-dimensional the completeness certificate of
+    :func:`_certifies_complete` is tried first; it can only accept.  Fans it
+    does not certify, complete or not, get the pairwise Fourier-Motzkin
+    check, which also supplies the ``bad_intersection`` witness.
     """
     d = fan.lattice_rank
     if d < 0:
@@ -200,20 +212,25 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
     if frozenset() not in fan.cones:
         return ValidationReport((Violation("missing_zero_cone", "the empty cone is not listed", None),))
 
-    for cone in fan.sorted_cones():
+    cones = fan.sorted_cones()
+    n = fan.ray_count
+    for cone in cones:
         for i in cone:
-            if not 0 <= i < fan.ray_count:
+            if not 0 <= i < n:
                 return ValidationReport((Violation(
                     "cone_index_out_of_range", f"cone {sorted(cone)} uses unknown ray {i}",
                     sorted(cone)),))
 
-    for cone in fan.sorted_cones():
-        if cone and _rank_rational([fan.rays[i] for i in sorted(cone)]) != len(cone):
-            return ValidationReport((Violation(
-                "dependent_cone", f"rays of cone {sorted(cone)} are linearly dependent",
-                sorted(cone)),))
+    maximal = maximal_cones(fan)
+    if any(_rank_rational([fan.rays[i] for i in sorted(cone)]) != len(cone)
+           for cone in maximal):
+        for cone in cones:
+            if cone and _rank_rational([fan.rays[i] for i in sorted(cone)]) != len(cone):
+                return ValidationReport((Violation(
+                    "dependent_cone", f"rays of cone {sorted(cone)} are linearly dependent",
+                    sorted(cone)),))
 
-    for cone in fan.sorted_cones():
+    for cone in cones:
         for i in cone:
             if cone - {i} not in fan.cones:
                 return ValidationReport((Violation(
@@ -221,7 +238,9 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
                     f"face {sorted(cone - {i})} of cone {sorted(cone)} is missing",
                     (sorted(cone), sorted(cone - {i}))),))
 
-    maximal = maximal_cones(fan)
+    if all(len(cone) == d for cone in maximal) and _certifies_complete(fan, maximal):
+        return ValidationReport()
+
     for a in range(len(maximal)):
         for b in range(a + 1, len(maximal)):
             witness = _cone_pair_violation(fan, maximal[a], maximal[b])
@@ -235,44 +254,97 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
     return ValidationReport()
 
 
+def _facet_owners(maximal: Sequence[frozenset[int]]) -> dict[frozenset[int], list[tuple[int, int]]]:
+    """Each facet of a maximal cone, mapped to its owners: the pairs (index
+    into ``maximal``, ray opposite the facet)."""
+    owners: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for index, cone in enumerate(maximal):
+        for i in cone:
+            owners.setdefault(cone - {i}, []).append((index, i))
+    return owners
+
+
+def _facet_normals(fan: SimplicialFan, cone: frozenset[int]) -> dict[int, tuple[int, ...]]:
+    """For each ray i of a full-dimensional independent cone, the primitive
+    integer normal of the facet without i, oriented positive on ray i.
+
+    These are the rows of the inverse ray matrix up to positive scaling (the
+    cofactor normals), found by fraction-free Gauss-Jordan elimination of
+    [B | I] with the cone's rays as the columns of B.
+    """
+    order = sorted(cone)
+    d = fan.lattice_rank
+    rows = [[fan.rays[j][l] for j in order] + [int(l == k) for k in range(d)] for l in range(d)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for r in range(d):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = _primitive([top[col] * x - factor * y for x, y in zip(rows[r], top)])
+    # row c now reads (0..a_c..0 | a_c times row c of the inverse)
+    return {order[c]: _primitive([x if rows[c][c] > 0 else -x for x in rows[c][d:]])
+            for c in range(d)}
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _certifies_complete(fan: SimplicialFan, maximal: Sequence[frozenset[int]]) -> bool:
+    """Certificate that full-dimensional, independent, face-closed maximal
+    cones with distinct ray directions form a complete fan.
+
+    The cone form of the triangulation criterion in De Loera, Rambau and
+    Santos, *Triangulations* (2010), section 4.5: every facet lies in exactly
+    two maximal cones, which lie strictly on opposite sides of its hyperplane,
+    and one generic vector lies in exactly one maximal cone.  Crossing a facet
+    then never changes how many cones cover a generic vector, so every generic
+    vector is covered once, and the cones meet along common faces.  The
+    vector is (1, t, ..., t^(d-1)) with t = 2 + the largest normal entry: by
+    the Cauchy root bound no facet normal vanishes on it.  False means only
+    "not certified", never "invalid".
+    """
+    owners = _facet_owners(maximal)
+    if any(len(pair) != 2 for pair in owners.values()):
+        return False
+    normals = [_facet_normals(fan, cone) for cone in maximal]
+    for (a, i), (_, j) in owners.values():
+        if _dot(normals[a][i], fan.rays[j]) >= 0:
+            return False
+    t = 2 + max((abs(x) for by_ray in normals for u in by_ray.values() for x in u), default=0)
+    point = [t ** k for k in range(fan.lattice_rank)]
+    covering = sum(all(_dot(u, point) > 0 for u in by_ray.values()) for by_ray in normals)
+    return covering == 1
+
+
 def maximal_cones(fan: SimplicialFan) -> list[frozenset[int]]:
-    """Cones not strictly contained in another listed cone, in sorted order."""
-    return [c for c in fan.sorted_cones()
-            if not any(c < other for other in fan.cones)]
+    """Cones not strictly contained in another listed cone, in sorted order.
+
+    Scanning from the largest cones down, a cone is maximal unless it lies in
+    a maximal cone already found.
+    """
+    maximal: list[frozenset[int]] = []
+    for cone in sorted(fan.cones, key=len, reverse=True):
+        if not any(cone < top for top in maximal):
+            maximal.append(cone)
+    return sorted(maximal, key=lambda c: (len(c), sorted(c)))
 
 
 def is_complete(fan: SimplicialFan) -> bool:
     """Does the fan's support cover the whole rational vector space?
 
-    Decided by the facet-pairing criterion: the fan is pure of top dimension,
-    every facet of a maximal cone lies in exactly two maximal cones, and the
-    maximal cones are connected through shared facets.
+    For a valid fan this holds exactly when the fan is pure of top dimension
+    and every facet of a maximal cone lies in exactly two maximal cones: the
+    two then lie on opposite sides of the facet, so the support is a closed
+    set without boundary.  The facet-owner map is the one the completeness
+    certificate of :func:`validate_fan` builds.
     """
-    d = fan.lattice_rank
     maximal = maximal_cones(fan)
-    if any(len(c) != d for c in maximal):
+    if any(len(c) != fan.lattice_rank for c in maximal):
         return False
-    if d == 0:
-        return True
-
-    facet_members: dict[frozenset[int], list[int]] = {}
-    for idx, cone in enumerate(maximal):
-        for i in cone:
-            facet_members.setdefault(cone - {i}, []).append(idx)
-    if any(len(owners) != 2 for owners in facet_members.values()):
-        return False
-
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        current = frontier.pop()
-        for owners in facet_members.values():
-            if current in owners:
-                other = owners[0] if owners[1] == current else owners[1]
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-    return len(seen) == len(maximal)
+    return all(len(pair) == 2 for pair in _facet_owners(maximal).values())
 
 
 def rays_span(fan: SimplicialFan) -> tuple[bool, tuple[tuple[int, ...], ...]]:
@@ -293,9 +365,10 @@ def is_admissible_zero_pattern(fan: SimplicialFan, pattern: Iterable[int]) -> bo
 
     True exactly when some maximal cone contains every ray in the pattern;
     such patterns are the ones realized on the quotient-construction locus.
+    A validated fan is face-closed, so these are exactly its listed cones.
     """
     pattern = frozenset(int(i) for i in pattern)
     for i in pattern:
         if not 0 <= i < fan.ray_count:
             raise ValueError(f"ray index {i} out of range")
-    return any(pattern <= cone for cone in maximal_cones(fan))
+    return pattern in fan.cones

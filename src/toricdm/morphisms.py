@@ -241,15 +241,6 @@ def irrelevant_patterns(fan: SimplicialFan) -> list[frozenset[int]]:
     return maximal_cones(fan)
 
 
-def _admissible_patterns(fan: SimplicialFan) -> list[frozenset[int]]:
-    patterns = {frozenset()}
-    for cone in maximal_cones(fan):
-        cone = tuple(sorted(cone))
-        for size in range(len(cone) + 1):
-            patterns.update(frozenset(c) for c in itertools.combinations(cone, size))
-    return sorted(patterns, key=lambda p: (len(p), sorted(p)))
-
-
 def check_condition_b(md: MorphismData,
                       sample_values: Sequence[Fraction] = DEFAULT_SAMPLE_VALUES,
                       sample_budget: int = DEFAULT_SAMPLE_BUDGET,
@@ -284,7 +275,7 @@ def check_condition_b(md: MorphismData,
     rng = random.Random(seed)
     remaining = sample_budget
     n_source = md.source.ray_count
-    for pattern in _admissible_patterns(md.source.fan):
+    for pattern in md.source.fan.sorted_cones():
         if remaining <= 0:
             break
         free = [k for k in range(n_source) if k not in pattern]

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
                      Violation)
-from .fans import SimplicialFan, is_admissible_zero_pattern, rays_span, validate_fan
+from .fans import SimplicialFan, rays_span, validate_fan
 from .lattice import (FgAbelianGroup, IntegerMatrix, _snf_full, cokernel,
                       cokernel_with_projection, invariant_factor_chain)
 
@@ -236,6 +236,4 @@ def canonical_ray_decomposition(data: StackyData) -> tuple[tuple[tuple[int, ...]
 
 def dm_torus(data: StackyData) -> tuple[int, FgAbelianGroup]:
     """Dimension and band of the dense open torus of the stack."""
-    if not is_admissible_zero_pattern(data.fan, frozenset()):
-        raise ArithmeticError("the empty zero pattern must always be admissible")
     return data.lattice_rank, FgAbelianGroup(0, invariant_factor_chain(data.r))

@@ -282,6 +282,16 @@ class TestCommands:
         assert code == 1
         assert report["error"]["code"] == "source_not_complete"
 
+    def test_morphism_target_is_validated(self, tmp_path):
+        target = {"schema_version": "1", "lattice_rank": 1,
+                  "rays": [[1], [2]], "cones": [[0], [1]], "r": [], "b": []}
+        doc = dict(duple_doc(1), target=target)
+        path = write(tmp_path, "m.json", doc)
+        for argv in (["morphism", "check", path], ["morphism", "iso", path, path]):
+            code, report = run_checked(argv)
+            assert code == 1
+            assert report["error"]["location"] == "duplicate_ray_direction"
+
     def test_text_rendering(self, tmp_path, capsys):
         path = write(tmp_path, "a.json", WPS_ROOT)
         with pytest.raises(SystemExit) as info:

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from toricdm import (SimplicialFan, close_under_faces, is_admissible_zero_pattern,
                      is_complete, maximal_cones, rays_span, validate_fan)
-from toricdm.fans import _cone_pair_violation
+from toricdm import fans
+from toricdm.fans import _certifies_complete, _cone_pair_violation
 from toricdm.oracle import oracle_cones_meet_along_common_face
 
 from conftest import (affine_fan, make_fan, product_fan, projective_fan,
@@ -125,6 +129,131 @@ class TestIntersectionChecker:
             by_vertices = oracle_cones_meet_along_common_face(rays, d, cone_a, cone_b)
             assert by_elimination == by_vertices, (rays, sorted(cone_a), sorted(cone_b))
             checked += 1
+
+
+def _angle_order(vectors):
+    """Indices of plane vectors sorted counterclockwise from the positive x-axis."""
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def compare(i, j):
+        u, v = vectors[i], vectors[j]
+        if half(u) != half(v):
+            return half(u) - half(v)
+        return -(u[0] * v[1] - u[1] * v[0])
+
+    return sorted(range(len(vectors)), key=cmp_to_key(compare))
+
+
+def _cycle_fan(rays, order):
+    n = len(order)
+    return make_fan(2, rays, [[order[k], order[(k + 1) % n]] for k in range(n)])
+
+
+def _rank2_fan(count):
+    """A complete rank-2 fan on ``count`` <= 32 primitive rays of norm at most 3."""
+    rays = [(x, y) for x in range(-3, 4) for y in range(-3, 4)
+            if (x, y) != (0, 0) and gcd(x, y) == 1]
+    rays = [rays[i] for i in _angle_order(rays)][:count]
+    return _cycle_fan(rays, range(count))
+
+
+vectors2 = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any)
+vectors3 = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+
+
+@st.composite
+def rank2_cycles(draw):
+    """Rank-2 cycles: by angle (complete), winding twice, or in random order."""
+    rays = draw(st.lists(vectors2, min_size=3, max_size=8))
+    how = draw(st.sampled_from(("angle", "twice", "random")))
+    if how == "random":
+        order = draw(st.permutations(range(len(rays))))
+    else:
+        order = _angle_order(rays)
+        if how == "twice" and len(rays) % 2:
+            order = [order[(2 * k) % len(rays)] for k in range(len(rays))]
+    return _cycle_fan(rays, order)
+
+
+@st.composite
+def complete_patterns_in_rank3(draw):
+    """P^3 and (P1)^3 cone patterns on random rays in Z^3, often near the
+    standard ones."""
+    if draw(st.booleans()):
+        base = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+        cones = [[i for i in range(4) if i != skip] for skip in range(4)]
+    else:
+        base = [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0), (0, 0, -1), (0, 0, 1)]
+        cones = [[a, 2 + b, 4 + c] for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    rays = []
+    for ray in base:
+        if draw(st.booleans()):
+            ray = draw(vectors3)
+        rays.append(ray)
+    return make_fan(3, rays, cones)
+
+
+def _assert_agrees_with_all_pairs(fan):
+    report = validate_fan(fan)
+    assume(report.valid or report.first().code == "bad_intersection")
+    maximal = maximal_cones(fan)
+    pairs = [(a, b) for k, a in enumerate(maximal) for b in maximal[k + 1:]]
+    by_oracle = all(oracle_cones_meet_along_common_face(fan.rays, fan.lattice_rank, a, b)
+                    for a, b in pairs)
+    first_bad = next(((sorted(a), sorted(b), witness) for a, b in pairs
+                      for witness in [_cone_pair_violation(fan, a, b)] if witness is not None),
+                     None)
+    assert report.valid == by_oracle == (first_bad is None)
+    if first_bad is not None:
+        assert report.first().code == "bad_intersection"
+        assert report.first().witness == first_bad
+
+
+class TestCompletenessCertificate:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(rank2_cycles())
+    def test_rank2_cycles_agree_with_all_pairs(self, fan):
+        _assert_agrees_with_all_pairs(fan)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(complete_patterns_in_rank3())
+    def test_rank3_patterns_agree_with_all_pairs(self, fan):
+        _assert_agrees_with_all_pairs(fan)
+
+    def test_pentagram_is_rejected_by_the_generic_point(self):
+        # five cones winding twice around the origin: every facet has two
+        # owners on opposite sides, but a generic vector is covered twice
+        rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+        fan = make_fan(2, rays, [[i, (i + 1) % 5] for i in range(5)])
+        maximal = maximal_cones(fan)
+        owners = fans._facet_owners(maximal)
+        assert all(len(pair) == 2 for pair in owners.values())
+        normals = [fans._facet_normals(fan, cone) for cone in maximal]
+        assert all(fans._dot(normals[a][i], rays[j]) < 0 for (a, i), (_, j) in owners.values())
+        assert not _certifies_complete(fan, maximal)
+        report = validate_fan(fan)
+        assert report.first().code == "bad_intersection"
+        assert report.first().witness == ([0, 1], [2, 3], 0)
+
+    def test_complete_fans_skip_the_pairwise_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("pairwise check called")
+
+        p1_fourth = projective_line_fan()
+        for _ in range(3):
+            p1_fourth = product_fan(p1_fourth, projective_line_fan())
+        monkeypatch.setattr(fans, "_cone_pair_violation", refuse)
+        for fan in (p1_fourth, _rank2_fan(31)):
+            assert validate_fan(fan).valid
+            assert is_complete(fan)
+
+    def test_incomplete_fans_fall_back(self):
+        fan = _rank2_fan(31)
+        punctured = SimplicialFan(2, fan.rays, fan.cones - {frozenset({0, 1})})
+        assert not _certifies_complete(punctured, maximal_cones(punctured))
+        assert validate_fan(punctured).valid
+        assert not is_complete(punctured)
 
 
 class TestMaximalCones:
