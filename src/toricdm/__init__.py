@@ -23,8 +23,7 @@ from .lattice import (FgAbelianGroup, IntegerMatrix, SnfDecomposition,
                       matrix_rank, smith_normal_form, solve_linear)
 from .morphisms import (ConditionBVerdict, MorphismData, SparsePolynomial,
                         TwoIsoVerdict, check_condition_a, check_condition_b,
-                        check_two_isomorphic, degree, irrelevant_patterns,
-                        validate_morphism_data)
+                        check_two_isomorphic, degree, validate_morphism_data)
 from .oracle import (FiniteGroupTable, det_cofactor,
                      oracle_cones_meet_along_common_face, oracle_divisibility,
                      oracle_element_order_census, oracle_is_group_isomorphism,

@@ -4,8 +4,8 @@ Subcommands mirror the library: ``validate``, ``build``, ``pic``,
 ``stabilizer``, ``rigidify``, ``split``, ``classify``, ``canonicalize`` and
 ``morphism``.  Reports go to stdout as text or, with ``--json``, as a JSON
 object that validates against the shipped report schema.  Exit codes: 0 for
-success or a true verdict, 1 for invalid input, 2 for a false verdict, 3 for
-an unknown verdict.
+success or a true verdict, 1 for invalid input or invalid arguments, 2 for a
+false verdict, 3 for an unknown verdict.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import documents
 from .errors import (DocumentError, TooLargeError, ToricError)
 from .fans import maximal_cones
-from .gerbes import canonicalize, gerbe_class, is_isomorphic_banded, picard_group
-from .lattice import divisible_in_quotient
+from .gerbes import canonicalize, gerbe_class, picard_group, twist_divisibility
 from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
                         check_condition_b, check_two_isomorphic)
 from .oracle import oracle_divisibility, oracle_stabilizer_order
@@ -235,25 +233,16 @@ def _classify_pair(base, base_canonical, other, verify):
     other_canonical, _ = canonicalize(other)
     result = {"chains": [[documents.encode_int(x) for x in base_canonical.r],
                          [documents.encode_int(x) for x in other_canonical.r]]}
-    verdict = is_isomorphic_banded(base_canonical, other_canonical)
-    result["isomorphic"] = verdict
-    if base_canonical.r == other_canonical.r:
-        presentation = picard_group(rigidify(base))
-        divisibility = []
-        for i, r in enumerate(base_canonical.r):
-            diff = tuple(a - b for a, b in
-                         zip(base_canonical.b.row(i), other_canonical.b.row(i)))
-            divisibility.append(divisible_in_quotient(diff, r, presentation.relation_matrix))
-        result["divisibility"] = divisibility
+    rows = twist_divisibility(base_canonical, other_canonical)
+    result["isomorphic"] = rows is not None and all(divisible for _, divisible in rows)
+    if rows is not None:
+        result["divisibility"] = [divisible for _, divisible in rows]
         if verify:
+            relation = picard_group(rigidify(base)).relation_matrix
             agreement = []
-            for i, r in enumerate(base_canonical.r):
-                diff = tuple(a - b for a, b in
-                             zip(base_canonical.b.row(i), other_canonical.b.row(i)))
+            for (diff, divisible), r in zip(rows, base_canonical.r):
                 try:
-                    agreement.append(
-                        oracle_divisibility(diff, r, presentation.relation_matrix)
-                        == divisibility[i])
+                    agreement.append(oracle_divisibility(diff, r, relation) == divisible)
                 except TooLargeError:
                     agreement.append(None)
             result["oracle_agrees"] = agreement
@@ -269,13 +258,7 @@ def _cmd_classify(args):
             raise DocumentError("data sets do not share the same fan and rays",
                                 "mismatched_underlying_data")
     base_canonical, _ = canonicalize(base)
-    if args.jobs > 1 and len(others) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(
-                lambda other: _classify_pair(base, base_canonical, other, args.verify),
-                others))
-    else:
-        results = [_classify_pair(base, base_canonical, other, args.verify) for other in others]
+    results = [_classify_pair(base, base_canonical, other, args.verify) for other in others]
     everything = all(r["isomorphic"] for r in results)
     code = EXIT_OK if everything else EXIT_FALSE
     return code, _report("classify", inputs, results=results, isomorphic=everything)
@@ -365,13 +348,19 @@ _HANDLERS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's 2 is the false-verdict code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="toricdm",
         description="Exact computations with toric stack data given as JSON documents.")
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for batch classification")
     parser.add_argument("--sample-budget", type=int, default=DEFAULT_SAMPLE_BUDGET,
                         metavar="N", help="evaluation budget for refutation sampling")
     parser.add_argument("--seed", type=int, default=0, metavar="S",

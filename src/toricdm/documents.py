@@ -1,24 +1,22 @@
-"""JSON document formats: parsing, serialization, schema checks, hashing.
+"""JSON document formats: decoding, serialization, hashing.
 
 Two document kinds exist, one for combinatorial stack data and one for
-morphism candidates; their exact field names are fixed by the schema files
-shipped under ``toricdm/schemas``.  Integers whose magnitude exceeds the
+morphism candidates, documented by the schema files under ``toricdm/schemas``.
+The decoder is the one structural check: in a single pass it builds the
+values and rejects whatever those schemas reject, with a :class:`DocumentError`
+located by a JSON pointer (``/`` is the whole document).  Integers beyond the
 53-bit range safe for double-based JSON readers are written as decimal
-strings, and both forms are accepted on input.  Cone lists may name only the
-maximal cones; the loader closes them under faces before anything else sees
-the fan.
+strings; both forms are accepted.  Cone lists may name only the maximal cones;
+the loader closes them under faces before anything else sees the fan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
 from typing import Any
-
-import jsonschema
 
 from .errors import DocumentError
 from .fans import SimplicialFan, close_under_faces, maximal_cones
@@ -29,6 +27,8 @@ from .stacky import StackyData
 
 SCHEMA_VERSION = "1"
 _JSON_SAFE_MAX = 2 ** 53 - 1
+_INTEGER = re.compile(r"-?[0-9]+")
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def encode_int(value: int):
@@ -37,48 +37,54 @@ def encode_int(value: int):
 
 
 def decode_int(value, where: str = "") -> int:
-    if isinstance(value, bool):
-        raise DocumentError(f"expected an integer, got a boolean", where)
-    if isinstance(value, int):
+    """A JSON integer, or a string matching ``-?[0-9]+`` (ASCII digits)."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise DocumentError(f"not an integer literal: {value!r}", where) from None
-    raise DocumentError(f"expected an integer, got {type(value).__name__}", where)
+    if not isinstance(value, str):
+        raise DocumentError(f"expected an integer, got {type(value).__name__}", where)
+    if not _INTEGER.fullmatch(value):
+        raise DocumentError(f"not an integer literal: {value!r}", where)
+    try:
+        return int(value)
+    except ValueError:  # longer than the interpreter's digit limit
+        raise DocumentError("integer literal beyond the digit limit", where) from None
 
 
-def _decode_int_list(values, where: str) -> list[int]:
-    if not isinstance(values, list):
-        raise DocumentError("expected a list of integers", where)
-    return [decode_int(v, f"{where}/{i}") for i, v in enumerate(values)]
+def _list_of(decode_item):
+    """Decoder of a JSON list whose items ``decode_item`` decodes."""
+    def decode(values, where: str) -> list:
+        if not isinstance(values, list):
+            raise DocumentError(f"expected a list, got {type(values).__name__}", where)
+        return [decode_item(v, f"{where}/{i}") for i, v in enumerate(values)]
+    return decode
 
 
-def _decode_int_grid(values, where: str) -> list[list[int]]:
-    if not isinstance(values, list):
-        raise DocumentError("expected a list of integer lists", where)
-    return [_decode_int_list(row, f"{where}/{i}") for i, row in enumerate(values)]
+_decode_int_list = _list_of(decode_int)
+_decode_int_grid = _list_of(_decode_int_list)
+
+
+def _decode_version(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentError("schema_version must be a string", where)
+    return value
+
+
+def _decode_object(value, fields: dict, where: str) -> list:
+    """The values of a JSON object with exactly the keys of ``fields``, each
+    decoded by its field's decoder; a missing or unknown key is located here."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"expected an object, got {type(value).__name__}", where or "/")
+    for key in fields:
+        if key not in value:
+            raise DocumentError(f"missing required key {key!r}", where or "/")
+    for key in value:
+        if key not in fields:
+            raise DocumentError(f"unknown key {key!r}", where or "/")
+    return [decode(value[key], f"{where}/{key}") for key, decode in fields.items()]
 
 
 def encode_grid(matrix: IntegerMatrix) -> list[list[Any]]:
     return [[encode_int(x) for x in row] for row in matrix.entries]
-
-
-@lru_cache(maxsize=None)
-def load_schema(name: str) -> dict:
-    text = resources.files(__package__).joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
-
-
-def schema_errors(document: Any, schema_name: str) -> list[str]:
-    """Human-readable schema violations, empty when the document conforms."""
-    validator = jsonschema.Draft202012Validator(load_schema(schema_name))
-    messages = []
-    for err in sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path)):
-        path = "/" + "/".join(str(p) for p in err.absolute_path)
-        messages.append(f"{path}: {err.message}")
-    return messages
 
 
 def document_hash(document: Any) -> str:
@@ -91,36 +97,31 @@ def document_hash(document: Any) -> str:
 # Stack data documents
 # ---------------------------------------------------------------------------
 
-def parse_stacky_document(document: Any) -> StackyData:
-    """Build a :class:`StackyData` from a parsed JSON object.
+def parse_stacky_document(document: Any, where: str = "") -> StackyData:
+    """Build a :class:`StackyData` from a parsed JSON object, the one at JSON
+    pointer ``where`` of an enclosing document.
 
     Structural problems raise :class:`DocumentError` with a location; the
     semantic invariants are left to :func:`toricdm.stacky.validate_data`.
     """
-    problems = schema_errors(document, "stacky_data.schema.json")
-    if problems:
-        location, _, message = problems[0].partition(": ")
-        raise DocumentError(message, location)
-    rank = decode_int(document["lattice_rank"], "/lattice_rank")
-    rays = _decode_int_grid(document["rays"], "/rays")
-    cones = _decode_int_grid(document["cones"], "/cones")
-    r = _decode_int_list(document["r"], "/r")
-    b = _decode_int_grid(document["b"], "/b")
+    _, rank, rays, cones, r, b = _decode_object(document, {
+        "schema_version": _decode_version, "lattice_rank": decode_int,
+        "rays": _decode_int_grid, "cones": _decode_int_grid,
+        "r": _decode_int_list, "b": _decode_int_grid}, where)
     if rank < 0:
-        raise DocumentError("lattice_rank must be nonnegative", "/lattice_rank")
+        raise DocumentError("lattice_rank must be nonnegative", f"{where}/lattice_rank")
     for i, row in enumerate(b):
         if len(row) != len(rays):
             raise DocumentError(
-                f"b row {i} has {len(row)} entries for {len(rays)} rays", f"/b/{i}")
+                f"b row {i} has {len(row)} entries for {len(rays)} rays", f"{where}/b/{i}")
     if len(b) != len(r):
-        raise DocumentError(f"{len(b)} b rows for {len(r)} root orders", "/b")
+        raise DocumentError(f"{len(b)} b rows for {len(r)} root orders", f"{where}/b")
     for i, idx_list in enumerate(cones):
         for idx in idx_list:
             if not 0 <= idx < len(rays):
-                raise DocumentError(f"cone uses unknown ray index {idx}", f"/cones/{i}")
-    fan = SimplicialFan(rank, tuple(tuple(v) for v in rays), close_under_faces(cones))
-    return StackyData(fan=fan, r=tuple(r),
-                      b=IntegerMatrix.from_rows(b, len(rays)))
+                raise DocumentError(f"cone uses unknown ray index {idx}", f"{where}/cones/{i}")
+    fan = SimplicialFan(rank, rays, close_under_faces(cones))
+    return StackyData(fan=fan, r=r, b=IntegerMatrix.from_rows(b, len(rays)))
 
 
 def serialize_stacky_data(data: StackyData) -> dict:
@@ -140,49 +141,49 @@ def serialize_stacky_data(data: StackyData) -> dict:
 # ---------------------------------------------------------------------------
 
 def _parse_fraction(text, where: str) -> Fraction:
-    if not isinstance(text, str):
-        raise DocumentError("coefficients must be p/q strings", where)
+    if not isinstance(text, str) or not _COEFFICIENT.fullmatch(text):
+        raise DocumentError(f"coefficients must be p or p/q strings, got {text!r}", where)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"bad coefficient {text!r}: {exc}", where) from None
 
 
+def _decode_term(term, where: str) -> list:
+    return _decode_object(term, {"coefficient": _parse_fraction,
+                                 "exponents": _decode_int_list}, where)
+
+
 def parse_morphism_document(document: Any) -> MorphismData:
-    problems = schema_errors(document, "morphism.schema.json")
-    if problems:
-        location, _, message = problems[0].partition(": ")
-        raise DocumentError(message, location)
-    source = parse_stacky_document(document["source"])
-    target = parse_stacky_document(document["target"])
+    """Build a :class:`MorphismData` from a parsed JSON object, decoding the
+    source and target in the same pass; their problems are located under
+    ``/source`` and ``/target``."""
+    _, source, target, polynomials, chi_rows = _decode_object(document, {
+        "schema_version": _decode_version, "source": parse_stacky_document,
+        "target": parse_stacky_document, "polynomials": _list_of(_list_of(_decode_term)),
+        "chi": _decode_int_grid}, "")
     n_source = source.ray_count
 
     polys = []
-    for p_idx, term_list in enumerate(document["polynomials"]):
-        terms = []
-        for t_idx, term in enumerate(term_list):
-            where = f"/polynomials/{p_idx}/{t_idx}"
-            coeff = _parse_fraction(term["coefficient"], where + "/coefficient")
-            exponents = _decode_int_list(term["exponents"], where + "/exponents")
-            if len(exponents) != n_source:
-                raise DocumentError(
-                    f"exponent vector has {len(exponents)} entries for "
-                    f"{n_source} source rays", where + "/exponents")
-            if any(e < 0 for e in exponents):
-                raise DocumentError("exponents must be nonnegative", where + "/exponents")
-            terms.append((coeff, tuple(exponents)))
-        polys.append(SparsePolynomial(n_source, tuple(terms)))
+    for p_idx, terms in enumerate(polynomials):
+        try:  # exponent vectors of the wrong length or with a negative entry
+            polys.append(SparsePolynomial(n_source, tuple(terms)))
+        except ValueError as exc:
+            raise DocumentError(f"{exc}; the source has {n_source} rays",
+                                f"/polynomials/{p_idx}") from None
 
-    presentation = picard_group(source) if source.is_rigid else None
+    if chi_rows:
+        if not source.is_rigid:
+            raise DocumentError("chi classes require a rigid source", "/chi")
+        if any(len(ray) != source.lattice_rank for ray in source.fan.rays):
+            raise DocumentError("chi needs source rays of lattice_rank entries", "/source/rays")
+        presentation = picard_group(source)
     chi = []
-    for c_idx, vector in enumerate(document["chi"]):
-        values = _decode_int_list(vector, f"/chi/{c_idx}")
+    for c_idx, values in enumerate(chi_rows):
         if len(values) != n_source:
             raise DocumentError(
                 f"chi vector has {len(values)} entries for {n_source} source rays",
                 f"/chi/{c_idx}")
-        if presentation is None:
-            raise DocumentError("chi classes require a rigid source", f"/chi/{c_idx}")
         chi.append(PicClass(tuple(values), presentation))
 
     return MorphismData(source=source, target=target,
@@ -215,6 +216,8 @@ def read_json(path) -> Any:
         raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON in {path}: {exc}", f"line {exc.lineno}") from None
+    except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
+        raise DocumentError(f"invalid JSON in {path}: {exc}") from None
 
 
 def load_stacky_file(path) -> tuple[StackyData, str]:

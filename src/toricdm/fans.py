@@ -19,10 +19,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import ValidationReport, Violation
+from .errors import TooLargeError, ValidationReport, Violation
 from .lattice import IntegerMatrix, _snf_full
 
 ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
+
+FM_PAIR_LIMIT = 100_000  # row pairs one Fourier-Motzkin step may combine
 
 
 @dataclass(frozen=True)
@@ -57,12 +59,15 @@ class SimplicialFan:
 
 
 def close_under_faces(cones: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
-    """All subsets of the given cones, including the empty cone."""
-    closed = {frozenset()}
-    for cone in cones:
-        cone = tuple(sorted(set(cone)))
-        for mask in range(1 << len(cone)):
-            closed.add(frozenset(cone[i] for i in range(len(cone)) if mask >> i & 1))
+    """All faces of the given cones, including the empty cone.  A face already
+    collected has all its faces in, so the work is linear in the output."""
+    closed: set[frozenset[int]] = {frozenset()}
+    pending = sorted({frozenset(cone) for cone in cones}, key=len)
+    while pending:
+        face = pending.pop()
+        if face not in closed:
+            closed.add(face)
+            pending.extend(face - {i} for i in face)
     return frozenset(closed)
 
 
@@ -112,7 +117,8 @@ def fourier_motzkin_feasible(rows: Sequence[tuple[Sequence[int], int]], nvars: i
 
     Eliminates the variables one at a time by combining each positive row with
     each negative row, deduplicating normalized rows to limit growth.  All
-    arithmetic stays in the integers.
+    arithmetic stays in the integers.  Raises :class:`TooLargeError` when one
+    step would combine more than ``FM_PAIR_LIMIT`` row pairs.
     """
     system = {_normalize_row(tuple(int(c) for c in coeffs), int(rhs)) for coeffs, rhs in rows}
     for var in range(nvars):
@@ -125,6 +131,9 @@ def fourier_motzkin_feasible(rows: Sequence[tuple[Sequence[int], int]], nvars: i
                 negative.append((coeffs, rhs))
             else:
                 rest.append((coeffs, rhs))
+        if len(positive) * len(negative) > FM_PAIR_LIMIT:
+            raise TooLargeError(f"a Fourier-Motzkin step of {len(positive)} x "
+                                f"{len(negative)} row pairs exceeds {FM_PAIR_LIMIT}")
         new_system = set(rest)
         for pc, pr in positive:
             for nc, nr in negative:
@@ -187,7 +196,8 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
     is full-dimensional the completeness certificate of
     :func:`_certifies_complete` is tried first; it can only accept.  Fans it
     does not certify, complete or not, get the pairwise Fourier-Motzkin
-    check, which also supplies the ``bad_intersection`` witness.
+    check, which also supplies the ``bad_intersection`` witness; it raises
+    :class:`TooLargeError` when an elimination outgrows ``FM_PAIR_LIMIT``.
     """
     d = fan.lattice_rank
     if d < 0:

@@ -116,13 +116,11 @@ def _is_chain(r: Sequence[int]) -> bool:
         and all(x >= 1 for x in r)
 
 
-def is_isomorphic_banded(data1: StackyData, data2: StackyData) -> bool:
-    """Do two data sets over the same fan define isomorphic banded gerbes?
-
-    Both root-order lists must already be in divisor-chain form.  The verdict
-    is: equal chains, and for each index the difference of the b rows is
-    divisible by the respective root order in the Picard quotient.
-    """
+def twist_divisibility(data1: StackyData, data2: StackyData
+                       ) -> list[tuple[tuple[int, ...], bool]] | None:
+    """The rows behind :func:`is_isomorphic_banded`: None when the chains
+    differ, else per root index the b-row difference and whether its root
+    order divides it in the Picard quotient."""
     if data1.fan != data2.fan:
         raise MismatchedUnderlyingDataError(
             "data sets do not share the same lattice, fan and ray vectors")
@@ -131,13 +129,24 @@ def is_isomorphic_banded(data1: StackyData, data2: StackyData) -> bool:
     if not _is_chain(data2.r):
         raise NotInChainFormError(f"root orders {data2.r} are not a divisor chain")
     if data1.r != data2.r:
-        return False
-    presentation = picard_group(rigidify(data1))
+        return None
+    relation = picard_group(rigidify(data1)).relation_matrix
+    rows = []
     for i, r in enumerate(data1.r):
         diff = tuple(a - b for a, b in zip(data1.b.row(i), data2.b.row(i)))
-        if not divisible_in_quotient(diff, r, presentation.relation_matrix):
-            return False
-    return True
+        rows.append((diff, divisible_in_quotient(diff, r, relation)))
+    return rows
+
+
+def is_isomorphic_banded(data1: StackyData, data2: StackyData) -> bool:
+    """Do two data sets over the same fan define isomorphic banded gerbes?
+
+    Both root-order lists must already be in divisor-chain form.  The verdict
+    is: equal chains, and for each index the difference of the b rows is
+    divisible by the respective root order in the Picard quotient.
+    """
+    rows = twist_divisibility(data1, data2)
+    return rows is not None and all(divisible for _, divisible in rows)
 
 
 def canonicalize(data: StackyData) -> tuple[StackyData, IntegerMatrix]:

@@ -19,8 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
                      SourceNotCompleteError, SourceNotRigidError,
                      TargetRaysNotSpanningError, ZeroPolynomialError)
-from .fans import (SimplicialFan, is_admissible_zero_pattern, is_complete,
-                   maximal_cones, rays_span)
+from .fans import is_admissible_zero_pattern, is_complete, maximal_cones, rays_span
 from .gerbes import PicClass, picard_group
 from .stacky import StackyData
 
@@ -234,11 +233,6 @@ def check_condition_a(md: MorphismData) -> bool:
         if not total.is_zero:
             return False
     return True
-
-
-def irrelevant_patterns(fan: SimplicialFan) -> list[frozenset[int]]:
-    """The maximal admissible zero patterns: the ray sets of the maximal cones."""
-    return maximal_cones(fan)
 
 
 def check_condition_b(md: MorphismData,

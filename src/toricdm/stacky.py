@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
                      Violation)
-from .fans import SimplicialFan, rays_span, validate_fan
+from .fans import SimplicialFan, _primitive, rays_span, validate_fan
 from .lattice import (FgAbelianGroup, IntegerMatrix, _snf_full, cokernel,
                       cokernel_with_projection, invariant_factor_chain)
 
@@ -225,13 +225,7 @@ def canonical_ray_decomposition(data: StackyData) -> tuple[tuple[tuple[int, ...]
     is the primitive lattice point on the ray and alpha the gcd of the ray's
     coordinates.
     """
-    result = []
-    for ray in data.fan.rays:
-        g = 0
-        for x in ray:
-            g = gcd(g, abs(x))
-        result.append((tuple(x // g for x in ray), g))
-    return tuple(result)
+    return tuple((_primitive(ray), gcd(*ray)) for ray in data.fan.rays)
 
 
 def dm_torus(data: StackyData) -> tuple[int, FgAbelianGroup]:

@@ -1,12 +1,37 @@
-"""Shared fixture builders: standard fans and stack data used across tests."""
+"""Shared fixture builders: standard fans and stack data used across tests,
+plus the JSON-schema oracle for documents and reports."""
 
 from __future__ import annotations
 
+import json
 import random
+from functools import lru_cache
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from toricdm import IntegerMatrix, SimplicialFan, StackyData, close_under_faces
+
+
+@lru_cache(maxsize=None)
+def _schema_validator(schema_name):
+    text = resources.files("toricdm").joinpath("schemas", schema_name).read_text()
+    return jsonschema.Draft202012Validator(json.loads(text))
+
+
+def schema_errors(document, schema_name):
+    """Violations of a shipped schema found by ``jsonschema``, the independent
+    oracle for the decoder and for every report; empty when it conforms."""
+    return [f"/{'/'.join(str(p) for p in err.absolute_path)}: {err.message}"
+            for err in _schema_validator(schema_name).iter_errors(document)]
+
+
+# Four cones in Z^4 whose pairwise check needs one Fourier-Motzkin step of
+# more than FM_PAIR_LIMIT row pairs; unbounded, it grows past 5 GB.
+EXPLODING_RAYS = [(-1, 0, -1, 2), (-2, 3, 0, 1), (-2, 3, 0, -1), (-2, -1, -3, 0),
+                  (3, 1, 2, 3), (-2, -1, -3, 3)]
+EXPLODING_CONES = [[0, 1], [0, 4, 5], [1, 2, 3, 4], [2, 3, 4, 5]]
 
 
 def make_fan(rank, rays, max_cones):

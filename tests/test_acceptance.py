@@ -25,7 +25,7 @@ from toricdm.oracle import (det_cofactor, oracle_divisibility,
                             oracle_verify_snf)
 
 from conftest import (affine_quotient_data, make_fan, p1_root_data,
-                      projective_line_fan, random_spanning_data,
+                      projective_line_fan, random_spanning_data, schema_errors,
                       weighted_line_root_data)
 
 
@@ -243,12 +243,12 @@ def test_criterion_9_cli_round_trip_and_exit_codes(tmp_path):
         for name, doc in stacky_docs.items():
             data = documents.parse_stacky_document(doc)
             serialized = documents.serialize_stacky_data(data)
-            assert documents.schema_errors(serialized, "stacky_data.schema.json") == []
+            assert schema_errors(serialized, "stacky_data.schema.json") == []
             assert documents.parse_stacky_document(serialized) == data
         for name, doc in morphism_docs.items():
             md = documents.parse_morphism_document(doc)
             serialized = documents.serialize_morphism_data(md)
-            assert documents.schema_errors(serialized, "morphism.schema.json") == []
+            assert schema_errors(serialized, "morphism.schema.json") == []
             assert documents.parse_morphism_document(serialized) == md
 
         report_checked = []
@@ -264,7 +264,7 @@ def test_criterion_9_cli_round_trip_and_exit_codes(tmp_path):
                      ["morphism", "check", paths["duple"]],
                      ["morphism", "check", paths["sumsq"]]):
             code, report = cli.run(argv)
-            assert documents.schema_errors(report, "report.schema.json") == []
+            assert schema_errors(report, "report.schema.json") == []
             report_checked.append((argv[0], code))
 
         # exit-code contract, one instance per code

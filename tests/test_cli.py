@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from toricdm import cli, documents
 from toricdm.errors import DocumentError
+
+from conftest import EXPLODING_CONES, EXPLODING_RAYS, schema_errors
 
 WPS_ROOT = {
     "schema_version": "1", "lattice_rank": 1,
@@ -45,7 +51,7 @@ def write(tmp_path, name, doc):
 def run_checked(argv):
     """Run a CLI invocation and validate the report against the schema."""
     code, report = cli.run(argv)
-    assert documents.schema_errors(report, "report.schema.json") == []
+    assert schema_errors(report, "report.schema.json") == []
     return code, report
 
 
@@ -76,7 +82,7 @@ class TestDocuments:
         assert data.fan.rays == ((big,),)
         out = documents.serialize_stacky_data(data)
         assert out["rays"] == [[str(big)]]
-        assert documents.schema_errors(out, "stacky_data.schema.json") == []
+        assert schema_errors(out, "stacky_data.schema.json") == []
 
     def test_hash_is_key_order_insensitive(self):
         reordered = dict(reversed(list(WPS_ROOT.items())))
@@ -129,6 +135,42 @@ class TestExitCodes:
         code, report = run_checked(["validate", "/nonexistent/nowhere.json"])
         assert code == 1
         assert report["error"]["code"] == "document_error"
+
+    def test_integer_literal_beyond_digit_limit_is_one(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"lattice_rank": ' + "9" * 5000 + "}")
+        code, report = run_checked(["validate", str(path)])
+        assert code == 1
+        assert report["error"]["code"] == "document_error"
+
+    @pytest.mark.parametrize("argv", [["frobnicate", "x.json"], ["stabilizer"]])
+    def test_usage_error_is_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage: toricdm" in err and "error:" in err
+        assert "Traceback" not in err
+
+    def test_too_large_fan_is_one(self, tmp_path, capsys):
+        doc = {"schema_version": "1", "lattice_rank": 4, "rays": EXPLODING_RAYS,
+               "cones": EXPLODING_CONES, "r": [], "b": []}
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--json", "validate", write(tmp_path, "big.json", doc)])
+        assert info.value.code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert schema_errors(report, "report.schema.json") == []
+        assert report["error"]["code"] == "too_large"
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, toricdm.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 class TestCommands:
@@ -219,10 +261,10 @@ class TestCommands:
         assert code == 1
         assert "error" in report
 
-    def test_classify_batch_jobs(self, tmp_path):
+    def test_classify_batch(self, tmp_path):
         base = write(tmp_path, "base.json", p1_root_doc(0))
         others = [write(tmp_path, f"k{k}.json", p1_root_doc(k)) for k in (2, 4, 3)]
-        code, report = run_checked(["--jobs", "3", "classify", base, *others])
+        code, report = run_checked(["classify", base, *others])
         assert code == 2
         assert [r["isomorphic"] for r in report["results"]] == [True, True, False]
 

@@ -1,0 +1,245 @@
+"""The document decoder is the only structural check: it must reject every
+document the shipped schemas reject, with a located :class:`DocumentError`
+and never another exception.  ``jsonschema`` is the oracle."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricdm import documents
+from toricdm.errors import DocumentError
+
+from conftest import schema_errors
+
+P1 = {"schema_version": "1", "lattice_rank": 1,
+      "rays": [[-1], [1]], "cones": [[0], [1]], "r": [], "b": []}
+STACKY_DOCS = [
+    P1,
+    {"schema_version": "1", "lattice_rank": 1,
+     "rays": [[-3], [2]], "cones": [[0], [1]], "r": [2], "b": [[0, 1]]},
+    {"schema_version": "1", "lattice_rank": 2,
+     "rays": [["1", 0], [0, 1], [-1, "-1"]], "cones": [[0, 1], [1, 2], [0, 2]],
+     "r": [2, "6"], "b": [[0, 1, 1], [1, "0", 5]]},
+    {"schema_version": "1", "lattice_rank": 2,
+     "rays": [[str(2 ** 70), 4]], "cones": [[0]], "r": [], "b": []},
+]
+MORPHISM_DOCS = [
+    {"schema_version": "1", "source": P1, "target": P1,
+     "polynomials": [[{"coefficient": "1", "exponents": [3, 0]}],
+                     [{"coefficient": "-1/2", "exponents": [0, "3"]}]],
+     "chi": []},
+    {"schema_version": "1", "source": P1, "target": STACKY_DOCS[1],
+     "polynomials": [[{"coefficient": "1", "exponents": [2, 0]},
+                      {"coefficient": "3", "exponents": [0, 2]}],
+                     []],
+     "chi": [[0, 1]]},
+]
+KEYS = ["schema_version", "lattice_rank", "rays", "cones", "r", "b", "source", "target",
+        "polynomials", "chi", "coefficient", "exponents"]
+
+# Strings int(s, 10) or Fraction(s) accept but the schema patterns do not,
+# and a few the patterns accept.
+STRING_FORMS = [" 7", "7 ", "+7", "1_000", "٣", "７", "1.5", "1e3", " 2", "2/",
+                "/2", "1/2/3", "1//2", "-1/-2", "", "-", "0x10", "seven",
+                "7", "-7", "007", "1/2", "-3/4", "1/0"]
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+                    st.floats(), st.sampled_from(STRING_FORMS), st.text(max_size=3))
+values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.one_of(st.sampled_from(KEYS), st.text(max_size=3)), inner,
+                        max_size=3)),
+    max_leaves=6)
+
+
+def _copy(document):
+    """A deep copy that shares no object between source and target."""
+    return json.loads(json.dumps(document))
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _paths(sub, prefix + (key,))
+    elif isinstance(value, list):
+        for index, sub in enumerate(value):
+            yield from _paths(sub, prefix + (index,))
+
+
+def _at(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+@st.composite
+def mutated(draw, bases):
+    """A valid document with one to three edits: any value replaced, a scalar
+    replaced, any value replaced by one of the string forms, a key deleted
+    from an object, an item dropped from a list, or a key added to an object."""
+    document = _copy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(("replace", "scalar", "string", "delete", "drop", "add")))
+        paths = list(_paths(document))
+        if how == "scalar":
+            paths = [p for p in paths if not isinstance(_at(document, p), (dict, list))]
+        elif how in ("delete", "drop"):
+            container = dict if how == "delete" else list
+            paths = [p for p in paths[1:] if isinstance(_at(document, p[:-1]), container)]
+        elif how == "add":
+            paths = [p for p in paths if isinstance(_at(document, p), dict)]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        if how in ("delete", "drop"):
+            del _at(document, path[:-1])[path[-1]]
+        elif how == "add":
+            key = draw(st.one_of(st.sampled_from(KEYS), st.text(max_size=3)))
+            _at(document, path)[key] = draw(values)
+        else:
+            new = draw({"replace": values, "scalar": scalars,
+                        "string": st.sampled_from(STRING_FORMS)}[how])
+            if path:
+                _at(document, path[:-1])[path[-1]] = new
+            else:
+                document = new
+    return document
+
+
+def _replaced(document, path, new):
+    """A copy of ``document`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    document = _copy(document)
+    _at(document, path[:-1])[path[-1]] = new
+    return document
+
+
+def _single_edits(document):
+    """Every document one edit away: each string form at each position, each
+    key deleted from its object, and an unknown key added to each object."""
+    for path in _paths(document):
+        value = _at(document, path)
+        for text in STRING_FORMS:
+            yield _replaced(document, path, text)
+        if isinstance(value, dict):
+            yield _replaced(document, path, dict(value, extra=0))
+            for key in value:
+                yield _replaced(document, path, {k: v for k, v in value.items() if k != key})
+
+
+def _assert_decoder_covers_schema(document, parse, schema_name):
+    problems = schema_errors(document, schema_name)
+    try:
+        parse(document)
+    except DocumentError:
+        return
+    assert problems == [], f"accepted a document the schema rejects: {problems[0]}"
+
+
+class TestDecoderAgainstSchema:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(STACKY_DOCS))
+    def test_stacky_violations_raise_document_error(self, document):
+        _assert_decoder_covers_schema(document, documents.parse_stacky_document,
+                                      "stacky_data.schema.json")
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated(MORPHISM_DOCS))
+    def test_morphism_violations_raise_document_error(self, document):
+        _assert_decoder_covers_schema(document, documents.parse_morphism_document,
+                                      "morphism.schema.json")
+
+    @pytest.mark.parametrize("bases, parse, schema_name", [
+        (STACKY_DOCS, documents.parse_stacky_document, "stacky_data.schema.json"),
+        (MORPHISM_DOCS, documents.parse_morphism_document, "morphism.schema.json")])
+    def test_every_single_edit(self, bases, parse, schema_name):
+        for document in bases:
+            for edited in _single_edits(document):
+                _assert_decoder_covers_schema(edited, parse, schema_name)
+
+    def test_base_documents_conform(self):
+        for doc in STACKY_DOCS:
+            assert schema_errors(doc, "stacky_data.schema.json") == []
+            documents.parse_stacky_document(doc)
+        for doc in MORPHISM_DOCS:
+            assert schema_errors(doc, "morphism.schema.json") == []
+            documents.parse_morphism_document(doc)
+
+
+class TestDecoderErrors:
+    @pytest.mark.parametrize("text", [" 7", "+7", "1_000", "٣", "７", "7\n"])
+    def test_integer_strings_outside_the_pattern(self, text):
+        doc = dict(P1, rays=[[text], [1]])
+        with pytest.raises(DocumentError) as info:
+            documents.parse_stacky_document(doc)
+        assert info.value.location == "/rays/0/0"
+
+    def test_integer_string_beyond_the_digit_limit(self):
+        with pytest.raises(DocumentError) as info:
+            documents.parse_stacky_document(dict(P1, lattice_rank="9" * 5000))
+        assert info.value.location == "/lattice_rank"
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", " 2", "+1", "1/+2"])
+    def test_coefficients_outside_the_pattern(self, text):
+        doc = _copy(MORPHISM_DOCS[0])
+        doc["polynomials"][0][0]["coefficient"] = text
+        with pytest.raises(DocumentError) as info:
+            documents.parse_morphism_document(doc)
+        assert info.value.location == "/polynomials/0/0/coefficient"
+
+    @pytest.mark.parametrize("key", ["rays", "r"])
+    def test_digit_strings_are_not_lists(self, key):
+        with pytest.raises(DocumentError) as info:
+            documents.parse_stacky_document(dict(P1, **{key: "12"}))
+        assert info.value.location == f"/{key}"
+
+    @pytest.mark.parametrize("document", [[], "P1", 7, None])
+    def test_document_that_is_not_an_object(self, document):
+        for parse in (documents.parse_stacky_document, documents.parse_morphism_document):
+            with pytest.raises(DocumentError) as info:
+                parse(document)
+            assert info.value.location == "/"
+
+    def test_missing_and_unknown_keys_are_located_at_their_object(self):
+        missing = {k: v for k, v in P1.items() if k != "cones"}
+        unknown = dict(P1, extra=1)
+        for doc, location in ((missing, "/"), (unknown, "/")):
+            with pytest.raises(DocumentError) as info:
+                documents.parse_stacky_document(doc)
+            assert info.value.location == location
+        term = _copy(MORPHISM_DOCS[0])
+        del term["polynomials"][1][0]["exponents"]
+        with pytest.raises(DocumentError) as info:
+            documents.parse_morphism_document(term)
+        assert info.value.location == "/polynomials/1/0"
+
+    def test_source_and_target_problems_are_prefixed(self):
+        for side in ("source", "target"):
+            doc = _copy(MORPHISM_DOCS[0])
+            doc[side]["rays"][1] = ["+1"]
+            with pytest.raises(DocumentError) as info:
+                documents.parse_morphism_document(doc)
+            assert info.value.location == f"/{side}/rays/1/0"
+            doc = _copy(MORPHISM_DOCS[0])
+            del doc[side]["b"]
+            with pytest.raises(DocumentError) as info:
+                documents.parse_morphism_document(doc)
+            assert info.value.location == f"/{side}"
+
+    def test_schema_version_must_be_a_string(self):
+        with pytest.raises(DocumentError) as info:
+            documents.parse_stacky_document(dict(P1, schema_version=1))
+        assert info.value.location == "/schema_version"
+
+    def test_chi_over_short_source_rays(self):
+        doc = _copy(MORPHISM_DOCS[1])
+        doc["source"]["lattice_rank"] = 2
+        with pytest.raises(DocumentError) as info:
+            documents.parse_morphism_document(doc)
+        assert info.value.location == "/source/rays"

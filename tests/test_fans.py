@@ -1,3 +1,5 @@
+import itertools
+import time
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -6,13 +8,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from toricdm import (SimplicialFan, close_under_faces, is_admissible_zero_pattern,
-                     is_complete, maximal_cones, rays_span, validate_fan)
+from toricdm import (SimplicialFan, TooLargeError, close_under_faces,
+                     is_admissible_zero_pattern, is_complete, maximal_cones, rays_span,
+                     validate_fan)
 from toricdm import fans
 from toricdm.fans import _certifies_complete, _cone_pair_violation
 from toricdm.oracle import oracle_cones_meet_along_common_face
 
-from conftest import (affine_fan, make_fan, product_fan, projective_fan,
+from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, make_fan, product_fan,
+                      projective_fan,
                       projective_line_fan, projective_plane_fan)
 
 
@@ -254,6 +258,24 @@ class TestCompletenessCertificate:
         assert not _certifies_complete(punctured, maximal_cones(punctured))
         assert validate_fan(punctured).valid
         assert not is_complete(punctured)
+
+
+class TestFourierMotzkinBound:
+    def test_exploding_elimination_is_too_large(self):
+        fan = make_fan(4, EXPLODING_RAYS, EXPLODING_CONES)
+        start = time.perf_counter()
+        with pytest.raises(TooLargeError):
+            validate_fan(fan)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestCloseUnderFaces:
+    @given(st.lists(st.lists(st.integers(0, 7), max_size=6), max_size=6))
+    def test_equals_all_subsets(self, cones):
+        brute = {frozenset(face) for cone in cones
+                 for size in range(len(set(cone)) + 1)
+                 for face in itertools.combinations(sorted(set(cone)), size)}
+        assert close_under_faces(cones) == brute | {frozenset()}
 
 
 class TestMaximalCones:

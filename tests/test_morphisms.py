@@ -6,8 +6,8 @@ from toricdm import (MismatchedSourceTargetError, MorphismData,
                      NotHomogeneousError, SourceNotCompleteError,
                      SparsePolynomial, StackyData, TargetRaysNotSpanningError,
                      ZeroPolynomialError, check_condition_a, check_condition_b,
-                     check_two_isomorphic, degree, irrelevant_patterns,
-                     is_admissible_zero_pattern, picard_group)
+                     check_two_isomorphic, degree, is_admissible_zero_pattern,
+                     maximal_cones, picard_group)
 
 from conftest import (affine_fan, make_fan, projective_line_fan,
                       projective_plane_fan, weighted_line_root_data)
@@ -197,7 +197,7 @@ class TestConditionB:
             assert verdict.status in ("proven", "refuted")
 
             patterns = set()
-            for cone in irrelevant_patterns(source.fan):
+            for cone in maximal_cones(source.fan):
                 cone = tuple(sorted(cone))
                 for size in range(len(cone) + 1):
                     patterns.update(frozenset(c) for c in itertools.combinations(cone, size))
@@ -277,11 +277,11 @@ class TestEquivarianceOfVerdicts:
 
 class TestIrrelevantPatterns:
     def test_line(self):
-        assert irrelevant_patterns(P1.fan) == [frozenset({0}), frozenset({1})]
+        assert maximal_cones(P1.fan) == [frozenset({0}), frozenset({1})]
 
     def test_plane(self):
-        patterns = irrelevant_patterns(P2.fan)
+        patterns = maximal_cones(P2.fan)
         assert sorted(sorted(p) for p in patterns) == [[0, 1], [0, 2], [1, 2]]
 
     def test_half_line(self):
-        assert irrelevant_patterns(affine_fan(1)) == [frozenset({0})]
+        assert maximal_cones(affine_fan(1)) == [frozenset({0})]
