@@ -17,13 +17,13 @@ import sys
 from . import documents
 from .errors import (DocumentError, TooLargeError, ToricError)
 from .fans import maximal_cones
-from .gerbes import canonicalize, gerbe_class, picard_group, twist_divisibility
+from .gerbes import canonicalize, picard_group, twist_divisibility
 from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
                         check_condition_b, check_two_isomorphic)
 from .oracle import oracle_divisibility, oracle_stabilizer_order
-from .stacky import (build_matrices, dm_torus, generic_stabilizer,
-                     point_stabilizer, psi_exponents, quotient_group, rigidify,
-                     split_nonspanning, stacky_fan, validate_data)
+from .stacky import (build_matrices, dm_torus, point_stabilizer, psi_exponents,
+                     quotient_group, rigidify, split_nonspanning, stacky_fan,
+                     validate_data)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -116,7 +116,7 @@ def _cmd_build(args):
                      "bq": documents.encode_grid(psi_exponents(data))},
         "quotient_group": {"torus_rank": documents.encode_int(qg.torus_rank),
                            "invariant_factors": _group_payload(qg.finite_part)},
-        "generic_stabilizer": _group_payload(generic_stabilizer(data)),
+        "generic_stabilizer": _group_payload(band),
         "dm_torus": {"dimension": documents.encode_int(dim),
                      "band": _group_payload(band)},
     }
@@ -160,13 +160,12 @@ def _cmd_pic(args):
     inputs = []
     data = _load_valid(args.path, inputs)
     presentation = picard_group(rigidify(data))
-    classes = [gerbe_class(data, i + 1).representative for i in range(data.root_count)]
     payload = {
         "picard": {
             "free_rank": documents.encode_int(presentation.group.free_rank),
             "invariant_factors": _group_payload(presentation.group),
             "relation_matrix": documents.encode_grid(presentation.relation_matrix)},
-        "gerbe_classes": [[documents.encode_int(x) for x in rep] for rep in classes],
+        "gerbe_classes": documents.encode_grid(data.b),
     }
     return EXIT_OK, _report("pic", inputs, **payload)
 

@@ -8,8 +8,8 @@ condition is first certified in near-linear time by facet pairing (each
 facet in exactly two maximal cones, on opposite sides of its hyperplane)
 plus one generic vector covered exactly once; fans that certificate does not
 accept are decided pair by pair with exact integer Fourier-Motzkin
-elimination.  Completeness of a valid fan is the facet-pairing half of the
-same certificate, read off one shared facet-owner map.
+elimination.  :func:`is_complete` asks the same certificate, on maximal
+cones that are full-dimensional and independent.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import TooLargeError, ValidationReport, Violation
-from .lattice import IntegerMatrix, _snf_full
+from .lattice import IntegerMatrix, smith_normal_form
 
 ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
 
@@ -71,10 +71,9 @@ def close_under_faces(cones: Iterable[Iterable[int]]) -> frozenset[frozenset[int
     return frozenset(closed)
 
 
-def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for x in vector:
-        g = gcd(g, abs(x))
+def primitive(vector: Sequence[int]) -> tuple[int, ...]:
+    """The vector divided by the gcd of its entries; zero stays zero."""
+    g = gcd(*vector)
     return tuple(x // g for x in vector) if g else tuple(vector)
 
 
@@ -211,7 +210,7 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
 
     directions: dict[tuple[int, ...], int] = {}
     for idx, ray in enumerate(fan.rays):
-        prim = _primitive(ray)
+        prim = primitive(ray)
         if prim in directions:
             return ValidationReport((Violation(
                 "duplicate_ray_direction",
@@ -292,9 +291,9 @@ def _facet_normals(fan: SimplicialFan, cone: frozenset[int]) -> dict[int, tuple[
         for r in range(d):
             factor = rows[r][col]
             if r != col and factor:
-                rows[r] = _primitive([top[col] * x - factor * y for x, y in zip(rows[r], top)])
+                rows[r] = primitive([top[col] * x - factor * y for x, y in zip(rows[r], top)])
     # row c now reads (0..a_c..0 | a_c times row c of the inverse)
-    return {order[c]: _primitive([x if rows[c][c] > 0 else -x for x in rows[c][d:]])
+    return {order[c]: primitive([x if rows[c][c] > 0 else -x for x in rows[c][d:]])
             for c in range(d)}
 
 
@@ -343,18 +342,19 @@ def maximal_cones(fan: SimplicialFan) -> list[frozenset[int]]:
 
 
 def is_complete(fan: SimplicialFan) -> bool:
-    """Does the fan's support cover the whole rational vector space?
+    """Do the maximal cones cover the rational vector space exactly once?
 
-    For a valid fan this holds exactly when the fan is pure of top dimension
-    and every facet of a maximal cone lies in exactly two maximal cones: the
-    two then lie on opposite sides of the facet, so the support is a closed
-    set without boundary.  The facet-owner map is the one the completeness
-    certificate of :func:`validate_fan` builds.
+    True exactly when every maximal cone has ``lattice_rank`` independent
+    rays and :func:`_certifies_complete` accepts; for a valid fan that is
+    completeness.  A fan that winds twice, or whose cones overlap, is not
+    certified and gets False.  The cones must index the fan's rays.
     """
+    d = fan.lattice_rank
     maximal = maximal_cones(fan)
-    if any(len(c) != fan.lattice_rank for c in maximal):
+    if any(len(c) != d or _rank_rational([fan.rays[i] for i in sorted(c)]) != d
+           for c in maximal):
         return False
-    return all(len(pair) == 2 for pair in _facet_owners(maximal).values())
+    return _certifies_complete(fan, maximal)
 
 
 def rays_span(fan: SimplicialFan) -> tuple[bool, tuple[tuple[int, ...], ...]]:
@@ -364,10 +364,9 @@ def rays_span(fan: SimplicialFan) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     The basis consists of the first ``rank`` columns of the left Smith
     transform of the ray matrix.
     """
-    full = _snf_full(fan.ray_matrix())
-    rank = sum(1 for x in full.d.diagonal_entries() if x != 0)
-    basis = tuple(full.u.column(j) for j in range(rank))
-    return rank == fan.lattice_rank, basis
+    snf = smith_normal_form(fan.ray_matrix())
+    basis = tuple(snf.u.column(j) for j in range(snf.rank))
+    return snf.rank == fan.lattice_rank, basis
 
 
 def is_admissible_zero_pattern(fan: SimplicialFan, pattern: Iterable[int]) -> bool:

@@ -9,12 +9,12 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .errors import MismatchedUnderlyingDataError, NotInChainFormError
-from .lattice import (FgAbelianGroup, IntegerMatrix, _snf_full, cokernel,
-                      divisible_in_quotient, solve_linear)
+from .lattice import (FgAbelianGroup, IntegerMatrix, cokernel_with_projection,
+                      smith_normal_form)
 from .stacky import StackyData, rigidify
 
 
@@ -23,12 +23,15 @@ class PicardPresentation:
     """Pic as a cokernel: Z^n (dual ray basis) modulo the relation columns.
 
     ``relation_matrix`` is n x d; its l-th column pairs the l-th standard
-    character with every ray vector.
+    character with every ray vector.  ``project`` sends a vector of Z^n to
+    the normalized coordinates of its class in ``group``; it is computed
+    once, with the group, and does not take part in equality.
     """
 
     n: int
     relation_matrix: IntegerMatrix
     group: FgAbelianGroup
+    project: Callable[[Sequence[int]], tuple[int, ...]] = field(compare=False, repr=False)
 
     def class_of(self, representative: Sequence[int]) -> "PicClass":
         return PicClass(tuple(int(x) for x in representative), self)
@@ -36,17 +39,19 @@ class PicardPresentation:
     def zero_class(self) -> "PicClass":
         return self.class_of((0,) * self.n)
 
-    def vector_is_zero_class(self, vector: Sequence[int]) -> bool:
-        solution, _ = solve_linear(self.relation_matrix, vector)
-        return solution is not None
-
 
 @dataclass(frozen=True, eq=False)
 class PicClass:
-    """A divisor class: an integer vector taken modulo the relation columns."""
+    """A divisor class: an integer vector taken modulo the relation columns.
+
+    ``coordinates`` are the normalized coordinates of the class, fixed at
+    construction, so equality, hashing and the zero test are tuple
+    operations.
+    """
 
     representative: tuple[int, ...]
     presentation: PicardPresentation
+    coordinates: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "representative",
@@ -55,18 +60,23 @@ class PicClass:
             raise ValueError(
                 f"representative has length {len(self.representative)}, "
                 f"expected {self.presentation.n}")
+        object.__setattr__(self, "coordinates", self.presentation.project(self.representative))
 
     @property
     def is_zero(self) -> bool:
-        return self.presentation.vector_is_zero_class(self.representative)
+        return not any(self.coordinates)
+
+    def divisible_by(self, r: int) -> bool:
+        """Is this class r times another class?"""
+        return self.presentation.group.is_divisible(self.coordinates, r)
 
     def __eq__(self, other):
         if not isinstance(other, PicClass):
             return NotImplemented
-        if self.presentation != other.presentation:
-            return False
-        diff = tuple(a - b for a, b in zip(self.representative, other.representative))
-        return self.presentation.vector_is_zero_class(diff)
+        return self.coordinates == other.coordinates and self.presentation == other.presentation
+
+    def __hash__(self):
+        return hash(self.coordinates)
 
     def __add__(self, other: "PicClass") -> "PicClass":
         if not isinstance(other, PicClass) or self.presentation != other.presentation:
@@ -97,10 +107,9 @@ def picard_group(data: StackyData) -> PicardPresentation:
     """
     if not data.is_rigid:
         raise ValueError("picard_group expects rigid data; call rigidify first")
-    n, d = data.ray_count, data.lattice_rank
-    relation = IntegerMatrix.from_rows(
-        [[data.fan.rays[k][l] for l in range(d)] for k in range(n)], d)
-    return PicardPresentation(n=n, relation_matrix=relation, group=cokernel(relation))
+    relation = IntegerMatrix.from_rows(data.fan.rays, data.lattice_rank)
+    group, project = cokernel_with_projection(relation)
+    return PicardPresentation(data.ray_count, relation, group, project)
 
 
 def gerbe_class(data: StackyData, index: int) -> PicClass:
@@ -130,11 +139,11 @@ def twist_divisibility(data1: StackyData, data2: StackyData
         raise NotInChainFormError(f"root orders {data2.r} are not a divisor chain")
     if data1.r != data2.r:
         return None
-    relation = picard_group(rigidify(data1)).relation_matrix
+    presentation = picard_group(rigidify(data1))
     rows = []
     for i, r in enumerate(data1.r):
         diff = tuple(a - b for a, b in zip(data1.b.row(i), data2.b.row(i)))
-        rows.append((diff, divisible_in_quotient(diff, r, relation)))
+        rows.append((diff, presentation.class_of(diff).divisible_by(r)))
     return rows
 
 
@@ -161,11 +170,11 @@ def canonicalize(data: StackyData) -> tuple[StackyData, IntegerMatrix]:
     big_r = data.root_count
     if big_r == 0:
         return data, IntegerMatrix.identity(0)
-    full = _snf_full(IntegerMatrix.diagonal(data.r))
-    diag = full.d.diagonal_entries()
+    snf = smith_normal_form(IntegerMatrix.diagonal(data.r))
+    diag = snf.diagonal()
     keep = [j for j in range(big_r) if diag[j] >= 2]
-    transported = full.u_inv @ data.b
-    certificate = IntegerMatrix.from_rows([full.u_inv.row(j) for j in keep], big_r)
+    transported = snf.u_inv @ data.b
+    certificate = IntegerMatrix.from_rows([snf.u_inv.row(j) for j in keep], big_r)
     new_b = IntegerMatrix.from_rows([transported.row(j) for j in keep], data.ray_count)
     new_data = StackyData(fan=data.fan, r=tuple(diag[j] for j in keep), b=new_b)
     return new_data, certificate

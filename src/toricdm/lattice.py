@@ -1,16 +1,18 @@
 """Exact integer linear algebra.
 
-Smith normal form with unimodular transforms, cokernels of integer matrices
-presented as finitely generated abelian groups, integer linear system solving,
-and divisibility tests in quotient lattices.  Everything runs on Python's
-arbitrary-precision integers; no floating point is used anywhere.  All public
-values are immutable and safe to share between threads.
+Smith normal form with unimodular transforms and their inverses (the one
+normal-form engine), cokernels of integer matrices presented as finitely
+generated abelian groups with normalized coordinates, integer linear system
+solving, and divisibility tests in quotient lattices.  Everything runs on
+Python's arbitrary-precision integers; no floating point is used anywhere.
+All public values are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from math import gcd
+from typing import Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -51,14 +53,10 @@ class IntegerMatrix:
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     @classmethod
-    def diagonal(cls, values: Sequence[int], rows: int | None = None, cols: int | None = None) -> "IntegerMatrix":
-        values = [int(v) for v in values]
-        rows = len(values) if rows is None else rows
-        cols = len(values) if cols is None else cols
-        grid = [[0] * cols for _ in range(rows)]
-        for i, v in enumerate(values):
-            grid[i][i] = v
-        return cls.from_rows(grid, cols)
+    def diagonal(cls, values: Sequence[int]) -> "IntegerMatrix":
+        n = len(values)
+        return cls(n, n, tuple(tuple(v if i == j else 0 for j in range(n))
+                               for i, v in enumerate(values)))
 
     @classmethod
     def column_stack(cls, columns: Sequence[Sequence[int]], rows: int) -> "IntegerMatrix":
@@ -121,7 +119,8 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """Smith normal form ``a = u @ d @ v`` with unimodular ``u`` and ``v``.
+    """Smith normal form ``a = u @ d @ v`` with unimodular ``u`` and ``v``,
+    together with their inverses ``u_inv`` and ``v_inv``.
 
     ``d`` is diagonal with nonnegative entries in a divisor chain
     (each divides the next), zeros trailing.
@@ -130,6 +129,8 @@ class SnfDecomposition:
     u: IntegerMatrix
     d: IntegerMatrix
     v: IntegerMatrix
+    u_inv: IntegerMatrix
+    v_inv: IntegerMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -143,29 +144,17 @@ class SnfDecomposition:
 
 
 @dataclass(frozen=True)
-class _SnfFull:
-    """Smith decomposition together with the inverses of the transforms."""
-
-    u: IntegerMatrix
-    d: IntegerMatrix
-    v: IntegerMatrix
-    u_inv: IntegerMatrix
-    v_inv: IntegerMatrix
-
-
-@dataclass(frozen=True)
 class FgAbelianGroup:
     """A finitely generated abelian group in invariant-factor form.
 
     ``invariant_factors`` is the divisor chain of the torsion part; factors
-    equal to 1 are never stored.  ``presentation``, when present, is a matrix
-    whose column span is the relation subgroup the group was computed from.
-    It is bookkeeping only and does not take part in equality.
+    equal to 1 are never stored.  An element is written in normalized
+    coordinates: one residue per invariant factor, in chain order, followed by
+    ``free_rank`` integers.
     """
 
     free_rank: int
     invariant_factors: tuple[int, ...] = ()
-    presentation: Optional[IntegerMatrix] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "invariant_factors",
@@ -182,10 +171,6 @@ class FgAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def order(self) -> Optional[int]:
         """Group order, or None when the group is infinite."""
         if self.free_rank:
@@ -194,6 +179,18 @@ class FgAbelianGroup:
         for f in self.invariant_factors:
             n *= f
         return n
+
+    def is_divisible(self, coordinates: Sequence[int], r: int) -> bool:
+        """Is the element with these normalized coordinates r times another?
+
+        In Z/c the residue x is a multiple of r exactly when gcd(r, c)
+        divides x, and in Z exactly when r does; the group is their sum.
+        """
+        if r < 1:
+            raise ValueError("divisor must be at least 1")
+        torsion = len(self.invariant_factors)
+        return all(x % gcd(r, c) == 0 for x, c in zip(coordinates, self.invariant_factors)) \
+            and all(x % r == 0 for x in coordinates[torsion:])
 
     def __str__(self):
         parts = []
@@ -227,8 +224,13 @@ def _find_pivot(d: list[list[int]], t: int, m: int, n: int) -> Optional[tuple[in
     return best
 
 
-def _snf_full(a: IntegerMatrix) -> _SnfFull:
-    """Smith normal form with transforms and their inverses.
+def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
+    """Smith normal form of an integer matrix, with transforms and inverses.
+
+    Returns unimodular ``u``, ``v`` and a diagonal ``d`` with ``a = u @ d @ v``
+    where the diagonal entries are nonnegative, form a divisor chain and the
+    zeros trail, plus ``u_inv`` and ``v_inv``.  Empty matrices are handled and
+    yield empty diagonals.
 
     Maintains the invariants a = u d v, u_inv u = I and v v_inv = I under
     elementary row and column operations.  Pivots are chosen with minimal
@@ -326,24 +328,13 @@ def _snf_full(a: IntegerMatrix) -> _SnfFull:
         t += 1
 
     to_m = lambda grid, r, c: IntegerMatrix(r, c, tuple(tuple(row) for row in grid))
-    return _SnfFull(u=to_m(u, m, m), d=to_m(d, m, n), v=to_m(v, n, n),
-                    u_inv=to_m(u_inv, m, m), v_inv=to_m(v_inv, n, n))
-
-
-def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
-    """Smith normal form of an integer matrix.
-
-    Returns unimodular ``u``, ``v`` and a diagonal ``d`` with ``a = u @ d @ v``
-    where the diagonal entries are nonnegative, form a divisor chain and the
-    zeros trail.  Empty matrices are handled and yield empty diagonals.
-    """
-    full = _snf_full(a)
-    return SnfDecomposition(u=full.u, d=full.d, v=full.v)
+    return SnfDecomposition(u=to_m(u, m, m), d=to_m(d, m, n), v=to_m(v, n, n),
+                            u_inv=to_m(u_inv, m, m), v_inv=to_m(v_inv, n, n))
 
 
 def matrix_rank(a: IntegerMatrix) -> int:
     """Rank over the rationals, computed exactly."""
-    return sum(1 for x in _snf_full(a).d.diagonal_entries() if x != 0)
+    return smith_normal_form(a).rank
 
 
 # ---------------------------------------------------------------------------
@@ -355,33 +346,30 @@ def cokernel(relations: IntegerMatrix) -> FgAbelianGroup:
 
     A matrix with no columns means "no relations" and yields a free group.
     """
-    diag = _snf_full(relations).d.diagonal_entries()
-    rank = sum(1 for x in diag if x != 0)
-    factors = tuple(x for x in diag if x >= 2)
-    return FgAbelianGroup(free_rank=relations.rows - rank,
-                          invariant_factors=factors,
-                          presentation=relations)
+    return cokernel_with_projection(relations)[0]
 
 
-def cokernel_with_projection(relations: IntegerMatrix):
+def cokernel_with_projection(relations: IntegerMatrix
+                             ) -> tuple[FgAbelianGroup, Callable[[Sequence[int]], tuple[int, ...]]]:
     """Cokernel plus a map sending ambient vectors to normalized coordinates.
 
     The projection returns, for v in Z^n, the tuple of its torsion residues
     (one per invariant factor, in chain order) followed by its free
     coordinates.  Two vectors land on the same tuple exactly when they agree
-    modulo the column span of ``relations``.
+    modulo the column span of ``relations``: the coordinates of v are those
+    of ``u_inv v`` in Z/d_1 + ... + Z/d_k + Z^f (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.4).
     """
-    full = _snf_full(relations)
-    diag = full.d.diagonal_entries()
+    snf = smith_normal_form(relations)
+    diag = snf.diagonal()
     n = relations.rows
     torsion_pos = [i for i, x in enumerate(diag) if x >= 2]
     free_pos = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
     group = FgAbelianGroup(free_rank=len(free_pos),
-                           invariant_factors=tuple(diag[i] for i in torsion_pos),
-                           presentation=relations)
+                           invariant_factors=tuple(diag[i] for i in torsion_pos))
 
     def project(vector: Sequence[int]) -> tuple[int, ...]:
-        y = full.u_inv.apply(vector)
+        y = snf.u_inv.apply(vector)
         residues = tuple(y[i] % diag[i] for i in torsion_pos)
         free = tuple(y[i] for i in free_pos)
         return residues + free
@@ -403,12 +391,12 @@ def solve_linear(a: IntegerMatrix, b: Sequence[int]):
     b = tuple(int(x) for x in b)
     if len(b) != a.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")
-    full = _snf_full(a)
-    diag = full.d.diagonal_entries()
-    c = full.u_inv.apply(b)
+    snf = smith_normal_form(a)
+    diag = snf.diagonal()
+    c = snf.u_inv.apply(b)
 
     kernel_cols = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
-    kernel = tuple(full.v_inv.column(j) for j in kernel_cols)
+    kernel = tuple(snf.v_inv.column(j) for j in kernel_cols)
 
     y = [0] * a.cols
     for i in range(a.rows):
@@ -420,37 +408,34 @@ def solve_linear(a: IntegerMatrix, b: Sequence[int]):
             if c[i] % di:
                 return None, kernel
             y[i] = c[i] // di
-    return full.v_inv.apply(y), kernel
+    return snf.v_inv.apply(y), kernel
 
 
 def divisible_in_quotient(v: Sequence[int], r: int, relations: IntegerMatrix) -> bool:
     """Is the class of ``v`` divisible by ``r`` in Z^n modulo the relations?
 
     Equivalently: does v = r*w + (integer combination of relation columns)
-    admit an integer solution?
+    admit an integer solution?  Decided by a residue test on the normalized
+    coordinates of ``v`` (see :meth:`FgAbelianGroup.is_divisible`).
     """
-    v = tuple(int(x) for x in v)
-    r = int(r)
-    if r < 1:
-        raise ValueError("divisor must be at least 1")
-    n = relations.rows
-    if len(v) != n:
-        raise ValueError(f"vector has length {len(v)}, expected {n}")
-    scaled = IntegerMatrix.diagonal([r] * n)
-    solution, _ = solve_linear(scaled.hstack(relations), v)
-    return solution is not None
+    group, project = cokernel_with_projection(relations)
+    return group.is_divisible(project(v), r)
 
 
 def invariant_factor_chain(orders: Sequence[int]) -> tuple[int, ...]:
     """Invariant factors of the direct sum of cyclic groups Z/r_i.
 
     Accepts any list of integers >= 1; factors equal to 1 are dropped and the
-    result satisfies the divisor-chain condition.
+    result satisfies the divisor-chain condition.  Rewrites each pair with
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after pairing position i with
+    every later one, it divides all of them, so the list ends up a chain.
     """
     orders = [int(r) for r in orders]
     if any(r < 1 for r in orders):
         raise ValueError("cyclic orders must be positive")
-    if not orders:
-        return ()
-    diag = _snf_full(IntegerMatrix.diagonal(orders)).d.diagonal_entries()
-    return tuple(x for x in diag if x >= 2)
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            a, b = orders[i], orders[j]
+            g = gcd(a, b)
+            orders[i], orders[j] = g, a // g * b
+    return tuple(x for x in orders if x >= 2)

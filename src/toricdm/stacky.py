@@ -16,9 +16,9 @@ from typing import Sequence
 
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
                      Violation)
-from .fans import SimplicialFan, _primitive, rays_span, validate_fan
-from .lattice import (FgAbelianGroup, IntegerMatrix, _snf_full, cokernel,
-                      cokernel_with_projection, invariant_factor_chain)
+from .fans import SimplicialFan, primitive, rays_span, validate_fan
+from .lattice import (FgAbelianGroup, IntegerMatrix, cokernel, cokernel_with_projection,
+                      invariant_factor_chain, smith_normal_form)
 
 
 @dataclass(frozen=True)
@@ -151,21 +151,17 @@ def stacky_fan(data: StackyData) -> StackyFan:
     if not spans:
         raise NonSpanningRaysError(
             "rays do not span the lattice; split off the torus factor first")
-    _, q_matrix = build_matrices(data)
     lifted = tuple(
         data.fan.rays[k] + tuple(data.b[i, k] % data.r[i] for i in range(data.root_count))
         for k in range(data.ray_count))
     extended = FgAbelianGroup(free_rank=data.lattice_rank,
-                              invariant_factors=invariant_factor_chain(data.r),
-                              presentation=q_matrix)
+                              invariant_factors=invariant_factor_chain(data.r))
     return StackyFan(extended_group=extended, fan=data.fan, lifted_rays=lifted)
 
 
 def generic_stabilizer(data: StackyData) -> FgAbelianGroup:
     """The automorphism group of a general point: the sum of Z/r_i."""
-    return FgAbelianGroup(free_rank=0,
-                          invariant_factors=invariant_factor_chain(data.r),
-                          presentation=IntegerMatrix.diagonal(data.r))
+    return FgAbelianGroup(free_rank=0, invariant_factors=invariant_factor_chain(data.r))
 
 
 def point_stabilizer(data: StackyData, cone: Sequence[int] | frozenset[int]) -> FgAbelianGroup:
@@ -203,14 +199,14 @@ def split_nonspanning(data: StackyData) -> tuple[StackyData, int]:
     the rank of the complementary torus factor.  Data with spanning rays is
     returned unchanged with factor 0, which makes the operation idempotent.
     """
-    full = _snf_full(data.fan.ray_matrix())
-    rank = sum(1 for x in full.d.diagonal_entries() if x != 0)
+    snf = smith_normal_form(data.fan.ray_matrix())
+    rank = snf.rank
     d = data.lattice_rank
     if rank == d:
         return data, 0
     new_rays = []
     for ray in data.fan.rays:
-        coords = full.u_inv.apply(ray)
+        coords = snf.u_inv.apply(ray)
         if any(coords[rank:]):
             raise ArithmeticError("ray escaped the span of the ray matrix")
         new_rays.append(coords[:rank])
@@ -225,9 +221,10 @@ def canonical_ray_decomposition(data: StackyData) -> tuple[tuple[tuple[int, ...]
     is the primitive lattice point on the ray and alpha the gcd of the ray's
     coordinates.
     """
-    return tuple((_primitive(ray), gcd(*ray)) for ray in data.fan.rays)
+    return tuple((primitive(ray), gcd(*ray)) for ray in data.fan.rays)
 
 
 def dm_torus(data: StackyData) -> tuple[int, FgAbelianGroup]:
-    """Dimension and band of the dense open torus of the stack."""
-    return data.lattice_rank, FgAbelianGroup(0, invariant_factor_chain(data.r))
+    """Dimension and band of the dense open torus of the stack; the band is
+    the generic stabilizer."""
+    return data.lattice_rank, generic_stabilizer(data)

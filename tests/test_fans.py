@@ -310,6 +310,17 @@ class TestIsComplete:
         cones = set(fan.cones) - {frozenset({0, 1})}
         assert not is_complete(SimplicialFan(2, fan.rays, frozenset(cones)))
 
+    def test_pentagram_is_not_complete(self):
+        # every facet has two owners, but the cones wind twice around 0
+        rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+        assert not is_complete(make_fan(2, rays, [[i, (i + 1) % 5] for i in range(5)]))
+
+    def test_dependent_maximal_cone_is_not_complete(self):
+        fan = make_fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)],
+                       [[0, 1], [1, 2], [2, 3], [3, 0]])
+        assert not validate_fan(fan).valid
+        assert not is_complete(fan)
+
     def test_singletons_admissible_on_complete_fans(self):
         for fan in (projective_line_fan(), projective_plane_fan(), projective_fan(3)):
             for i in range(len(fan.rays)):

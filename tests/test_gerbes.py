@@ -1,14 +1,44 @@
+import sys
+
 import pytest
 
 from toricdm import (FgAbelianGroup, IntegerMatrix, MismatchedUnderlyingDataError,
                      NotInChainFormError, StackyData, canonicalize, gerbe_class,
                      generic_stabilizer, invariant_factor_chain,
-                     is_isomorphic_banded, picard_group, rigidify)
+                     is_isomorphic_banded, lattice, picard_group, rigidify,
+                     solve_linear)
+from toricdm.gerbes import twist_divisibility
 from toricdm.oracle import (oracle_divisibility, oracle_element_order_census,
                             oracle_is_group_isomorphism)
 
-from conftest import (line_fan, make_fan, p1_root_data, projective_line_fan,
+from conftest import (affine_fan, line_fan, make_fan, p1_root_data, product_fan,
+                      projective_fan, projective_line_fan, projective_plane_fan,
                       weighted_line_root_data)
+
+# P^2 modulo Z/3: Pic is Z + Z/3
+P2_MOD_3 = make_fan(2, [(2, -1), (-1, 2), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+
+CLASS_FANS = [projective_line_fan(), line_fan(3, 2), projective_plane_fan(), P2_MOD_3,
+              projective_fan(3), affine_fan(2), make_fan(1, [(6,)], [[0]]),
+              make_fan(2, [(1, 0), (1, 2)], [[0, 1]]),
+              product_fan(line_fan(2, 4), P2_MOD_3)]
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Shapes of the matrices handed to ``lattice.smith_normal_form``, from
+    every module of the package that binds it."""
+    calls = []
+    original = lattice.smith_normal_form
+
+    def counted(a):
+        calls.append((a.rows, a.cols))
+        return original(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricdm") and getattr(module, "smith_normal_form", None) is original:
+            monkeypatch.setattr(module, "smith_normal_form", counted)
+    return calls
 
 
 class TestPicardGroup:
@@ -38,6 +68,74 @@ class TestPicardGroup:
     def test_requires_rigid_data(self):
         with pytest.raises(ValueError):
             picard_group(weighted_line_root_data())
+
+
+class TestNormalizedClasses:
+    def test_equal_classes_hash_equal(self):
+        pres = picard_group(StackyData(projective_line_fan()))
+        a, b = pres.class_of((1, 0)), pres.class_of((0, 1))
+        assert a == b and hash(a) == hash(b)
+        assert {a, b, pres.class_of((2, -1)), 2 * a} == {a, 2 * b}
+        assert pres.zero_class() in {a - b}
+
+    def test_torsion_classes_in_sets(self):
+        pres = picard_group(StackyData(P2_MOD_3))
+        assert pres.group == FgAbelianGroup(1, (3,))
+        assert len({pres.class_of((k, 0, 0)) for k in range(-6, 7)}) == 13
+        torsion = pres.class_of((1, 0, -1))
+        assert not torsion.is_zero and (3 * torsion).is_zero
+        assert len({k * torsion for k in range(12)}) == 3
+
+    def test_equality_and_zero_agree_with_solve_linear(self, rng):
+        for fan in CLASS_FANS:
+            pres = picard_group(StackyData(fan))
+            for _ in range(30):
+                v = tuple(rng.randint(-6, 6) for _ in range(pres.n))
+                w = tuple(rng.randint(-6, 6) for _ in range(pres.n))
+                diff = tuple(x - y for x, y in zip(v, w))
+                same = solve_linear(pres.relation_matrix, diff)[0] is not None
+                cv, cw = pres.class_of(v), pres.class_of(w)
+                assert (cv == cw) == same
+                assert same <= (hash(cv) == hash(cw))
+                assert cv.is_zero == (solve_linear(pres.relation_matrix, v)[0] is not None)
+                assert (cv - cw).is_zero == same
+
+    def test_divisible_by_agrees_with_oracle(self, rng):
+        for fan in CLASS_FANS:
+            pres = picard_group(StackyData(fan))
+            for _ in range(30):
+                v = tuple(rng.randint(-8, 8) for _ in range(pres.n))
+                r = rng.randint(1, 12)
+                assert pres.class_of(v).divisible_by(r) == \
+                    oracle_divisibility(v, r, pres.relation_matrix)
+
+    def test_divisible_by_rejects_nonpositive(self):
+        pres = picard_group(StackyData(projective_line_fan()))
+        with pytest.raises(ValueError):
+            pres.class_of((1, 0)).divisible_by(0)
+
+    def test_class_operations_run_no_smith_form(self, snf_calls, rng):
+        pres = picard_group(StackyData(P2_MOD_3))
+        snf_calls.clear()
+        outcomes = []
+        for _ in range(20):
+            a = pres.class_of(tuple(rng.randint(-9, 9) for _ in range(3)))
+            b = pres.class_of(tuple(rng.randint(-9, 9) for _ in range(3)))
+            outcomes.append((a == b, a.is_zero, (a - b).is_zero,
+                             a.divisible_by(rng.randint(1, 9)), hash(a)))
+        assert len(outcomes) == 20
+        assert snf_calls == []
+
+    def test_twist_divisibility_runs_one_smith_form(self, snf_calls, rng):
+        r = (2, 4, 12, 24)
+        rows = [[[rng.randint(-9, 9) for _ in range(3)] for _ in r] for _ in range(2)]
+        data1, data2 = (StackyData(P2_MOD_3, r, IntegerMatrix.from_rows(b)) for b in rows)
+        snf_calls.clear()
+        result = twist_divisibility(data1, data2)
+        assert snf_calls == [(3, 2)]
+        relation = picard_group(StackyData(P2_MOD_3)).relation_matrix
+        for (diff, divisible), order in zip(result, r):
+            assert divisible == oracle_divisibility(diff, order, relation)
 
 
 class TestGerbeClass:

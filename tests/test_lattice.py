@@ -190,8 +190,3 @@ class TestFgAbelianGroup:
         assert FgAbelianGroup(1, (2,)).order() is None
         assert FgAbelianGroup(0).order() == 1
         assert FgAbelianGroup(0).is_trivial
-
-    def test_presentation_ignored_by_equality(self):
-        a = FgAbelianGroup(0, (6,), presentation=IntegerMatrix.diagonal([2, 3]))
-        b = FgAbelianGroup(0, (6,), presentation=IntegerMatrix.diagonal([6]))
-        assert a == b

@@ -1,0 +1,35 @@
+"""Structural checks on the package source."""
+
+import ast
+from pathlib import Path
+
+import toricdm
+
+PACKAGE = Path(toricdm.__file__).parent
+
+
+def private_imports(path):
+    """(module, name) for each name starting with ``_`` that the file imports
+    from a sibling module of the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level > 0 or (node.module or "").split(".")[0] == "toricdm":
+            found += [(node.module, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_no_private_imports_between_modules():
+    offenders = {path.name: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(offenders) >= 9
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_detects_a_private_import(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from .lattice import IntegerMatrix, _hidden\n"
+                    "from toricdm.fans import _other\n"
+                    "from os import _exit\n")
+    assert private_imports(path) == [("lattice", "_hidden"), ("toricdm.fans", "_other")]
