@@ -19,7 +19,8 @@ from .errors import (DocumentError, TooLargeError, ToricError)
 from .fans import maximal_cones
 from .gerbes import canonicalize, picard_group, twist_divisibility
 from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
-                        check_condition_b, check_two_isomorphic)
+                        check_condition_b, check_two_isomorphic,
+                        validate_morphism_data)
 from .oracle import oracle_divisibility, oracle_stabilizer_order
 from .stacky import (build_matrices, dm_torus, point_stabilizer, psi_exponents,
                      quotient_group, rigidify, split_nonspanning, stacky_fan,
@@ -40,9 +41,8 @@ def _report(command, inputs, **payload):
 
 def _error_report(command, inputs, exc: ToricError):
     error = {"code": exc.code, "message": str(exc)}
-    location = getattr(exc, "location", "")
-    if location:
-        error["location"] = location
+    if exc.location:
+        error["location"] = exc.location
     return _report(command, inputs, error=error)
 
 
@@ -267,8 +267,10 @@ def _cmd_morphism(args):
     inputs = []
     md = _load_valid_morphism(args.paths[0], inputs)
     if args.mode == "check":
-        condition_a = check_condition_a(md)
-        verdict = check_condition_b(md, sample_budget=args.sample_budget, seed=args.seed)
+        validate_morphism_data(md)
+        condition_a = check_condition_a(md, validate=False)
+        verdict = check_condition_b(md, sample_budget=args.sample_budget, seed=args.seed,
+                                    validate=False)
         payload = {"mode": "check", "condition_a": condition_a,
                    "condition_b": _condition_b_payload(verdict)}
         if not condition_a or verdict.is_refuted:
@@ -355,12 +357,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="toricdm",
         description="Exact computations with toric stack data given as JSON documents.")
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    parser.add_argument("--sample-budget", type=int, default=DEFAULT_SAMPLE_BUDGET,
+    parser.add_argument("--sample-budget", type=_nonnegative_int, default=DEFAULT_SAMPLE_BUDGET,
                         metavar="N", help="evaluation budget for refutation sampling")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
                         help="seed for refutation sampling")

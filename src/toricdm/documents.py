@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .errors import DocumentError
+from .errors import DocumentError, TooLargeError
 from .fans import SimplicialFan, close_under_faces, maximal_cones
 from .gerbes import PicClass, picard_group
 from .lattice import IntegerMatrix
@@ -26,6 +26,9 @@ from .morphisms import MorphismData, SparsePolynomial
 from .stacky import StackyData
 
 SCHEMA_VERSION = "1"
+# Largest total degree of a polynomial term; a sample of condition B raises
+# coordinates to this power, so the bound keeps one sample cheap.
+MAX_TERM_DEGREE = 1000
 _JSON_SAFE_MAX = 2 ** 53 - 1
 _INTEGER = re.compile(r"-?[0-9]+")
 _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -167,10 +170,16 @@ def parse_morphism_document(document: Any) -> MorphismData:
     polys = []
     for p_idx, terms in enumerate(polynomials):
         try:  # exponent vectors of the wrong length or with a negative entry
-            polys.append(SparsePolynomial(n_source, tuple(terms)))
+            poly = SparsePolynomial(n_source, tuple(terms))
         except ValueError as exc:
             raise DocumentError(f"{exc}; the source has {n_source} rays",
                                 f"/polynomials/{p_idx}") from None
+        for _, exponents in poly.terms:
+            if sum(exponents) > MAX_TERM_DEGREE:
+                raise TooLargeError(
+                    f"a term of total degree {sum(exponents)} exceeds {MAX_TERM_DEGREE}",
+                    f"/polynomials/{p_idx}")
+        polys.append(poly)
 
     if chi_rows:
         if not source.is_rigid:

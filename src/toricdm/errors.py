@@ -6,9 +6,17 @@ from dataclasses import dataclass
 
 
 class ToricError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
+
+    ``location`` is a JSON-pointer-like path into the offending document,
+    empty when the error has none.
+    """
 
     code = "error"
+
+    def __init__(self, message: str, location: str = ""):
+        super().__init__(message)
+        self.location = location
 
 
 class NonSpanningRaysError(ToricError):
@@ -72,22 +80,15 @@ class SourceNotRigidError(ToricError):
 
 
 class TooLargeError(ToricError):
-    """A brute-force verification exceeded its hard size bound."""
+    """An input or a computation exceeded one of its hard size bounds."""
 
     code = "too_large"
 
 
 class DocumentError(ToricError):
-    """A JSON document failed to parse or violated its schema.
-
-    ``location`` is a JSON-pointer-like path into the offending document.
-    """
+    """A JSON document failed to parse or violated its schema."""
 
     code = "document_error"
-
-    def __init__(self, message: str, location: str = ""):
-        super().__init__(message)
-        self.location = location
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
                      SourceNotCompleteError, SourceNotRigidError,
                      TargetRaysNotSpanningError, ZeroPolynomialError)
 from .fans import is_admissible_zero_pattern, is_complete, maximal_cones, rays_span
-from .gerbes import PicClass, picard_group
+from .gerbes import PicardPresentation, PicClass, picard_group
 from .stacky import StackyData
 
 DEFAULT_SAMPLE_VALUES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
@@ -189,17 +190,21 @@ def validate_morphism_data(md: MorphismData) -> None:
         raise TargetRaysNotSpanningError("the target rays must span the target lattice")
 
 
-def degree(p: SparsePolynomial, source: StackyData) -> PicClass:
+def degree(p: SparsePolynomial, source: StackyData,
+           presentation: Optional[PicardPresentation] = None) -> PicClass:
     """The common divisor class of all terms of ``p`` in the source grading.
 
     A monomial's class is the class of its exponent vector.  Raises when the
-    polynomial is zero or mixes classes.
+    polynomial is zero or mixes classes.  ``presentation`` defaults to
+    ``picard_group(source)``; pass it to grade several polynomials against
+    one presentation.
     """
     if not source.is_rigid:
         raise SourceNotRigidError("grading is defined for rigid data only")
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no degree")
-    presentation = picard_group(source)
+    if presentation is None:
+        presentation = picard_group(source)
     first = presentation.class_of(p.terms[0][1])
     for _, exponents in p.terms[1:]:
         if presentation.class_of(exponents) != first:
@@ -208,17 +213,21 @@ def degree(p: SparsePolynomial, source: StackyData) -> PicClass:
     return first
 
 
-def check_condition_a(md: MorphismData) -> bool:
+def check_condition_a(md: MorphismData, *, validate: bool = True) -> bool:
     """The degree condition on the polynomial classes.
 
     Writing chi_rho for the class of the polynomial at target ray rho, this
     checks that the sum of a_rho-weighted classes vanishes coordinatewise and
     that for each root index i the b-weighted class sum plus r_i times the
-    chosen twist class vanishes.
+    chosen twist class vanishes.  Every class lives on one source Picard
+    presentation: the twist classes' own, or one built here.  The data go
+    through :func:`validate_morphism_data` first unless ``validate`` is
+    False, for a caller that has just validated them.
     """
-    validate_morphism_data(md)
-    presentation = picard_group(md.source)
-    classes = [degree(p, md.source) for p in md.polys]
+    if validate:
+        validate_morphism_data(md)
+    presentation = md.chi[0].presentation if md.chi else picard_group(md.source)
+    classes = [degree(p, md.source, presentation) for p in md.polys]
     d = md.target.lattice_rank
     for l in range(d):
         total = presentation.zero_class()
@@ -238,7 +247,7 @@ def check_condition_a(md: MorphismData) -> bool:
 def check_condition_b(md: MorphismData,
                       sample_values: Sequence[Fraction] = DEFAULT_SAMPLE_VALUES,
                       sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-                      seed: int = 0) -> ConditionBVerdict:
+                      seed: int = 0, *, validate: bool = True) -> ConditionBVerdict:
     """Does the polynomial tuple map the source locus into the target locus?
 
     For tuples in which every polynomial is a single monomial or zero the
@@ -249,12 +258,26 @@ def check_condition_b(md: MorphismData,
     with the failing cone otherwise.
 
     General tuples are only searched for refutations: for every admissible
-    source zero pattern the free coordinates run over ``sample_values`` (all
-    combinations when they fit in the budget, seeded random draws otherwise)
-    and any sample whose image pattern is inadmissible refutes.  With the
-    budget exhausted or the search clean the verdict is unknown, never proven.
+    source zero pattern, smallest first, the free coordinates run over
+    ``sample_values``: all combinations when they fit in what is left of
+    ``sample_budget``, otherwise the rest of the budget as samples drawn one
+    coordinate at a time by ``random.Random(seed).choice``.  Any sample whose
+    image pattern is inadmissible refutes, and the verdict carries it as a
+    point of ``Fraction`` coordinates.  With the budget exhausted or the
+    search clean the verdict is unknown, never proven.
+
+    The samples are evaluated in integers.  With ``D`` the lcm of the sample
+    denominators, each value ``v`` becomes the integer ``v * D``, and each
+    polynomial is compiled once per call to integer coefficients: it is
+    multiplied by the lcm of its coefficient denominators, and a term of
+    total degree ``deg`` by ``D**(top - deg)``, ``top`` the polynomial's
+    largest total degree.  At the scaled point the compiled polynomial is the
+    original value times a nonzero integer, so every zero test, and with it
+    every verdict and witness, is the one exact rational evaluation gives.
+    ``validate`` is as for :func:`check_condition_a`.
     """
-    validate_morphism_data(md)
+    if validate:
+        validate_morphism_data(md)
     target_fan = md.target.fan
 
     if all(len(p.terms) <= 1 for p in md.polys):
@@ -266,6 +289,9 @@ def check_condition_b(md: MorphismData,
                 return ConditionBVerdict.refuted_pattern(cone)
         return ConditionBVerdict.proven()
 
+    denominator = lcm(*(v.denominator for v in sample_values))
+    scaled_values = [v.numerator * (denominator // v.denominator) for v in sample_values]
+    compiled = [_integer_terms(p, denominator) for p in md.polys]
     rng = random.Random(seed)
     remaining = sample_budget
     n_source = md.source.ray_count
@@ -275,22 +301,50 @@ def check_condition_b(md: MorphismData,
         free = [k for k in range(n_source) if k not in pattern]
         space = len(sample_values) ** len(free)
         if space <= remaining:
-            assignments = itertools.product(sample_values, repeat=len(free))
+            assignments = itertools.product(scaled_values, repeat=len(free))
             remaining -= space
         else:
             count = remaining
-            assignments = (tuple(rng.choice(sample_values) for _ in free)
+            assignments = (tuple(map(rng.choice, itertools.repeat(scaled_values, len(free))))
                            for _ in range(count))
             remaining = 0
+        # Terms through a coordinate of the pattern vanish; the others read
+        # the sample by position in ``free``.
+        position = {k: j for j, k in enumerate(free)}
+        restricted = [[(c, tuple((position[k], e) for k, e in enumerate(exps) if e))
+                       for c, exps in terms if not any(exps[k] for k in pattern)]
+                      for terms in compiled]
         for assignment in assignments:
-            point = [Fraction(0)] * n_source
-            for k, value in zip(free, assignment):
-                point[k] = value
             image_pattern = frozenset(
-                k for k, p in enumerate(md.polys) if p.evaluate(point) == 0)
+                k for k, terms in enumerate(restricted)
+                if not _integer_value(terms, assignment))
             if not is_admissible_zero_pattern(target_fan, image_pattern):
+                point = [Fraction(0)] * n_source
+                for k, value in zip(free, assignment):
+                    point[k] = Fraction(value, denominator)
                 return ConditionBVerdict.refuted_point(point)
     return ConditionBVerdict.unknown()
+
+
+def _integer_terms(p: SparsePolynomial, denominator: int) -> list:
+    """``p`` as (integer coefficient, exponents) terms whose value at ``V`` is
+    ``scale * denominator**top * p(V / denominator)``, ``scale`` the lcm of
+    the coefficient denominators and ``top`` the largest total degree."""
+    scale = lcm(*(c.denominator for c, _ in p.terms))
+    degrees = [sum(exps) for _, exps in p.terms]
+    top = max(degrees, default=0)
+    return [(c.numerator * (scale // c.denominator) * denominator ** (top - deg), exps)
+            for (c, exps), deg in zip(p.terms, degrees)]
+
+
+def _integer_value(terms, values) -> int:
+    """Sum of ``c * prod(values[j] ** e)`` over (c, ((j, e), ...)) terms."""
+    total = 0
+    for c, factors in terms:
+        for j, e in factors:
+            c *= values[j] ** e
+        total += c
+    return total
 
 
 def _scalar_ratio(new: SparsePolynomial, old: SparsePolynomial) -> Optional[Fraction]:

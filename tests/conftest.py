@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from functools import lru_cache
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from toricdm import IntegerMatrix, SimplicialFan, StackyData, close_under_faces
+from toricdm import IntegerMatrix, SimplicialFan, StackyData, close_under_faces, lattice
 
 
 @lru_cache(maxsize=None)
@@ -138,3 +139,24 @@ def random_spanning_data(rng: random.Random) -> StackyData:
 @pytest.fixture
 def rng():
     return random.Random(20260809)
+
+
+def spy(monkeypatch, original, on_call):
+    """Make every package module that binds ``original`` call ``on_call``
+    with the arguments before each call of it."""
+    def wrapped(*args, **kwargs):
+        on_call(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("toricdm") and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapped)
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """Shapes of the matrices handed to ``lattice.smith_normal_form``, from
+    every module of the package that binds it."""
+    calls = []
+    spy(monkeypatch, lattice.smith_normal_form, lambda a: calls.append((a.rows, a.cols)))
+    return calls

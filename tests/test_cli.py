@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from toricdm import cli, documents
+from toricdm import cli, documents, fans
 from toricdm.errors import DocumentError
 
-from conftest import EXPLODING_CONES, EXPLODING_RAYS, schema_errors
+from conftest import EXPLODING_CONES, EXPLODING_RAYS, schema_errors, spy
 
 WPS_ROOT = {
     "schema_version": "1", "lattice_rank": 1,
@@ -39,6 +40,17 @@ def duple_doc(d, sign=1):
     return {"schema_version": "1", "source": P1_DOC, "target": P1_DOC,
             "polynomials": [[{"coefficient": coeff, "exponents": [d, 0]}],
                             [{"coefficient": coeff, "exponents": [0, d]}]],
+            "chi": []}
+
+
+def binomial_doc(d):
+    """(x-^d + x+^d, x+^d) on the projective line: no rational common zero
+    on the source locus, so the sampler answers unknown."""
+    return {"schema_version": "1", "source": P1_DOC, "target": P1_DOC,
+            "polynomials": [
+                [{"coefficient": "1", "exponents": [d, 0]},
+                 {"coefficient": "1", "exponents": [0, d]}],
+                [{"coefficient": "1", "exponents": [0, d]}]],
             "chi": []}
 
 
@@ -121,13 +133,8 @@ class TestExitCodes:
         assert report["isomorphic"] is False
 
     def test_unknown_verdict_is_three(self, tmp_path):
-        doc = {"schema_version": "1", "source": P1_DOC, "target": P1_DOC,
-               "polynomials": [
-                   [{"coefficient": "1", "exponents": [2, 0]},
-                    {"coefficient": "1", "exponents": [0, 2]}],
-                   [{"coefficient": "1", "exponents": [0, 2]}]],
-               "chi": []}
-        code, report = run_checked(["morphism", "check", write(tmp_path, "m.json", doc)])
+        code, report = run_checked(
+            ["morphism", "check", write(tmp_path, "m.json", binomial_doc(2))])
         assert code == 3
         assert report["condition_b"]["status"] == "unknown"
 
@@ -151,6 +158,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage: toricdm" in err and "error:" in err
         assert "Traceback" not in err
+
+    def test_negative_sample_budget_is_one(self, tmp_path, capsys):
+        path = write(tmp_path, "m.json", binomial_doc(2))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--json", "--sample-budget", "-5", "morphism", "check", path])
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--sample-budget" in captured.err and "Traceback" not in captured.err
+
+    def test_zero_sample_budget_is_unknown(self, tmp_path):
+        path = write(tmp_path, "m.json", binomial_doc(2))
+        code, report = run_checked(["--sample-budget", "0", "morphism", "check", path])
+        assert code == 3
+        assert report["condition_b"]["status"] == "unknown"
+
+    def test_high_degree_term_is_too_large(self, tmp_path, capsys):
+        doc = binomial_doc(1)
+        doc["polynomials"][1][0]["exponents"] = [0, 3_000_000]
+        path = write(tmp_path, "m.json", doc)
+        assert os.path.getsize(path) < 500
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--json", "morphism", "check", path])
+        assert time.perf_counter() - start < 0.5
+        assert info.value.code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert schema_errors(report, "report.schema.json") == []
+        assert report["error"]["code"] == "too_large"
+        assert report["error"]["location"] == "/polynomials/1"
 
     def test_too_large_fan_is_one(self, tmp_path, capsys):
         doc = {"schema_version": "1", "lattice_rank": 4, "rays": EXPLODING_RAYS,
@@ -294,6 +331,16 @@ class TestCommands:
         assert code == 2
         assert report["condition_b"]["status"] == "refuted"
         assert report["condition_b"]["witness_pattern"] == [0]
+
+    def test_morphism_check_validates_once(self, tmp_path, monkeypatch):
+        calls = []
+        spy(monkeypatch, fans.is_complete, lambda fan: calls.append("is_complete"))
+        spy(monkeypatch, fans.rays_span, lambda fan: calls.append("rays_span"))
+        code, report = run_checked(
+            ["morphism", "check", write(tmp_path, "m.json", binomial_doc(2))])
+        assert code == 3
+        assert report["condition_a"] is True
+        assert sorted(calls) == ["is_complete", "rays_span"]
 
     def test_morphism_iso(self, tmp_path):
         a = write(tmp_path, "pos.json", duple_doc(2))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricdm import documents
-from toricdm.errors import DocumentError
+from toricdm.errors import DocumentError, TooLargeError
 
 from conftest import schema_errors
 
@@ -139,6 +139,8 @@ def _assert_decoder_covers_schema(document, parse, schema_name):
         parse(document)
     except DocumentError:
         return
+    except TooLargeError:  # a conforming term beyond documents.MAX_TERM_DEGREE
+        pass
     assert problems == [], f"accepted a document the schema rejects: {problems[0]}"
 
 
@@ -243,3 +245,12 @@ class TestDecoderErrors:
         with pytest.raises(DocumentError) as info:
             documents.parse_morphism_document(doc)
         assert info.value.location == "/source/rays"
+
+    def test_term_degree_is_bounded(self):
+        doc = _copy(MORPHISM_DOCS[0])
+        doc["polynomials"][1][0]["exponents"] = [documents.MAX_TERM_DEGREE, 0]
+        documents.parse_morphism_document(doc)
+        doc["polynomials"][1][0]["exponents"] = [documents.MAX_TERM_DEGREE, 1]
+        with pytest.raises(TooLargeError) as info:
+            documents.parse_morphism_document(doc)
+        assert info.value.location == "/polynomials/1"

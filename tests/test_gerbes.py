@@ -1,11 +1,9 @@
-import sys
-
 import pytest
 
 from toricdm import (FgAbelianGroup, IntegerMatrix, MismatchedUnderlyingDataError,
                      NotInChainFormError, StackyData, canonicalize, gerbe_class,
                      generic_stabilizer, invariant_factor_chain,
-                     is_isomorphic_banded, lattice, picard_group, rigidify,
+                     is_isomorphic_banded, picard_group, rigidify,
                      solve_linear)
 from toricdm.gerbes import twist_divisibility
 from toricdm.oracle import (oracle_divisibility, oracle_element_order_census,
@@ -22,23 +20,6 @@ CLASS_FANS = [projective_line_fan(), line_fan(3, 2), projective_plane_fan(), P2_
               projective_fan(3), affine_fan(2), make_fan(1, [(6,)], [[0]]),
               make_fan(2, [(1, 0), (1, 2)], [[0, 1]]),
               product_fan(line_fan(2, 4), P2_MOD_3)]
-
-
-@pytest.fixture
-def snf_calls(monkeypatch):
-    """Shapes of the matrices handed to ``lattice.smith_normal_form``, from
-    every module of the package that binds it."""
-    calls = []
-    original = lattice.smith_normal_form
-
-    def counted(a):
-        calls.append((a.rows, a.cols))
-        return original(a)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("toricdm") and getattr(module, "smith_normal_form", None) is original:
-            monkeypatch.setattr(module, "smith_normal_form", counted)
-    return calls
 
 
 class TestPicardGroup:

@@ -1,19 +1,28 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricdm import (MismatchedSourceTargetError, MorphismData,
                      NotHomogeneousError, SourceNotCompleteError,
                      SparsePolynomial, StackyData, TargetRaysNotSpanningError,
                      ZeroPolynomialError, check_condition_a, check_condition_b,
                      check_two_isomorphic, degree, is_admissible_zero_pattern,
-                     maximal_cones, picard_group)
+                     is_complete, maximal_cones, picard_group, rays_span)
+from toricdm.morphisms import (DEFAULT_SAMPLE_BUDGET, DEFAULT_SAMPLE_VALUES,
+                               ConditionBVerdict)
 
-from conftest import (affine_fan, make_fan, projective_line_fan,
-                      projective_plane_fan, weighted_line_root_data)
+from conftest import (affine_fan, make_fan, product_fan, projective_fan,
+                      projective_line_fan, projective_plane_fan, spy,
+                      weighted_line_root_data)
 
 P1 = StackyData(projective_line_fan())
 P2 = StackyData(projective_plane_fan())
+P1_CUBED = StackyData(product_fan(projective_line_fan(),
+                                  product_fan(projective_line_fan(), projective_line_fan())))
 
 
 def mono(num_vars, coeff, exps):
@@ -223,6 +232,176 @@ class TestConditionB:
         md = MorphismData(P1, skinny, (mono(2, 1, (1, 0)),), ())
         with pytest.raises(TargetRaysNotSpanningError):
             check_condition_b(md)
+
+
+class TestOneValidationOnePresentation:
+    def squaring_map(self, data):
+        n = data.ray_count
+        return MorphismData(data, data, tuple(
+            mono(n, 1, tuple(2 if j == k else 0 for j in range(n))) for k in range(n)), ())
+
+    def test_condition_a_runs_one_picard_smith_form(self, snf_calls):
+        md = self.squaring_map(P1_CUBED)
+        snf_calls.clear()
+        assert check_condition_a(md)
+        # rays_span on the 3 x 6 target ray matrix, then the one 6 x 3
+        # Picard presentation that grades all six polynomials
+        assert snf_calls == [(3, 6), (6, 3)]
+
+    def test_twist_classes_lend_their_presentation(self, snf_calls):
+        pres = picard_group(P1)
+        md = MorphismData(P1, weighted_line_root_data(),
+                          (mono(2, 1, (2, 2)), mono(2, 1, (3, 3))),
+                          (pres.class_of((-3, 0)),))
+        snf_calls.clear()
+        assert check_condition_a(md)
+        # the validation's Picard presentation (2 x 1) and rays_span (1 x 2)
+        assert snf_calls == [(2, 1), (1, 2)]
+
+    def test_degree_takes_a_presentation(self, snf_calls):
+        pres = picard_group(P1)
+        snf_calls.clear()
+        assert degree(mono(2, 1, (3, 0)), P1, pres) == pres.class_of((0, 3))
+        assert snf_calls == []
+
+    def test_validate_false_skips_only_the_validation(self, monkeypatch):
+        calls = []
+        spy(monkeypatch, is_complete, lambda fan: calls.append("is_complete"))
+        spy(monkeypatch, rays_span, lambda fan: calls.append("rays_span"))
+        md = MorphismData(P1, P1, (binomial_line(), mono(2, 1, (0, 1))), ())
+        checked = (check_condition_a(md), check_condition_b(md, sample_budget=50, seed=3))
+        assert sorted(calls) == ["is_complete", "is_complete", "rays_span", "rays_span"]
+        calls.clear()
+        assert (check_condition_a(md, validate=False),
+                check_condition_b(md, sample_budget=50, seed=3, validate=False)) == checked
+        assert calls == []
+
+
+def binomial_line():
+    return SparsePolynomial(2, ((Fraction(1), (1, 0)), (Fraction(1), (0, 1))))
+
+
+def fraction_condition_b(md, sample_values, sample_budget, seed):
+    """The general-tuple sampler evaluated with ``Fraction`` arithmetic, as
+    it was written before samples were evaluated in integers: the reference
+    for the integer path."""
+    rng = random.Random(seed)
+    remaining = sample_budget
+    n_source = md.source.ray_count
+    for pattern in md.source.fan.sorted_cones():
+        if remaining <= 0:
+            break
+        free = [k for k in range(n_source) if k not in pattern]
+        space = len(sample_values) ** len(free)
+        if space <= remaining:
+            assignments = itertools.product(sample_values, repeat=len(free))
+            remaining -= space
+        else:
+            count = remaining
+            assignments = (tuple(rng.choice(sample_values) for _ in free)
+                           for _ in range(count))
+            remaining = 0
+        for assignment in assignments:
+            point = [Fraction(0)] * n_source
+            for k, value in zip(free, assignment):
+                point[k] = value
+            image_pattern = frozenset(
+                k for k, p in enumerate(md.polys) if p.evaluate(point) == 0)
+            if not is_admissible_zero_pattern(md.target.fan, image_pattern):
+                return ConditionBVerdict.refuted_point(point)
+    return ConditionBVerdict.unknown()
+
+
+SAMPLE_POOL = (Fraction(0), Fraction(-2, 5), Fraction(1, 3), Fraction(7),
+               Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4))
+COEFFICIENTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
+                Fraction(-2, 3), Fraction(5, 6), Fraction(-7, 4), Fraction(3, 5))
+SPACES = (P1, P2, StackyData(projective_fan(3)),
+          StackyData(product_fan(projective_line_fan(), projective_line_fan())), P1_CUBED)
+
+
+@st.composite
+def general_tuples(draw):
+    """A tuple with some polynomial of two or more terms, not necessarily
+    homogeneous, whose terms often cancel at sample points: products of a
+    monomial with factors ``x_i^a - s x_j^b``, ``s = u^a / w^b`` for sample
+    values ``u`` and ``w``, so that the factor vanishes where ``x_i = u`` and
+    ``x_j = w``.  Also the sample values, budget and seed to search it with."""
+    source, target = draw(st.sampled_from(SPACES)), draw(st.sampled_from(SPACES))
+    n = source.ray_count
+    values = tuple(draw(st.lists(st.sampled_from(SAMPLE_POOL), min_size=1, max_size=4,
+                                 unique=True)))
+    exponent = st.integers(0, 2)
+
+    def monomial():
+        return SparsePolynomial.monomial(
+            n, draw(st.sampled_from(COEFFICIENTS)), [draw(exponent) for _ in range(n)])
+
+    def factor():
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        u, w = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+        s = u ** a / w ** b if w else draw(st.sampled_from(COEFFICIENTS))
+        return SparsePolynomial(n, (
+            (Fraction(1), tuple(a if k == i else 0 for k in range(n))),
+            (-s, tuple(b if k == j else 0 for k in range(n)))))
+
+    polys = []
+    for _ in range(target.ray_count):
+        poly = monomial()
+        for _ in range(draw(st.integers(0, 2))):
+            poly = poly * factor()
+        if draw(st.integers(0, 3)) == 0:
+            poly = SparsePolynomial(n, poly.terms + monomial().terms)
+        polys.append(poly)
+    assume(any(len(p.terms) > 1 for p in polys))
+    budget = draw(st.sampled_from((0, 1, 9, 70, 300)))
+    seed = draw(st.integers(0, 2 ** 32))
+    return MorphismData(source, target, tuple(polys), ()), values, budget, seed
+
+
+class TestIntegerSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(general_tuples())
+    def test_matches_fraction_evaluation(self, case):
+        md, values, budget, seed = case
+        verdict = check_condition_b(md, values, budget, seed)
+        assert verdict == fraction_condition_b(md, values, budget, seed)
+        assert verdict.status in ("refuted", "unknown")
+        if verdict.is_refuted:
+            point = verdict.witness_point
+            assert all(type(x) is Fraction for x in point)
+            image = {k for k, p in enumerate(md.polys) if p.evaluate(point) == 0}
+            assert not is_admissible_zero_pattern(md.target.fan, image)
+
+    def test_terms_of_different_degrees_cancel(self):
+        # x0^2 - x0/3 and x1 (x0 - 1/3) both vanish at x0 = 1/3; the terms
+        # of each have degrees 2 and 1, so the integer path must scale the
+        # lower one by the sample denominator to see the cancellation
+        p0 = SparsePolynomial(2, ((Fraction(1), (2, 0)), (Fraction(-1, 3), (1, 0))))
+        p1 = SparsePolynomial(2, ((Fraction(1), (1, 1)), (Fraction(-1, 3), (0, 1))))
+        md = MorphismData(P1, P1, (p0, p1), ())
+        values = (Fraction(1, 3), Fraction(1))
+        verdict = check_condition_b(md, values, 100, 0)
+        assert verdict == ConditionBVerdict.refuted_point((Fraction(1, 3), Fraction(1, 3)))
+        assert verdict == fraction_condition_b(md, values, 100, 0)
+
+    def test_default_search_matches_fraction_evaluation(self):
+        # the full default budget, drawn at random on (P1)^2, for seeds 0-2
+        space = SPACES[3]
+        polys = []
+        for i in range(2):
+            lo, hi = 2 * i, 2 * i + 1
+            polys.append(mono(4, Fraction(2, 3), tuple(2 if v == lo else 0 for v in range(4))))
+            polys.append(SparsePolynomial(4, (
+                (Fraction(-5, 2), tuple(2 if v == hi else 0 for v in range(4))),
+                (Fraction(7, 3), tuple(2 if v == lo else 0 for v in range(4))))))
+        md = MorphismData(space, space, tuple(polys), ())
+        for seed in range(3):
+            verdict = check_condition_b(md, seed=seed)
+            assert verdict.status == "unknown"
+            assert verdict == fraction_condition_b(
+                md, DEFAULT_SAMPLE_VALUES, DEFAULT_SAMPLE_BUDGET, seed)
 
 
 class TestTwoIsomorphic:
