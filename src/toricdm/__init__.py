@@ -12,8 +12,8 @@ from .errors import (ConeNotInFanError, DocumentError,
                      NonSpanningRaysError, NotHomogeneousError,
                      NotInChainFormError, SourceNotCompleteError,
                      SourceNotRigidError, TargetRaysNotSpanningError,
-                     TooLargeError, ToricError, ValidationReport, Violation,
-                     ZeroPolynomialError)
+                     TooLargeError, ToricError, ValidationReport, Value,
+                     Violation, ZeroPolynomialError)
 from .fans import (SimplicialFan, ZeroPattern, close_under_faces, is_admissible_zero_pattern,
                    is_complete, maximal_cones, rays_span, validate_fan)
 from .gerbes import (PicardPresentation, PicClass, canonicalize, gerbe_class,

@@ -5,7 +5,8 @@ Subcommands mirror the library: ``validate``, ``build``, ``pic``,
 ``morphism``.  Reports go to stdout as text or, with ``--json``, as a JSON
 object that validates against the shipped report schema.  Exit codes: 0 for
 success or a true verdict, 1 for invalid input or invalid arguments, 2 for a
-false verdict, 3 for an unknown verdict.
+false verdict, 3 for an unknown verdict.  Invalid arguments to a known
+subcommand also get that command's error report, with code ``usage``.
 """
 
 from __future__ import annotations
@@ -349,12 +350,18 @@ _HANDLERS = {
 }
 
 
+class _UsageError(ToricError):
+    code = "usage"
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Exits 1 on a usage error: argparse's 2 is the false-verdict code here."""
+    """Prints argparse's usage message and raises :class:`_UsageError` where
+    argparse would exit 2, the false-verdict code here."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
 
 
 def _nonnegative_int(text):
@@ -396,30 +403,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(args) -> tuple[int, dict]:
-    if args.command == "classify" and len(args.paths) < 2:
-        return EXIT_INVALID, _error_report(
-            "classify", [], DocumentError("classify needs at least two documents"))
-    if args.command == "morphism":
-        expected = 1 if args.mode == "check" else 2
-        if len(args.paths) != expected:
-            return EXIT_INVALID, _error_report(
-                "morphism", [],
-                DocumentError(f"morphism {args.mode} needs exactly {expected} document(s)"))
+def _execute(argv) -> tuple[argparse.Namespace, int, dict]:
+    """Parse the arguments and run the command: (arguments, exit code,
+    report).  A usage error exits 1 with no report unless the subcommand is
+    known: argparse names it before it parses the subcommand's arguments."""
+    args = argparse.Namespace()
     try:
-        return _HANDLERS[args.command](args)
+        build_parser().parse_args(argv, args)
+        if args.command == "classify" and len(args.paths) < 2:
+            raise DocumentError("classify needs at least two documents")
+        if args.command == "morphism":
+            expected = 1 if args.mode == "check" else 2
+            if len(args.paths) != expected:
+                raise DocumentError(f"morphism {args.mode} needs exactly {expected} document(s)")
+        return (args, *_HANDLERS[args.command](args))
     except ToricError as exc:
-        return EXIT_INVALID, _error_report(args.command, [], exc)
+        if args.command is None:
+            sys.exit(EXIT_INVALID)
+        return args, EXIT_INVALID, _error_report(args.command, [], exc)
 
 
 def run(argv=None) -> tuple[int, dict]:
     """Parse arguments, run the command, return (exit code, report)."""
-    return _execute(build_parser().parse_args(argv))
+    _, code, report = _execute(argv)
+    return code, report
 
 
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
-    code, report = _execute(args)
+    args, code, report = _execute(argv)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=False))
     else:

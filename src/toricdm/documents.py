@@ -29,6 +29,10 @@ SCHEMA_VERSION = "1"
 # Largest total degree of a polynomial term; a sample of condition B raises
 # coordinates to this power, so the bound keeps one sample cheap.
 MAX_TERM_DEGREE = 1000
+# Largest lattice rank.  Smith forms of matrices with this many rows or
+# columns cost about rank^3 big-integer steps, so the bound keeps the linear
+# algebra of one document in the tens of milliseconds.
+MAX_LATTICE_RANK = 128
 _JSON_SAFE_MAX = 2 ** 53 - 1
 _INTEGER = re.compile(r"-?[0-9]+")
 _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -113,6 +117,9 @@ def parse_stacky_document(document: Any, where: str = "") -> StackyData:
         "r": _decode_int_list, "b": _decode_int_grid}, where)
     if rank < 0:
         raise DocumentError("lattice_rank must be nonnegative", f"{where}/lattice_rank")
+    if rank > MAX_LATTICE_RANK:
+        raise TooLargeError(f"lattice_rank {rank} exceeds {MAX_LATTICE_RANK}",
+                            f"{where}/lattice_rank")
     for i, row in enumerate(b):
         if len(row) != len(rays):
             raise DocumentError(

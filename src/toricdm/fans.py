@@ -14,12 +14,11 @@ cones that are full-dimensional and independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import TooLargeError, ValidationReport, Violation
+from .errors import TooLargeError, ValidationReport, Value, Violation
 from .lattice import IntegerMatrix, smith_normal_form
 
 ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
@@ -27,8 +26,7 @@ ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
 FM_PAIR_LIMIT = 100_000  # row pairs one Fourier-Motzkin step may combine
 
 
-@dataclass(frozen=True)
-class SimplicialFan:
+class SimplicialFan(Value):
     """A simplicial fan: ray vectors in Z^d plus a face-closed cone list.
 
     Cones are sets of ray indices; the empty set is the zero cone and must be
@@ -36,15 +34,13 @@ class SimplicialFan:
     :func:`validate_fan` to check the geometric invariants.
     """
 
-    lattice_rank: int
-    rays: tuple[tuple[int, ...], ...]
-    cones: frozenset[frozenset[int]]
+    _fields = ("lattice_rank", "rays", "cones")
 
-    def __post_init__(self):
-        rays = tuple(tuple(int(x) for x in ray) for ray in self.rays)
-        cones = frozenset(frozenset(int(i) for i in cone) for cone in self.cones)
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "cones", cones)
+    def __init__(self, lattice_rank: int, rays: Iterable[Iterable[int]],
+                 cones: Iterable[Iterable[int]]):
+        rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+        cones = frozenset(frozenset(int(i) for i in cone) for cone in cones)
+        self.__dict__.update(lattice_rank=lattice_rank, rays=rays, cones=cones)
 
     @property
     def ray_count(self) -> int:

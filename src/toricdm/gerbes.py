@@ -9,29 +9,29 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import MismatchedUnderlyingDataError, NotInChainFormError
+from .errors import MismatchedUnderlyingDataError, NotInChainFormError, Value
 from .lattice import (FgAbelianGroup, IntegerMatrix, cokernel_with_projection,
                       smith_normal_form)
 from .stacky import StackyData, rigidify
 
 
-@dataclass(frozen=True)
-class PicardPresentation:
+class PicardPresentation(Value):
     """Pic as a cokernel: Z^n (dual ray basis) modulo the relation columns.
 
     ``relation_matrix`` is n x d; its l-th column pairs the l-th standard
     character with every ray vector.  ``project`` sends a vector of Z^n to
     the normalized coordinates of its class in ``group``; it is computed
-    once, with the group, and does not take part in equality.
+    once, with the group, and takes no part in equality, hashing or the repr.
     """
 
-    n: int
-    relation_matrix: IntegerMatrix
-    group: FgAbelianGroup
-    project: Callable[[Sequence[int]], tuple[int, ...]] = field(compare=False, repr=False)
+    _fields = ("n", "relation_matrix", "group")
+
+    def __init__(self, n: int, relation_matrix: IntegerMatrix, group: FgAbelianGroup,
+                 project: Callable[[Sequence[int]], tuple[int, ...]]):
+        self.__dict__.update(n=n, relation_matrix=relation_matrix, group=group,
+                             project=project)
 
     def class_of(self, representative: Sequence[int]) -> "PicClass":
         return PicClass(tuple(int(x) for x in representative), self)
@@ -40,8 +40,7 @@ class PicardPresentation:
         return self.class_of((0,) * self.n)
 
 
-@dataclass(frozen=True, eq=False)
-class PicClass:
+class PicClass(Value):
     """A divisor class: an integer vector taken modulo the relation columns.
 
     ``coordinates`` are the normalized coordinates of the class, fixed at
@@ -49,18 +48,16 @@ class PicClass:
     operations.
     """
 
-    representative: tuple[int, ...]
-    presentation: PicardPresentation
-    coordinates: tuple[int, ...] = field(init=False, repr=False)
+    _fields = ("representative", "presentation")
 
-    def __post_init__(self):
-        object.__setattr__(self, "representative",
-                           tuple(int(x) for x in self.representative))
-        if len(self.representative) != self.presentation.n:
+    def __init__(self, representative: Sequence[int], presentation: PicardPresentation):
+        representative = tuple(int(x) for x in representative)
+        if len(representative) != presentation.n:
             raise ValueError(
-                f"representative has length {len(self.representative)}, "
-                f"expected {self.presentation.n}")
-        object.__setattr__(self, "coordinates", self.presentation.project(self.representative))
+                f"representative has length {len(representative)}, "
+                f"expected {presentation.n}")
+        self.__dict__.update(representative=representative, presentation=presentation,
+                             coordinates=presentation.project(representative))
 
     @property
     def is_zero(self) -> bool:

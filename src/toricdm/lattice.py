@@ -10,30 +10,28 @@ All public values are immutable and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
+from .errors import Value
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+
+class IntegerMatrix(Value):
     """A dense integer matrix stored row by row.
 
     ``entries`` holds one tuple per row; the shape fields are explicit so that
     matrices with zero rows or zero columns round-trip cleanly.
     """
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(entries)}")
-        if any(len(row) != self.cols for row in entries):
-            raise ValueError(f"rows must all have {self.cols} entries")
+    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable[int]]):
+        entries = tuple(tuple(int(x) for x in row) for row in entries)
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
+        if len(entries) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(entries)}")
+        if any(len(row) != cols for row in entries):
+            raise ValueError(f"rows must all have {cols} entries")
 
     # -- constructors ------------------------------------------------------
 
@@ -117,8 +115,7 @@ class IntegerMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(Value):
     """Smith normal form ``a = u @ d @ v`` with unimodular ``u`` and ``v``,
     together with their inverses ``u_inv`` and ``v_inv``.
 
@@ -126,11 +123,11 @@ class SnfDecomposition:
     (each divides the next), zeros trailing.
     """
 
-    u: IntegerMatrix
-    d: IntegerMatrix
-    v: IntegerMatrix
-    u_inv: IntegerMatrix
-    v_inv: IntegerMatrix
+    _fields = ("u", "d", "v", "u_inv", "v_inv")
+
+    def __init__(self, u: IntegerMatrix, d: IntegerMatrix, v: IntegerMatrix,
+                 u_inv: IntegerMatrix, v_inv: IntegerMatrix):
+        self.__dict__.update(u=u, d=d, v=v, u_inv=u_inv, v_inv=v_inv)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -143,8 +140,7 @@ class SnfDecomposition:
         return sum(1 for x in self.diagonal() if x != 0)
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Value):
     """A finitely generated abelian group in invariant-factor form.
 
     ``invariant_factors`` is the divisor chain of the torsion part; factors
@@ -153,15 +149,13 @@ class FgAbelianGroup:
     ``free_rank`` integers.
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...] = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "invariant_factors",
-                           tuple(int(x) for x in self.invariant_factors))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
+        facs = tuple(int(x) for x in invariant_factors)
+        self.__dict__.update(free_rank=free_rank, invariant_factors=facs)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        facs = self.invariant_factors
         if any(f < 2 for f in facs):
             raise ValueError("invariant factors must be at least 2")
         if any(facs[i + 1] % facs[i] for i in range(len(facs) - 1)):

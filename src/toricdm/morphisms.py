@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
                      SourceNotCompleteError, SourceNotRigidError,
-                     TargetRaysNotSpanningError, ZeroPolynomialError)
+                     TargetRaysNotSpanningError, Value, ZeroPolynomialError)
 from .fans import is_admissible_zero_pattern, is_complete, maximal_cones, rays_span
 from .gerbes import PicardPresentation, PicClass, picard_group
 from .stacky import StackyData
@@ -29,8 +28,7 @@ DEFAULT_SAMPLE_VALUES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
 DEFAULT_SAMPLE_BUDGET = 2000
 
 
-@dataclass(frozen=True)
-class SparsePolynomial:
+class SparsePolynomial(Value):
     """A polynomial with exact rational coefficients in sparse form.
 
     Terms are (coefficient, exponent vector) pairs with nonnegative exponents;
@@ -38,20 +36,19 @@ class SparsePolynomial:
     and sorts, so equal polynomials compare equal.
     """
 
-    num_vars: int
-    terms: tuple[tuple[Fraction, tuple[int, ...]], ...]
+    _fields = ("num_vars", "terms")
 
-    def __post_init__(self):
+    def __init__(self, num_vars: int, terms: Iterable[tuple[Fraction, Sequence[int]]]):
         merged: dict[tuple[int, ...], Fraction] = {}
-        for coeff, exponents in self.terms:
+        for coeff, exponents in terms:
             exponents = tuple(int(e) for e in exponents)
-            if len(exponents) != self.num_vars:
+            if len(exponents) != num_vars:
                 raise ValueError(f"exponent vector {exponents} has wrong length")
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
             merged[exponents] = merged.get(exponents, Fraction(0)) + Fraction(coeff)
         cleaned = tuple(sorted(((c, e) for e, c in merged.items() if c), key=lambda t: t[1]))
-        object.__setattr__(self, "terms", cleaned)
+        self.__dict__.update(num_vars=num_vars, terms=cleaned)
 
     @classmethod
     def zero(cls, num_vars: int) -> "SparsePolynomial":
@@ -94,23 +91,18 @@ class SparsePolynomial:
         return SparsePolynomial(self.num_vars, tuple(terms))
 
 
-@dataclass(frozen=True)
-class MorphismData:
+class MorphismData(Value):
     """Source and target data, one polynomial per target ray, one source
     divisor class per target root index."""
 
-    source: StackyData
-    target: StackyData
-    polys: tuple[SparsePolynomial, ...]
-    chi: tuple[PicClass, ...]
+    _fields = ("source", "target", "polys", "chi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "polys", tuple(self.polys))
-        object.__setattr__(self, "chi", tuple(self.chi))
+    def __init__(self, source: StackyData, target: StackyData,
+                 polys: Iterable[SparsePolynomial], chi: Iterable[PicClass]):
+        self.__dict__.update(source=source, target=target, polys=tuple(polys), chi=tuple(chi))
 
 
-@dataclass(frozen=True)
-class ConditionBVerdict:
+class ConditionBVerdict(Value):
     """Outcome of the vanishing-locus check: proven, refuted, or unknown.
 
     A refutation carries either the failing maximal source cone (worst-case
@@ -118,9 +110,12 @@ class ConditionBVerdict:
     image leaves the target locus.
     """
 
-    status: str  # "proven" | "refuted" | "unknown"
-    witness_pattern: Optional[frozenset[int]] = None
-    witness_point: Optional[tuple[Fraction, ...]] = None
+    _fields = ("status", "witness_pattern", "witness_point")
+
+    def __init__(self, status: str, witness_pattern: Optional[frozenset[int]] = None,
+                 witness_point: Optional[tuple[Fraction, ...]] = None):
+        self.__dict__.update(status=status, witness_pattern=witness_pattern,
+                             witness_point=witness_point)
 
     @classmethod
     def proven(cls):
@@ -147,12 +142,14 @@ class ConditionBVerdict:
         return self.status == "refuted"
 
 
-@dataclass(frozen=True)
-class TwoIsoVerdict:
-    """Outcome of the group-action comparison of two polynomial tuples."""
+class TwoIsoVerdict(Value):
+    """Outcome of the group-action comparison of two polynomial tuples:
+    ``status`` is "yes" (with the coordinate ``ratios``), "no" or "unknown"."""
 
-    status: str  # "yes" | "no" | "unknown"
-    ratios: Optional[tuple[Fraction, ...]] = None
+    _fields = ("status", "ratios")
+
+    def __init__(self, status: str, ratios: Optional[tuple[Fraction, ...]] = None):
+        self.__dict__.update(status=status, ratios=ratios)
 
     @classmethod
     def yes(cls, ratios: Sequence[Fraction]):
@@ -258,10 +255,10 @@ def check_condition_b(md: MorphismData,
     with the failing cone otherwise.
 
     General tuples are only searched for refutations: for every admissible
-    source zero pattern, smallest first, the free coordinates run over
-    ``sample_values``: all combinations when they fit in what is left of
-    ``sample_budget``, otherwise the rest of the budget as samples drawn one
-    coordinate at a time by ``random.Random(seed).choice``.  Any sample whose
+    source zero pattern, smallest first, the free coordinates run over the
+    nonzero ``sample_values``: all combinations when they fit in what is left
+    of ``sample_budget``, otherwise the rest of the budget as samples drawn
+    one coordinate at a time by ``random.Random(seed).choice``.  Any sample whose
     image pattern is inadmissible refutes, and the verdict carries it as a
     point of ``Fraction`` coordinates.  With the budget exhausted or the
     search clean the verdict is unknown, never proven.
@@ -289,6 +286,9 @@ def check_condition_b(md: MorphismData,
                 return ConditionBVerdict.refuted_pattern(cone)
         return ConditionBVerdict.proven()
 
+    # Free coordinates take nonzero values only: the zero set of a sample must
+    # be a source cone, and every cone is searched as a pattern of its own.
+    sample_values = [v for v in sample_values if v]
     denominator = lcm(*(v.denominator for v in sample_values))
     scaled_values = [v.numerator * (denominator // v.denominator) for v in sample_values]
     compiled = [_integer_terms(p, denominator) for p in md.polys]

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import TooLargeError
+from .errors import TooLargeError, Value
 from .lattice import IntegerMatrix, SnfDecomposition
 
 ENUMERATION_BOUND = 10_000
@@ -120,8 +119,7 @@ def det_cofactor(matrix: IntegerMatrix) -> int:
 # Finite group tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
+class FiniteGroupTable(Value):
     """Explicit element list and addition table of a finite abelian quotient.
 
     ``elements`` are canonical coset representatives; ``table[i][j]`` is the
@@ -130,8 +128,11 @@ class FiniteGroupTable:
     and by seeded random triples otherwise.
     """
 
-    elements: tuple[tuple[int, ...], ...]
-    table: tuple[tuple[int, ...], ...]
+    _fields = ("elements", "table")
+
+    def __init__(self, elements: tuple[tuple[int, ...], ...],
+                 table: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(elements=elements, table=table)
 
     @property
     def order(self) -> int:

@@ -10,33 +10,31 @@ the associated stacky fan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
-                     Violation)
+                     Value, Violation)
 from .fans import SimplicialFan, primitive, rays_span, validate_fan
 from .lattice import (FgAbelianGroup, IntegerMatrix, cokernel, cokernel_with_projection,
                       invariant_factor_chain, smith_normal_form)
 
 
-@dataclass(frozen=True)
-class StackyData:
+class StackyData(Value):
     """A fan with ray vectors plus root orders ``r`` and twist matrix ``b``.
 
     ``b`` has one row per root order and one column per ray.  ``r`` may be
     empty, in which case ``b`` has zero rows and the datum is rigid.
     """
 
-    fan: SimplicialFan
-    r: tuple[int, ...] = ()
-    b: IntegerMatrix | None = None
+    _fields = ("fan", "r", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
-        if self.b is None:
-            object.__setattr__(self, "b", IntegerMatrix.zeros(len(self.r), self.fan.ray_count))
+    def __init__(self, fan: SimplicialFan, r: Sequence[int] = (),
+                 b: IntegerMatrix | None = None):
+        r = tuple(int(x) for x in r)
+        if b is None:
+            b = IntegerMatrix.zeros(len(r), fan.ray_count)
+        self.__dict__.update(fan=fan, r=r, b=b)
 
     @property
     def lattice_rank(self) -> int:
@@ -55,8 +53,7 @@ class StackyData:
         return not self.r
 
 
-@dataclass(frozen=True)
-class QuotientGroupDesc:
+class QuotientGroupDesc(Value):
     """The group acting in the quotient construction, up to isomorphism.
 
     ``character_classes[k]`` is the class of the k-th standard coordinate
@@ -65,22 +62,26 @@ class QuotientGroupDesc:
     its free coordinates.
     """
 
-    torus_rank: int
-    finite_part: FgAbelianGroup
-    character_classes: tuple[tuple[int, ...], ...]
+    _fields = ("torus_rank", "finite_part", "character_classes")
+
+    def __init__(self, torus_rank: int, finite_part: FgAbelianGroup,
+                 character_classes: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(torus_rank=torus_rank, finite_part=finite_part,
+                             character_classes=character_classes)
 
 
-@dataclass(frozen=True)
-class StackyFan:
+class StackyFan(Value):
     """Extended-group fan data: the fan together with lifted ray vectors.
 
     Each lifted ray is the ray vector followed by the residues of its b-column
     modulo the respective root orders.
     """
 
-    extended_group: FgAbelianGroup
-    fan: SimplicialFan
-    lifted_rays: tuple[tuple[int, ...], ...]
+    _fields = ("extended_group", "fan", "lifted_rays")
+
+    def __init__(self, extended_group: FgAbelianGroup, fan: SimplicialFan,
+                 lifted_rays: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(extended_group=extended_group, fan=fan, lifted_rays=lifted_rays)
 
 
 def validate_data(data: StackyData) -> ValidationReport:

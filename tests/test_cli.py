@@ -159,6 +159,32 @@ class TestExitCodes:
         assert "usage: toricdm" in err and "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, command", [
+        (["stabilizer"], "stabilizer"), (["build", "@doc", "--cone"], "build"),
+        (["morphism", "check"], "morphism"), (["classify"], "classify")])
+    def test_usage_error_of_a_known_command_is_reported(self, tmp_path, capsys, argv, command):
+        path = write(tmp_path, "a.json", P1_DOC)
+        argv = [path if arg == "@doc" else arg for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--json"] + argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert schema_errors(report, "report.schema.json") == []
+        assert report["command"] == command
+        assert report["error"]["code"] == "usage"
+        assert "usage: toricdm" in captured.err and "Traceback" not in captured.err
+        assert cli.run(argv) == (1, report)
+
+    @pytest.mark.parametrize("argv", [["frobnicate", "x.json"], [], ["--seed", "x", "build"]])
+    def test_usage_error_without_a_known_command_has_no_report(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--json"] + argv)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage: toricdm" in captured.err and "Traceback" not in captured.err
+
     def test_negative_sample_budget_is_one(self, tmp_path, capsys):
         path = write(tmp_path, "m.json", binomial_doc(2))
         with pytest.raises(SystemExit) as info:
@@ -188,6 +214,24 @@ class TestExitCodes:
         assert schema_errors(report, "report.schema.json") == []
         assert report["error"]["code"] == "too_large"
         assert report["error"]["location"] == "/polynomials/1"
+
+    def test_high_lattice_rank_is_too_large(self, tmp_path, capsys):
+        # unbounded, the Picard presentation of this source takes seconds
+        source = {"schema_version": "1", "lattice_rank": 2000, "rays": [], "cones": [],
+                  "r": [], "b": []}
+        doc = {"schema_version": "1", "source": source, "target": P1_DOC,
+               "polynomials": [], "chi": [[]]}
+        path = write(tmp_path, "m.json", doc)
+        assert os.path.getsize(path) < 300
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--json", "morphism", "check", path])
+        assert time.perf_counter() - start < 0.5
+        assert info.value.code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert schema_errors(report, "report.schema.json") == []
+        assert report["error"]["code"] == "too_large"
+        assert report["error"]["location"] == "/source/lattice_rank"
 
     def test_too_large_fan_is_one(self, tmp_path, capsys):
         doc = {"schema_version": "1", "lattice_rank": 4, "rays": EXPLODING_RAYS,

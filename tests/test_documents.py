@@ -139,7 +139,7 @@ def _assert_decoder_covers_schema(document, parse, schema_name):
         parse(document)
     except DocumentError:
         return
-    except TooLargeError:  # a conforming term beyond documents.MAX_TERM_DEGREE
+    except TooLargeError:  # a conforming term or rank beyond the documents' bounds
         pass
     assert problems == [], f"accepted a document the schema rejects: {problems[0]}"
 
@@ -254,3 +254,12 @@ class TestDecoderErrors:
         with pytest.raises(TooLargeError) as info:
             documents.parse_morphism_document(doc)
         assert info.value.location == "/polynomials/1"
+
+    def test_lattice_rank_is_bounded(self):
+        rank = documents.MAX_LATTICE_RANK
+        assert documents.parse_stacky_document(dict(P1, lattice_rank=rank)).lattice_rank == rank
+        doc = _copy(MORPHISM_DOCS[0])
+        doc["target"]["lattice_rank"] = rank + 1
+        with pytest.raises(TooLargeError) as info:
+            documents.parse_morphism_document(doc)
+        assert info.value.location == "/target/lattice_rank"

@@ -284,7 +284,9 @@ def binomial_line():
 def fraction_condition_b(md, sample_values, sample_budget, seed):
     """The general-tuple sampler evaluated with ``Fraction`` arithmetic, as
     it was written before samples were evaluated in integers: the reference
-    for the integer path."""
+    for the integer path.  Zero values are dropped, so that every sample lies
+    on the source locus."""
+    sample_values = [v for v in sample_values if v]
     rng = random.Random(seed)
     remaining = sample_budget
     n_source = md.source.ray_count
@@ -371,6 +373,8 @@ class TestIntegerSampler:
         if verdict.is_refuted:
             point = verdict.witness_point
             assert all(type(x) is Fraction for x in point)
+            zeros = {k for k, x in enumerate(point) if x == 0}
+            assert is_admissible_zero_pattern(md.source.fan, zeros)
             image = {k for k, p in enumerate(md.polys) if p.evaluate(point) == 0}
             assert not is_admissible_zero_pattern(md.target.fan, image)
 
@@ -385,6 +389,14 @@ class TestIntegerSampler:
         verdict = check_condition_b(md, values, 100, 0)
         assert verdict == ConditionBVerdict.refuted_point((Fraction(1, 3), Fraction(1, 3)))
         assert verdict == fraction_condition_b(md, values, 100, 0)
+
+    def test_zero_sample_value_stays_on_the_source_locus(self):
+        # (x0 + x1, x1) is a morphism of P^1: x0 = x1 = 0 is not a point of
+        # the source, so a sample value 0 on both coordinates must not refute
+        md = MorphismData(P1, P1, (binomial_line(), mono(2, 1, (0, 1))), ())
+        values = (Fraction(0), Fraction(1))
+        assert check_condition_b(md, values, 100, 0).status == "unknown"
+        assert fraction_condition_b(md, values, 100, 0).status == "unknown"
 
     def test_default_search_matches_fraction_evaluation(self):
         # the full default budget, drawn at random on (P1)^2, for seeds 0-2

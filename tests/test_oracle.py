@@ -1,8 +1,6 @@
-from dataclasses import replace
-
 import pytest
 
-from toricdm import IntegerMatrix, TooLargeError, smith_normal_form
+from toricdm import IntegerMatrix, SnfDecomposition, TooLargeError, smith_normal_form
 from toricdm.oracle import (det_cofactor, oracle_divisibility,
                             oracle_element_order_census,
                             oracle_is_group_isomorphism,
@@ -23,20 +21,23 @@ class TestVerifySnf:
     def test_rejects_swapped_diagonal(self):
         a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
         good = smith_normal_form(a)
-        bad = replace(good, d=IntegerMatrix.diagonal([6, 1]))
+        bad = SnfDecomposition(good.u, IntegerMatrix.diagonal([6, 1]), good.v,
+                               good.u_inv, good.v_inv)
         assert not oracle_verify_snf(a, bad)
 
     def test_rejects_tampered_transform(self):
         a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
         good = smith_normal_form(a)
         shear = IntegerMatrix.from_rows([[1, 1], [0, 1]])
-        assert not oracle_verify_snf(a, replace(good, u=shear @ good.u))
+        bad = SnfDecomposition(shear @ good.u, good.d, good.v, good.u_inv, good.v_inv)
+        assert not oracle_verify_snf(a, bad)
 
     def test_rejects_nonunimodular_transform(self):
         a = IntegerMatrix.from_rows([[4]])
-        assert not oracle_verify_snf(a, replace(
-            smith_normal_form(a), u=IntegerMatrix.from_rows([[2]]),
-            d=IntegerMatrix.from_rows([[2]]), v=IntegerMatrix.from_rows([[1]])))
+        good = smith_normal_form(a)
+        assert not oracle_verify_snf(a, SnfDecomposition(
+            u=IntegerMatrix.from_rows([[2]]), d=IntegerMatrix.from_rows([[2]]),
+            v=IntegerMatrix.from_rows([[1]]), u_inv=good.u_inv, v_inv=good.v_inv))
 
 
 class TestQuotientEnumeration:
