@@ -19,9 +19,8 @@ from .fans import (SimplicialFan, ZeroPattern, close_under_faces, is_admissible_
 from .gerbes import (PicardPresentation, PicClass, canonicalize, gerbe_class,
                      is_isomorphic_banded, picard_group)
 from .lattice import (FgAbelianGroup, IntegerMatrix, SnfDecomposition,
-                      cokernel, cokernel_with_projection, divisible_in_quotient,
-                      invariant_factor_chain, matrix_rank, smith_normal_form,
-                      solve_linear)
+                      cokernel, cokernel_with_projection, invariant_factor_chain,
+                      smith_normal_form, solve_linear)
 from .morphisms import (ConditionBVerdict, MorphismData, SparsePolynomial,
                         TwoIsoVerdict, check_condition_a, check_condition_b,
                         check_two_isomorphic, degree, validate_morphism_data)

@@ -83,11 +83,13 @@ def _load_valid(path, inputs):
 
 
 def _load_valid_morphism(path, inputs):
-    """Load one morphism file and validate its source and target data."""
+    """Load one morphism file and validate its source and target data; a
+    self-map's target is its source and is validated once."""
     md, digest = documents.load_morphism_file(path)
     inputs.append((str(path), digest))
     _require_valid(md.source)
-    _require_valid(md.target)
+    if md.target != md.source:
+        _require_valid(md.target)
     return md
 
 

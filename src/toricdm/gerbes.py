@@ -160,9 +160,11 @@ def canonicalize(data: StackyData) -> tuple[StackyData, IntegerMatrix]:
 
     The chain is read off the Smith form of diag(r); the certificate is the
     matrix of the induced isomorphism from the sum of Z/r_i onto the sum of
-    the chain factors, and the b rows are pushed forward through it.  Factors
-    equal to 1 are dropped.  Data already in chain form comes back unchanged
-    with an identity certificate.
+    the chain factors, and the b rows are pushed forward through it.  Row j
+    of the certificate maps into Z/c_j, so it is reduced into [0, c_j); that
+    moves the j-th b row by a multiple of c_j and leaves every verdict alone.
+    Factors equal to 1 are dropped.  Data already in chain form comes back
+    unchanged with an identity certificate.
     """
     big_r = data.root_count
     if big_r == 0:
@@ -170,8 +172,7 @@ def canonicalize(data: StackyData) -> tuple[StackyData, IntegerMatrix]:
     snf = smith_normal_form(IntegerMatrix.diagonal(data.r))
     diag = snf.diagonal()
     keep = [j for j in range(big_r) if diag[j] >= 2]
-    transported = snf.u_inv @ data.b
-    certificate = IntegerMatrix.from_rows([snf.u_inv.row(j) for j in keep], big_r)
-    new_b = IntegerMatrix.from_rows([transported.row(j) for j in keep], data.ray_count)
-    new_data = StackyData(fan=data.fan, r=tuple(diag[j] for j in keep), b=new_b)
+    certificate = IntegerMatrix.from_rows(
+        [[x % diag[j] for x in snf.u_inv.row(j)] for j in keep], big_r)
+    new_data = StackyData(fan=data.fan, r=tuple(diag[j] for j in keep), b=certificate @ data.b)
     return new_data, certificate

@@ -2,10 +2,11 @@
 
 Smith normal form with unimodular transforms and their inverses (the one
 normal-form engine), cokernels of integer matrices presented as finitely
-generated abelian groups with normalized coordinates, integer linear system
-solving, and divisibility tests in quotient lattices.  Everything runs on
-Python's arbitrary-precision integers; no floating point is used anywhere.
-All public values are immutable and safe to share between threads.
+generated abelian groups with normalized coordinates, and integer linear
+system solving.  Everything runs on Python's arbitrary-precision integers;
+no floating point is used anywhere.  All public values are immutable and
+safe to share between threads: a Smith form builds each transform on first
+read, and a concurrent first read builds the same value.
 """
 
 from __future__ import annotations
@@ -121,6 +122,12 @@ class SnfDecomposition(Value):
 
     ``d`` is diagonal with nonnegative entries in a divisor chain
     (each divides the next), zeros trailing.
+
+    A decomposition from :func:`smith_normal_form` holds ``d`` and the log
+    of the elementary operations that produced it.  Each transform is
+    replayed from that log the first time it is read and then kept, so a
+    caller that reads only the diagonal builds none of them.  The
+    five-argument constructor takes all four transforms ready made.
     """
 
     _fields = ("u", "d", "v", "u_inv", "v_inv")
@@ -128,6 +135,26 @@ class SnfDecomposition(Value):
     def __init__(self, u: IntegerMatrix, d: IntegerMatrix, v: IntegerMatrix,
                  u_inv: IntegerMatrix, v_inv: IntegerMatrix):
         self.__dict__.update(u=u, d=d, v=v, u_inv=u_inv, v_inv=v_inv)
+
+    @classmethod
+    def _from_log(cls, d: IntegerMatrix, row_ops: tuple, col_ops: tuple) -> "SnfDecomposition":
+        snf = cls.__new__(cls)
+        snf.__dict__.update(d=d, _row_ops=row_ops, _col_ops=col_ops)
+        return snf
+
+    def __getattr__(self, name):
+        # Python calls this only for names missing from __dict__, so a
+        # transform is replayed once; a concurrent first read replays the
+        # same value, which keeps the instance safe to share between threads.
+        if name not in _TRANSFORMS:
+            raise AttributeError(name)
+        from_rows, inverse, transposed = _TRANSFORMS[name]
+        size = self.d.rows if from_rows else self.d.cols
+        grid = _replay(size, self._row_ops if from_rows else self._col_ops, inverse)
+        value = IntegerMatrix(size, size, tuple(zip(*grid)) if transposed and grid
+                              else tuple(tuple(row) for row in grid))
+        self.__dict__[name] = value
+        return value
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -204,6 +231,41 @@ def _identity_grid(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+# How each transform is replayed from a log: (from the row log, by the
+# inverse rule, transposed).  The row operations turn ``a`` into ``d`` from
+# the left, so applying them in order to the identity gives ``u_inv``; their
+# inverses act on the columns of ``u``, that is on the rows of its
+# transpose.  Column operations act on the columns of ``v_inv`` and their
+# inverses on the rows of ``v``.
+_TRANSFORMS = {"u_inv": (True, False, False), "u": (True, True, True),
+               "v_inv": (False, False, True), "v": (False, True, False)}
+
+
+def _replay(n: int, ops: Sequence[tuple], inverse: bool) -> list[list[int]]:
+    """Apply logged operations, in order, to the rows of the n x n identity.
+
+    ``("add", src, dst, q)`` adds q times row src to row dst; by the inverse
+    rule it subtracts q times row dst from row src instead.  Swaps and
+    negations are their own inverses.
+    """
+    grid = _identity_grid(n)
+    columns = range(n)
+    for op in ops:
+        if op[0] == "add":
+            _, src, dst, q = op
+            if inverse:
+                src, dst, q = dst, src, -q
+            target, source = grid[dst], grid[src]
+            for k in columns:
+                target[k] += q * source[k]
+        elif op[0] == "swap":
+            _, i, j = op
+            grid[i], grid[j] = grid[j], grid[i]
+        else:
+            grid[op[1]] = [-x for x in grid[op[1]]]
+    return grid
+
+
 def _find_pivot(d: list[list[int]], t: int, m: int, n: int) -> Optional[tuple[int, int]]:
     """First minimal-absolute-value nonzero entry of the block d[t:, t:]."""
     best = None
@@ -226,56 +288,17 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
     zeros trail, plus ``u_inv`` and ``v_inv``.  Empty matrices are handled and
     yield empty diagonals.
 
-    Maintains the invariants a = u d v, u_inv u = I and v v_inv = I under
-    elementary row and column operations.  Pivots are chosen with minimal
-    absolute value to keep intermediate entries small.
+    Eliminates on ``d`` alone by elementary row and column operations and
+    logs them; the transforms are built from the log when first read (see
+    :class:`SnfDecomposition`).  Pivots are chosen with minimal absolute
+    value to keep intermediate entries small.  Once pivot t is placed, rows
+    and columns before t are zero outside the diagonal, so the operations
+    of step t touch only the block ``d[t:, t:]``.
     """
     m, n = a.rows, a.cols
     d = [list(row) for row in a.entries]
-    u = _identity_grid(m)
-    u_inv = _identity_grid(m)
-    v = _identity_grid(n)
-    v_inv = _identity_grid(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-        u_inv[i], u_inv[j] = u_inv[j], u_inv[i]
-
-    def add_row(src, dst, q):
-        # row dst of d += q * row src
-        drow_s, drow_d = d[src], d[dst]
-        for k in range(n):
-            drow_d[k] += q * drow_s[k]
-        for row in u:
-            row[src] -= q * row[dst]
-        us, ud = u_inv[src], u_inv[dst]
-        for k in range(m):
-            ud[k] += q * us[k]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        for row in u:
-            row[i] = -row[i]
-        u_inv[i] = [-x for x in u_inv[i]]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
-        for row in v_inv:
-            row[i], row[j] = row[j], row[i]
-
-    def add_col(src, dst, q):
-        # column dst of d += q * column src
-        for row in d:
-            row[dst] += q * row[src]
-        vs, vd = v[src], v[dst]
-        for k in range(n):
-            vs[k] -= q * vd[k]
-        for row in v_inv:
-            row[dst] += q * row[src]
+    row_ops: list[tuple] = []
+    col_ops: list[tuple] = []
 
     t = 0
     while t < min(m, n):
@@ -285,26 +308,41 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
         while True:
             pi, pj = piv
             if pi != t:
-                swap_rows(t, pi)
+                d[t], d[pi] = d[pi], d[t]
+                row_ops.append(("swap", t, pi))
             if pj != t:
-                swap_cols(t, pj)
-            pivot = d[t][t]
+                for row in d[t:]:
+                    row[t], row[pj] = row[pj], row[t]
+                col_ops.append(("swap", t, pj))
+            top = d[t]
+            pivot = top[t]
+            block = range(t, n)
             changed = False
+            # row i += -q * row t, for every i below the pivot
             for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // pivot
+                row = d[i]
+                if row[t]:
+                    q = row[t] // pivot
                     if q:
-                        add_row(t, i, -q)
-                    if d[i][t]:
+                        for k in block:
+                            row[k] -= q * top[k]
+                        row_ops.append(("add", t, i, -q))
+                    if row[t]:
                         changed = True
+            # column j += -q * column t; column t stays fixed meanwhile
+            steps = []
             for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // pivot
+                if top[j]:
+                    q = top[j] // pivot
                     if q:
-                        add_col(t, j, -q)
-                    if d[t][j]:
-                        changed = True
-            if changed:
+                        steps.append((j, q))
+                        col_ops.append(("add", t, j, -q))
+            for row in d[t:]:
+                c = row[t]
+                if c:
+                    for j, q in steps:
+                        row[j] -= q * c
+            if changed or any(top[t + 1:]):
                 piv = _find_pivot(d, t, m, n)
                 continue
             # row and column t are clear; force the pivot to divide the rest
@@ -315,32 +353,40 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
                     break
             if offender is None:
                 break
-            add_row(offender, t, 1)
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
+            row_ops.append(("add", offender, t, 1))
             piv = _find_pivot(d, t, m, n)
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
+            row_ops.append(("neg", t))
         t += 1
 
-    to_m = lambda grid, r, c: IntegerMatrix(r, c, tuple(tuple(row) for row in grid))
-    return SnfDecomposition(u=to_m(u, m, m), d=to_m(d, m, n), v=to_m(v, n, n),
-                            u_inv=to_m(u_inv, m, m), v_inv=to_m(v_inv, n, n))
-
-
-def matrix_rank(a: IntegerMatrix) -> int:
-    """Rank over the rationals, computed exactly."""
-    return smith_normal_form(a).rank
+    return SnfDecomposition._from_log(IntegerMatrix(m, n, tuple(tuple(row) for row in d)),
+                                      tuple(row_ops), tuple(col_ops))
 
 
 # ---------------------------------------------------------------------------
 # Cokernels and finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
+def _cokernel_layout(relations: IntegerMatrix, diag: Sequence[int]
+                     ) -> tuple[FgAbelianGroup, list[int], list[int]]:
+    """The cokernel read off a Smith diagonal of ``relations``, with the
+    positions of its torsion rows and of its free rows."""
+    torsion_pos = [i for i, x in enumerate(diag) if x >= 2]
+    free_pos = [i for i in range(relations.rows) if i >= len(diag) or diag[i] == 0]
+    group = FgAbelianGroup(free_rank=len(free_pos),
+                           invariant_factors=tuple(diag[i] for i in torsion_pos))
+    return group, torsion_pos, free_pos
+
+
 def cokernel(relations: IntegerMatrix) -> FgAbelianGroup:
     """The quotient of Z^n by the column span of ``relations`` (n rows).
 
     A matrix with no columns means "no relations" and yields a free group.
+    Only the Smith diagonal is read, so no transform is built.
     """
-    return cokernel_with_projection(relations)[0]
+    return _cokernel_layout(relations, smith_normal_form(relations).diagonal())[0]
 
 
 def cokernel_with_projection(relations: IntegerMatrix
@@ -352,20 +398,25 @@ def cokernel_with_projection(relations: IntegerMatrix
     coordinates.  Two vectors land on the same tuple exactly when they agree
     modulo the column span of ``relations``: the coordinates of v are those
     of ``u_inv v`` in Z/d_1 + ... + Z/d_k + Z^f (Cohen, *A Course in
-    Computational Algebraic Number Theory*, 1993, section 2.4).
+    Computational Algebraic Number Theory*, 1993, section 2.4).  Only
+    ``u_inv`` is read.  A torsion row j of it matters only modulo its factor
+    c_j, so it is kept reduced into [0, c_j); rows whose factor is 1 are
+    dropped.
     """
     snf = smith_normal_form(relations)
     diag = snf.diagonal()
+    group, torsion_pos, free_pos = _cokernel_layout(relations, diag)
+    u_inv = snf.u_inv
+    torsion_rows = tuple((tuple(x % diag[i] for x in u_inv.row(i)), diag[i])
+                         for i in torsion_pos)
+    free_rows = tuple(u_inv.row(i) for i in free_pos)
     n = relations.rows
-    torsion_pos = [i for i, x in enumerate(diag) if x >= 2]
-    free_pos = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
-    group = FgAbelianGroup(free_rank=len(free_pos),
-                           invariant_factors=tuple(diag[i] for i in torsion_pos))
 
     def project(vector: Sequence[int]) -> tuple[int, ...]:
-        y = snf.u_inv.apply(vector)
-        residues = tuple(y[i] % diag[i] for i in torsion_pos)
-        free = tuple(y[i] for i in free_pos)
+        if len(vector) != n:
+            raise ValueError(f"vector length {len(vector)} != {n} rows")
+        residues = tuple(sum(a * x for a, x in zip(row, vector)) % c for row, c in torsion_rows)
+        free = tuple(sum(a * x for a, x in zip(row, vector)) for row in free_rows)
         return residues + free
 
     return group, project
@@ -403,17 +454,6 @@ def solve_linear(a: IntegerMatrix, b: Sequence[int]):
                 return None, kernel
             y[i] = c[i] // di
     return snf.v_inv.apply(y), kernel
-
-
-def divisible_in_quotient(v: Sequence[int], r: int, relations: IntegerMatrix) -> bool:
-    """Is the class of ``v`` divisible by ``r`` in Z^n modulo the relations?
-
-    Equivalently: does v = r*w + (integer combination of relation columns)
-    admit an integer solution?  Decided by a residue test on the normalized
-    coordinates of ``v`` (see :meth:`FgAbelianGroup.is_divisible`).
-    """
-    group, project = cokernel_with_projection(relations)
-    return group.is_divisible(project(v), r)
 
 
 def invariant_factor_chain(orders: Sequence[int]) -> tuple[int, ...]:

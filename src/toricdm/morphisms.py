@@ -177,8 +177,11 @@ def validate_morphism_data(md: MorphismData) -> None:
     if any(p.num_vars != md.source.ray_count for p in md.polys):
         raise MismatchedSourceTargetError("polynomial variable count differs from source rays")
     if md.chi:
-        source_presentation = picard_group(md.source)
-        if any(cls.presentation != source_presentation for cls in md.chi):
+        # A presentation is fixed by its relation matrix, whose rows are the
+        # source rays; comparing those needs no second Smith form.
+        relations = md.source.fan.ray_matrix().transpose()
+        if any(cls.presentation.n != md.source.ray_count
+               or cls.presentation.relation_matrix != relations for cls in md.chi):
             raise MismatchedSourceTargetError(
                 "twist classes do not live on the source Picard presentation")
     if not is_complete(md.source.fan):

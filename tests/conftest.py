@@ -12,7 +12,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toricdm import IntegerMatrix, SimplicialFan, StackyData, close_under_faces, lattice
+from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, lattice,
+                     smith_normal_form)
 
 
 @lru_cache(maxsize=None)
@@ -105,8 +106,7 @@ def random_spanning_data(rng: random.Random) -> StackyData:
     if rng.random() < 0.5:
         while True:
             rays = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(d)]
-            from toricdm import matrix_rank
-            if matrix_rank(IntegerMatrix.column_stack(rays, d)) == d:
+            if smith_normal_form(IntegerMatrix.column_stack(rays, d)).rank == d:
                 break
         prims = set()
         ok = True

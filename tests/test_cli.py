@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricdm import cli, documents, fans
+from toricdm import cli, documents, fans, lattice, stacky
 from toricdm.errors import DocumentError
 
 from conftest import EXPLODING_CONES, EXPLODING_RAYS, schema_errors, spy
@@ -385,6 +385,29 @@ class TestCommands:
         assert code == 3
         assert report["condition_a"] is True
         assert sorted(calls) == ["is_complete", "rays_span"]
+
+    def test_self_map_validates_its_fan_once(self, tmp_path, monkeypatch):
+        calls = []
+        spy(monkeypatch, stacky.validate_data, calls.append)
+        code, _ = run_checked(["morphism", "check", write(tmp_path, "m.json", duple_doc(3))])
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_twist_classes_make_the_only_picard_projection(self, tmp_path, monkeypatch):
+        target = {"schema_version": "1", "lattice_rank": 1, "rays": [[-3], [2]],
+                  "cones": [[0], [1]], "r": [2], "b": [[0, 1]]}
+        doc = {"schema_version": "1", "source": P1_DOC, "target": target,
+               "polynomials": [[{"coefficient": "1", "exponents": [2, 2]}],
+                               [{"coefficient": "1", "exponents": [3, 3]}]],
+               "chi": [[-3, 0]]}
+        calls = []
+        spy(monkeypatch, lattice.cokernel_with_projection, calls.append)
+        code, report = run_checked(["morphism", "check", write(tmp_path, "m.json", doc)])
+        assert code == 2
+        assert report["condition_a"] is True
+        # the document's twist classes build the source Picard presentation;
+        # validation compares against it without a second projection
+        assert len(calls) == 1
 
     def test_morphism_iso(self, tmp_path):
         a = write(tmp_path, "pos.json", duple_doc(2))

@@ -220,6 +220,20 @@ class TestCanonicalize:
         assert again.r == canonical.r
         assert is_isomorphic_banded(again, canonical)
 
+    def test_certificate_rows_reduced_modulo_the_chain(self, rng):
+        fan = projective_line_fan()
+        for _ in range(60):
+            big_r = rng.randint(1, 4)
+            r = tuple(rng.randint(1, 12) for _ in range(big_r))
+            b = IntegerMatrix.from_rows(
+                [[rng.randint(-50, 50) for _ in range(2)] for _ in range(big_r)], 2)
+            data = StackyData(fan, r, b)
+            canonical, certificate = canonicalize(data)
+            for j, c in enumerate(canonical.r):
+                assert all(0 <= x < c for x in certificate.row(j))
+            assert canonical.b == certificate @ data.b
+            assert oracle_is_group_isomorphism(certificate, r, canonical.r)
+
     def test_random_properties(self, rng):
         fan = projective_line_fan()
         for _ in range(50):

@@ -1,10 +1,14 @@
+import sys
+import threading
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricdm import (FgAbelianGroup, IntegerMatrix, cokernel,
-                     divisible_in_quotient, invariant_factor_chain,
-                     matrix_rank, smith_normal_form, solve_linear)
+from toricdm import (FgAbelianGroup, IntegerMatrix, SnfDecomposition, cokernel,
+                     cokernel_with_projection, invariant_factor_chain, lattice,
+                     smith_normal_form, solve_linear)
 from toricdm.oracle import (oracle_divisibility, oracle_element_order_census,
                             oracle_verify_snf)
 
@@ -50,6 +54,83 @@ class TestSmithNormalForm:
             a = IntegerMatrix.from_rows(
                 [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)], n)
             assert oracle_verify_snf(a, smith_normal_form(a))
+
+
+TRANSFORMS = {"u", "v", "u_inv", "v_inv"}
+
+
+@st.composite
+def small_matrices(draw):
+    """Up to 5 x 5 with negative entries; empty shapes included, and the
+    last row sometimes a combination of the first two."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n)) for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        p, q = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [p * x + q * y for x, y in zip(rows[0], rows[1])]
+    return IntegerMatrix.from_rows(rows, n)
+
+
+class TestEngineProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(small_matrices())
+    def test_transforms_from_the_log(self, a):
+        dec = smith_normal_form(a)
+        assert oracle_verify_snf(a, dec)
+        assert dec.u_inv @ dec.u == IntegerMatrix.identity(a.rows)
+        assert dec.v @ dec.v_inv == IntegerMatrix.identity(a.cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_matrices(), st.lists(st.integers(-50, 50), min_size=5, max_size=5))
+    def test_projection_is_bounded_and_kills_relations(self, a, vector):
+        group, project = cokernel_with_projection(a)
+        assert cokernel(a) == group
+        for j in range(a.cols):
+            assert not any(project(a.column(j)))
+        coordinates = project(vector[:a.rows])
+        assert len(coordinates) == len(group.invariant_factors) + group.free_rank
+        assert all(0 <= x < c for x, c in zip(coordinates, group.invariant_factors))
+
+    def test_transforms_are_built_when_read(self, monkeypatch):
+        made = []
+
+        def recording(a):
+            made.append(smith_normal_form(a))
+            return made[-1]
+
+        monkeypatch.setattr(lattice, "smith_normal_form", recording)
+        a = mat([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        assert lattice.cokernel(a) == FgAbelianGroup(0, (2, 6, 12))
+        assert not TRANSFORMS & vars(made[-1]).keys()
+        lattice.cokernel_with_projection(a)
+        assert TRANSFORMS & vars(made[-1]).keys() == {"u_inv"}
+        dec = made[-1]
+        assert SnfDecomposition(dec.u, dec.d, dec.v, dec.u_inv, dec.v_inv) == dec
+        assert TRANSFORMS <= vars(dec).keys()
+
+    def test_concurrent_first_reads_agree(self, rng):
+        a = IntegerMatrix.from_rows([[rng.randint(-20, 20) for _ in range(12)]
+                                     for _ in range(12)])
+        fresh = smith_normal_form(a)
+        expected = {name: getattr(fresh, name) for name in TRANSFORMS}
+        shared = smith_normal_form(a)
+        seen = []
+
+        def read_all():
+            seen.append({name: getattr(shared, name) for name in TRANSFORMS})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read_all) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [expected] * len(workers)
 
 
 class TestCokernel:
@@ -116,23 +197,29 @@ class TestSolveLinear:
             assert a.apply(solution) == b
             for vec in kernel:
                 assert a.apply(vec) == (0,) * m
-            assert len(kernel) == n - matrix_rank(a)
+            assert len(kernel) == n - smith_normal_form(a).rank
+
+
+def quotient_divisible(v, r, relations):
+    """Is the class of v divisible by r in Z^n modulo the relation columns?"""
+    group, project = cokernel_with_projection(relations)
+    return group.is_divisible(project(v), r)
 
 
 class TestDivisibleInQuotient:
     REL = IntegerMatrix.column_stack([(-1, 1)], 2)
 
     def test_plainly_divisible(self):
-        assert divisible_in_quotient((0, 2), 2, self.REL)
+        assert quotient_divisible((0, 2), 2, self.REL)
 
     def test_obstructed(self):
         # the finite quotient Z^2/(2Z^2 + <(-1,1)>) has order 2; (0,1) is the
         # nonzero class
-        assert not divisible_in_quotient((0, 1), 2, self.REL)
+        assert not quotient_divisible((0, 1), 2, self.REL)
         assert not oracle_divisibility((0, 1), 2, self.REL)
 
     def test_relation_multiple(self):
-        assert divisible_in_quotient((3, -3), 5, self.REL)
+        assert quotient_divisible((3, -3), 5, self.REL)
 
     def test_agrees_with_enumeration(self, rng):
         for _ in range(200):
@@ -142,7 +229,7 @@ class TestDivisibleInQuotient:
                     for _ in range(rng.randint(0, 3))]
             relations = IntegerMatrix.column_stack(cols, n)
             v = tuple(rng.randint(-8, 8) for _ in range(n))
-            assert divisible_in_quotient(v, r, relations) == \
+            assert quotient_divisible(v, r, relations) == \
                 oracle_divisibility(v, r, relations)
 
 

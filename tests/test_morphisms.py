@@ -15,7 +15,7 @@ from toricdm import (MismatchedSourceTargetError, MorphismData,
 from toricdm.morphisms import (DEFAULT_SAMPLE_BUDGET, DEFAULT_SAMPLE_VALUES,
                                ConditionBVerdict)
 
-from conftest import (affine_fan, make_fan, product_fan, projective_fan,
+from conftest import (affine_fan, line_fan, make_fan, product_fan, projective_fan,
                       projective_line_fan, projective_plane_fan, spy,
                       weighted_line_root_data)
 
@@ -255,8 +255,17 @@ class TestOneValidationOnePresentation:
                           (pres.class_of((-3, 0)),))
         snf_calls.clear()
         assert check_condition_a(md)
-        # the validation's Picard presentation (2 x 1) and rays_span (1 x 2)
-        assert snf_calls == [(2, 1), (1, 2)]
+        # only rays_span (1 x 2): the validation compares the classes'
+        # relation matrix with the source rays instead of building its own
+        assert snf_calls == [(1, 2)]
+
+    def test_twist_classes_of_another_fan_are_rejected(self):
+        # same ray count, different rays: a presentation of another fan
+        foreign = picard_group(StackyData(line_fan(3, 2))).class_of((-3, 0))
+        md = MorphismData(P1, weighted_line_root_data(),
+                          (mono(2, 1, (2, 2)), mono(2, 1, (3, 3))), (foreign,))
+        with pytest.raises(MismatchedSourceTargetError):
+            check_condition_a(md)
 
     def test_degree_takes_a_presentation(self, snf_calls):
         pres = picard_group(P1)
