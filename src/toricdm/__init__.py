@@ -29,9 +29,8 @@ from .oracle import (FiniteGroupTable, det_cofactor,
                      oracle_element_order_census, oracle_is_group_isomorphism,
                      oracle_quotient_enumerate, oracle_stabilizer_order,
                      oracle_verify_snf)
-from .stacky import (QuotientGroupDesc, StackyData, StackyFan,
-                     build_matrices, canonical_ray_decomposition, dm_torus,
-                     generic_stabilizer, point_stabilizer, psi_exponents,
+from .stacky import (QuotientGroupDesc, StackyData, StackyFan, build_matrices,
+                     dm_torus, generic_stabilizer, point_stabilizer, psi_exponents,
                      quotient_group, rigidify, split_nonspanning, stacky_fan,
                      validate_data)
 

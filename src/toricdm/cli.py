@@ -19,13 +19,12 @@ from . import documents
 from .errors import (DocumentError, TooLargeError, ToricError)
 from .fans import maximal_cones
 from .gerbes import canonicalize, picard_group, twist_divisibility
+from .lattice import cokernel
 from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
-                        check_condition_b, check_two_isomorphic,
-                        validate_morphism_data)
+                        check_condition_b, check_two_isomorphic)
 from .oracle import oracle_divisibility, oracle_stabilizer_order
 from .stacky import (build_matrices, dm_torus, point_stabilizer, psi_exponents,
-                     quotient_group, rigidify, split_nonspanning, stacky_fan,
-                     validate_data)
+                     rigidify, split_nonspanning, stacky_fan, validate_data)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -83,13 +82,11 @@ def _load_valid(path, inputs):
 
 
 def _load_valid_morphism(path, inputs):
-    """Load one morphism file and validate its source and target data; a
-    self-map's target is its source and is validated once."""
+    """Load one morphism file and validate its source and target data."""
     md, digest = documents.load_morphism_file(path)
     inputs.append((str(path), digest))
     _require_valid(md.source)
-    if md.target != md.source:
-        _require_valid(md.target)
+    _require_valid(md.target)
     return md
 
 
@@ -111,14 +108,15 @@ def _cmd_build(args):
     inputs = []
     data = _load_valid(args.path, inputs)
     b_matrix, q_matrix = build_matrices(data)
-    qg = quotient_group(data)
+    bq = psi_exponents(data)
+    group = cokernel(bq.transpose())
     dim, band = dm_torus(data)
     payload = {
         "matrices": {"b": documents.encode_grid(b_matrix),
                      "q": documents.encode_grid(q_matrix),
-                     "bq": documents.encode_grid(psi_exponents(data))},
-        "quotient_group": {"torus_rank": documents.encode_int(qg.torus_rank),
-                           "invariant_factors": _group_payload(qg.finite_part)},
+                     "bq": documents.encode_grid(bq)},
+        "quotient_group": {"torus_rank": documents.encode_int(group.free_rank),
+                           "invariant_factors": _group_payload(group)},
         "generic_stabilizer": _group_payload(band),
         "dm_torus": {"dimension": documents.encode_int(dim),
                      "band": _group_payload(band)},
@@ -270,10 +268,8 @@ def _cmd_morphism(args):
     inputs = []
     md = _load_valid_morphism(args.paths[0], inputs)
     if args.mode == "check":
-        validate_morphism_data(md)
-        condition_a = check_condition_a(md, validate=False)
-        verdict = check_condition_b(md, sample_budget=args.sample_budget, seed=args.seed,
-                                    validate=False)
+        condition_a = check_condition_a(md)
+        verdict = check_condition_b(md, sample_budget=args.sample_budget, seed=args.seed)
         payload = {"mode": "check", "condition_a": condition_a,
                    "condition_b": _condition_b_payload(verdict)}
         if not condition_a or verdict.is_refuted:

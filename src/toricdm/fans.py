@@ -8,13 +8,18 @@ condition is first certified in near-linear time by facet pairing (each
 facet in exactly two maximal cones, on opposite sides of its hyperplane)
 plus one generic vector covered exactly once; fans that certificate does not
 accept are decided pair by pair with exact integer Fourier-Motzkin
-elimination.  :func:`is_complete` asks the same certificate, on maximal
-cones that are full-dimensional and independent.
+elimination.  :func:`is_complete` means valid and certified complete.
+
+A fan hashes as its value, so :func:`validate_fan`, the certificate and
+:func:`rays_span` keep their answers for the last ``FAN_CACHE_SIZE`` fans,
+the most one command meets (two morphism documents, each with a source and
+a target): one command certifies each distinct fan once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -24,6 +29,7 @@ from .lattice import IntegerMatrix, smith_normal_form
 ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
 
 FM_PAIR_LIMIT = 100_000  # row pairs one Fourier-Motzkin step may combine
+FAN_CACHE_SIZE = 4  # distinct fans one command validates, at most
 
 
 class SimplicialFan(Value):
@@ -177,6 +183,7 @@ def _cone_pair_violation(fan: SimplicialFan, cone_a: frozenset[int], cone_b: fro
 # Validation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def validate_fan(fan: SimplicialFan) -> ValidationReport:
     """Check every fan invariant, reporting the first violation with a witness.
 
@@ -243,7 +250,7 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
                     f"face {sorted(cone - {i})} of cone {sorted(cone)} is missing",
                     (sorted(cone), sorted(cone - {i}))),))
 
-    if all(len(cone) == d for cone in maximal) and _certifies_complete(fan, maximal):
+    if _certifies_complete(fan):
         return ValidationReport()
 
     for a in range(len(maximal)):
@@ -297,9 +304,11 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _certifies_complete(fan: SimplicialFan, maximal: Sequence[frozenset[int]]) -> bool:
-    """Certificate that full-dimensional, independent, face-closed maximal
-    cones with distinct ray directions form a complete fan.
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _certifies_complete(fan: SimplicialFan) -> bool:
+    """Certificate that independent, face-closed maximal cones with distinct
+    ray directions form a complete fan; False when a maximal cone is not
+    full-dimensional.
 
     The cone form of the triangulation criterion in De Loera, Rambau and
     Santos, *Triangulations* (2010), section 4.5: every facet lies in exactly
@@ -311,6 +320,9 @@ def _certifies_complete(fan: SimplicialFan, maximal: Sequence[frozenset[int]]) -
     the Cauchy root bound no facet normal vanishes on it.  False means only
     "not certified", never "invalid".
     """
+    maximal = maximal_cones(fan)
+    if any(len(cone) != fan.lattice_rank for cone in maximal):
+        return False
     owners = _facet_owners(maximal)
     if any(len(pair) != 2 for pair in owners.values()):
         return False
@@ -338,21 +350,18 @@ def maximal_cones(fan: SimplicialFan) -> list[frozenset[int]]:
 
 
 def is_complete(fan: SimplicialFan) -> bool:
-    """Do the maximal cones cover the rational vector space exactly once?
+    """Is the fan valid, with maximal cones covering the rational vector
+    space exactly once?
 
-    True exactly when every maximal cone has ``lattice_rank`` independent
-    rays and :func:`_certifies_complete` accepts; for a valid fan that is
-    completeness.  A fan that winds twice, or whose cones overlap, is not
-    certified and gets False.  The cones must index the fan's rays.
+    True exactly when :func:`validate_fan` accepts and
+    :func:`_certifies_complete` does; it raises :class:`TooLargeError` where
+    validation does.  A fan that winds twice, or whose cones overlap, gets
+    False.
     """
-    d = fan.lattice_rank
-    maximal = maximal_cones(fan)
-    if any(len(c) != d or _rank_rational([fan.rays[i] for i in sorted(c)]) != d
-           for c in maximal):
-        return False
-    return _certifies_complete(fan, maximal)
+    return validate_fan(fan).valid and _certifies_complete(fan)
 
 
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def rays_span(fan: SimplicialFan) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Whether the rays span the whole lattice rationally, plus a basis of the
     saturated sublattice they do span.

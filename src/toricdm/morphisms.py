@@ -213,7 +213,7 @@ def degree(p: SparsePolynomial, source: StackyData,
     return first
 
 
-def check_condition_a(md: MorphismData, *, validate: bool = True) -> bool:
+def check_condition_a(md: MorphismData) -> bool:
     """The degree condition on the polynomial classes.
 
     Writing chi_rho for the class of the polynomial at target ray rho, this
@@ -221,11 +221,10 @@ def check_condition_a(md: MorphismData, *, validate: bool = True) -> bool:
     that for each root index i the b-weighted class sum plus r_i times the
     chosen twist class vanishes.  Every class lives on one source Picard
     presentation: the twist classes' own, or one built here.  The data go
-    through :func:`validate_morphism_data` first unless ``validate`` is
-    False, for a caller that has just validated them.
+    through :func:`validate_morphism_data` first; its fan checks are cached
+    by fan, so a second check of the same data does not certify again.
     """
-    if validate:
-        validate_morphism_data(md)
+    validate_morphism_data(md)
     presentation = md.chi[0].presentation if md.chi else picard_group(md.source)
     classes = [degree(p, md.source, presentation) for p in md.polys]
     d = md.target.lattice_rank
@@ -247,7 +246,7 @@ def check_condition_a(md: MorphismData, *, validate: bool = True) -> bool:
 def check_condition_b(md: MorphismData,
                       sample_values: Sequence[Fraction] = DEFAULT_SAMPLE_VALUES,
                       sample_budget: int = DEFAULT_SAMPLE_BUDGET,
-                      seed: int = 0, *, validate: bool = True) -> ConditionBVerdict:
+                      seed: int = 0) -> ConditionBVerdict:
     """Does the polynomial tuple map the source locus into the target locus?
 
     For tuples in which every polynomial is a single monomial or zero the
@@ -274,10 +273,9 @@ def check_condition_b(md: MorphismData,
     largest total degree.  At the scaled point the compiled polynomial is the
     original value times a nonzero integer, so every zero test, and with it
     every verdict and witness, is the one exact rational evaluation gives.
-    ``validate`` is as for :func:`check_condition_a`.
+    The data are validated as in :func:`check_condition_a`.
     """
-    if validate:
-        validate_morphism_data(md)
+    validate_morphism_data(md)
     target_fan = md.target.fan
 
     if all(len(p.terms) <= 1 for p in md.polys):

@@ -10,12 +10,11 @@ the associated stacky fan.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
                      Value, Violation)
-from .fans import SimplicialFan, primitive, rays_span, validate_fan
+from .fans import SimplicialFan, rays_span, validate_fan
 from .lattice import (FgAbelianGroup, IntegerMatrix, cokernel, cokernel_with_projection,
                       invariant_factor_chain, smith_normal_form)
 
@@ -213,16 +212,6 @@ def split_nonspanning(data: StackyData) -> tuple[StackyData, int]:
         new_rays.append(coords[:rank])
     new_fan = SimplicialFan(rank, tuple(new_rays), data.fan.cones)
     return StackyData(fan=new_fan, r=data.r, b=data.b), d - rank
-
-
-def canonical_ray_decomposition(data: StackyData) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Split each ray vector into its primitive generator and multiplicity.
-
-    For each ray returns (n, alpha) with the ray equal to alpha * n, where n
-    is the primitive lattice point on the ray and alpha the gcd of the ray's
-    coordinates.
-    """
-    return tuple((primitive(ray), gcd(*ray)) for ray in data.fan.rays)
 
 
 def dm_torus(data: StackyData) -> tuple[int, FgAbelianGroup]:

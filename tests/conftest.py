@@ -12,8 +12,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, lattice,
-                     smith_normal_form)
+from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, fans,
+                     lattice, smith_normal_form)
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +134,23 @@ def random_spanning_data(rng: random.Random) -> StackyData:
         [[rng.randint(-4, 4) for _ in range(len(fan.rays))] for _ in range(big_r)],
         len(fan.rays))
     return StackyData(fan, r=r, b=b)
+
+
+@pytest.fixture(autouse=True)
+def fresh_fan_caches():
+    """Empty the per-fan caches before each test, so that a test counting
+    work or patching a helper does not depend on which fans ran before."""
+    for cached in (fans.validate_fan, fans._certifies_complete, fans.rays_span):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """Fans whose completeness certificate is computed: each run of the
+    certificate pairs facets exactly once, in ``fans._facet_owners``."""
+    computed = []
+    spy(monkeypatch, fans._facet_owners, computed.append)
+    return computed
 
 
 @pytest.fixture

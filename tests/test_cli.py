@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricdm import cli, documents, fans, lattice, stacky
+from toricdm import cli, documents, lattice
 from toricdm.errors import DocumentError
 
 from conftest import EXPLODING_CONES, EXPLODING_RAYS, schema_errors, spy
@@ -376,22 +376,36 @@ class TestCommands:
         assert report["condition_b"]["status"] == "refuted"
         assert report["condition_b"]["witness_pattern"] == [0]
 
-    def test_morphism_check_validates_once(self, tmp_path, monkeypatch):
-        calls = []
-        spy(monkeypatch, fans.is_complete, lambda fan: calls.append("is_complete"))
-        spy(monkeypatch, fans.rays_span, lambda fan: calls.append("rays_span"))
-        code, report = run_checked(
-            ["morphism", "check", write(tmp_path, "m.json", binomial_doc(2))])
+    def test_morphism_check_validates_once(self, tmp_path, certificates, snf_calls):
+        doc = dict(binomial_doc(2), target=dict(P1_DOC, rays=[[-2], [2]]))
+        code, report = run_checked(["morphism", "check", write(tmp_path, "m.json", doc)])
         assert code == 3
         assert report["condition_a"] is True
-        assert sorted(calls) == ["is_complete", "rays_span"]
+        # one certificate per fan, one rays_span Smith form for the target
+        # (1 x 2) and one Picard presentation grading the polynomials (2 x 1)
+        assert len(certificates) == 2
+        assert snf_calls == [(1, 2), (2, 1)]
 
-    def test_self_map_validates_its_fan_once(self, tmp_path, monkeypatch):
-        calls = []
-        spy(monkeypatch, stacky.validate_data, calls.append)
+    def test_self_map_validates_its_fan_once(self, tmp_path, certificates):
         code, _ = run_checked(["morphism", "check", write(tmp_path, "m.json", duple_doc(3))])
         assert code == 0
-        assert len(calls) == 1
+        assert len(certificates) == 1
+
+    def test_morphism_iso_certifies_each_fan_once(self, tmp_path, certificates):
+        target = dict(P1_DOC, rays=[[-2], [2]])
+        a = write(tmp_path, "pos.json", dict(duple_doc(2), target=target))
+        b = write(tmp_path, "neg.json", dict(duple_doc(2, sign=-1), target=target))
+        code, report = run_checked(["morphism", "iso", a, b])
+        assert code == 0
+        assert report["iso"] == {"status": "yes", "ratios": ["-1", "-1"]}
+        assert len(certificates) == 2
+
+    def test_classify_certifies_the_shared_fan_once(self, tmp_path, certificates):
+        paths = [write(tmp_path, f"p{k}.json", p1_root_doc(k)) for k in range(4)]
+        code, report = run_checked(["classify", *paths])
+        assert code == 2
+        assert report["results"][0]["isomorphic"] is False
+        assert len(certificates) == 1
 
     def test_twist_classes_make_the_only_picard_projection(self, tmp_path, monkeypatch):
         target = {"schema_version": "1", "lattice_rank": 1, "rays": [[-3], [2]],

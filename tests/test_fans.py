@@ -12,6 +12,7 @@ from toricdm import (SimplicialFan, TooLargeError, close_under_faces,
                      is_admissible_zero_pattern, is_complete, maximal_cones, rays_span,
                      validate_fan)
 from toricdm import fans
+from toricdm.documents import parse_stacky_document
 from toricdm.fans import _certifies_complete, _cone_pair_violation
 from toricdm.oracle import oracle_cones_meet_along_common_face
 
@@ -235,7 +236,7 @@ class TestCompletenessCertificate:
         assert all(len(pair) == 2 for pair in owners.values())
         normals = [fans._facet_normals(fan, cone) for cone in maximal]
         assert all(fans._dot(normals[a][i], rays[j]) < 0 for (a, i), (_, j) in owners.values())
-        assert not _certifies_complete(fan, maximal)
+        assert not _certifies_complete(fan)
         report = validate_fan(fan)
         assert report.first().code == "bad_intersection"
         assert report.first().witness == ([0, 1], [2, 3], 0)
@@ -255,7 +256,7 @@ class TestCompletenessCertificate:
     def test_incomplete_fans_fall_back(self):
         fan = _rank2_fan(31)
         punctured = SimplicialFan(2, fan.rays, fan.cones - {frozenset({0, 1})})
-        assert not _certifies_complete(punctured, maximal_cones(punctured))
+        assert not _certifies_complete(punctured)
         assert validate_fan(punctured).valid
         assert not is_complete(punctured)
 
@@ -315,6 +316,14 @@ class TestIsComplete:
         rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
         assert not is_complete(make_fan(2, rays, [[i, (i + 1) % 5] for i in range(5)]))
 
+    def test_a_fan_missing_a_face_is_not_complete(self):
+        # the three top cones still cover the plane once, but the ray cone
+        # {0} is not listed, so the fan is not face-closed
+        fan = projective_plane_fan()
+        unclosed = SimplicialFan(2, fan.rays, fan.cones - {frozenset({0})})
+        assert validate_fan(unclosed).first().code == "not_face_closed"
+        assert not is_complete(unclosed)
+
     def test_dependent_maximal_cone_is_not_complete(self):
         fan = make_fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)],
                        [[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -325,6 +334,23 @@ class TestIsComplete:
         for fan in (projective_line_fan(), projective_plane_fan(), projective_fan(3)):
             for i in range(len(fan.rays)):
                 assert is_admissible_zero_pattern(fan, {i})
+
+
+class TestFanCaches:
+    def test_equal_fans_share_one_report(self):
+        document = {"schema_version": "1", "lattice_rank": 2,
+                    "rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]],
+                    "r": [], "b": []}
+        first, second = parse_stacky_document(document), parse_stacky_document(document)
+        assert first.fan is not second.fan
+        assert validate_fan(first.fan) is validate_fan(second.fan)
+
+    def test_each_fan_is_certified_once(self, certificates):
+        for fan, complete in ((projective_plane_fan(), True), (projective_plane_fan(), True),
+                              (affine_fan(2), False)):
+            assert validate_fan(fan).valid
+            assert is_complete(fan) == complete
+        assert certificates == [maximal_cones(projective_plane_fan()), [frozenset({0, 1})]]
 
 
 class TestRaysSpan:

@@ -7,16 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricdm import (MismatchedSourceTargetError, MorphismData,
-                     NotHomogeneousError, SourceNotCompleteError,
+                     NotHomogeneousError, SimplicialFan, SourceNotCompleteError,
                      SparsePolynomial, StackyData, TargetRaysNotSpanningError,
                      ZeroPolynomialError, check_condition_a, check_condition_b,
                      check_two_isomorphic, degree, is_admissible_zero_pattern,
-                     is_complete, maximal_cones, picard_group, rays_span)
+                     maximal_cones, picard_group)
 from toricdm.morphisms import (DEFAULT_SAMPLE_BUDGET, DEFAULT_SAMPLE_VALUES,
                                ConditionBVerdict)
 
 from conftest import (affine_fan, line_fan, make_fan, product_fan, projective_fan,
-                      projective_line_fan, projective_plane_fan, spy,
+                      projective_line_fan, projective_plane_fan,
                       weighted_line_root_data)
 
 P1 = StackyData(projective_line_fan())
@@ -273,17 +273,21 @@ class TestOneValidationOnePresentation:
         assert degree(mono(2, 1, (3, 0)), P1, pres) == pres.class_of((0, 3))
         assert snf_calls == []
 
-    def test_validate_false_skips_only_the_validation(self, monkeypatch):
-        calls = []
-        spy(monkeypatch, is_complete, lambda fan: calls.append("is_complete"))
-        spy(monkeypatch, rays_span, lambda fan: calls.append("rays_span"))
+    def test_both_conditions_certify_the_source_once(self, certificates, snf_calls):
         md = MorphismData(P1, P1, (binomial_line(), mono(2, 1, (0, 1))), ())
-        checked = (check_condition_a(md), check_condition_b(md, sample_budget=50, seed=3))
-        assert sorted(calls) == ["is_complete", "is_complete", "rays_span", "rays_span"]
-        calls.clear()
-        assert (check_condition_a(md, validate=False),
-                check_condition_b(md, sample_budget=50, seed=3, validate=False)) == checked
-        assert calls == []
+        assert check_condition_a(md)
+        assert check_condition_b(md, sample_budget=50, seed=3).status == "unknown"
+        assert certificates == [maximal_cones(P1.fan)]
+        # the second validation reads the cached rays_span: one target Smith
+        # form, then the Picard presentation condition A grades with
+        assert snf_calls == [(1, 2), (2, 1)]
+
+    def test_a_source_missing_a_face_is_rejected(self):
+        fan = projective_plane_fan()
+        source = StackyData(SimplicialFan(2, fan.rays, fan.cones - {frozenset({0})}))
+        md = MorphismData(source, P1, (mono(3, 1, (1, 0, 0)), mono(3, 1, (0, 1, 0))), ())
+        with pytest.raises(SourceNotCompleteError):
+            check_condition_a(md)
 
 
 def binomial_line():

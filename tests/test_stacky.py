@@ -1,11 +1,10 @@
 import pytest
 
 from toricdm import (ConeNotInFanError, FgAbelianGroup, IntegerMatrix,
-                     NonSpanningRaysError, StackyData, build_matrices,
-                     canonical_ray_decomposition, dm_torus, generic_stabilizer,
-                     invariant_factor_chain, point_stabilizer, psi_exponents,
-                     quotient_group, rigidify, split_nonspanning, stacky_fan,
-                     validate_data)
+                     NonSpanningRaysError, StackyData, build_matrices, dm_torus,
+                     generic_stabilizer, invariant_factor_chain, point_stabilizer,
+                     psi_exponents, quotient_group, rigidify, split_nonspanning,
+                     stacky_fan, validate_data)
 from toricdm.fans import maximal_cones
 from toricdm.oracle import oracle_quotient_enumerate, oracle_stabilizer_order
 
@@ -188,20 +187,6 @@ class TestSplitNonspanning:
             data = StackyData(make_fan(d, rays, [[i] for i in range(len(rays))]))
             split, factor = split_nonspanning(data)
             assert split.fan.lattice_rank + factor == d
-
-
-class TestRayDecomposition:
-    def test_positive_multiple(self):
-        (pair,) = canonical_ray_decomposition(affine_quotient_data(6))
-        assert pair == ((1,), 6)
-
-    def test_gcd_extraction(self):
-        (pair,) = canonical_ray_decomposition(StackyData(make_fan(2, [(2, 4)], [[0]])))
-        assert pair == ((1, 2), 2)
-
-    def test_primitive(self):
-        pairs = canonical_ray_decomposition(StackyData(projective_plane_fan()))
-        assert all(alpha == 1 for _, alpha in pairs)
 
 
 class TestDmTorus:
