@@ -17,14 +17,14 @@ import sys
 
 from . import documents
 from .errors import (DocumentError, TooLargeError, ToricError)
-from .fans import maximal_cones
+from .fans import maximal_cones, rays_span
 from .gerbes import canonicalize, picard_group, twist_divisibility
 from .lattice import cokernel
 from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
                         check_condition_b, check_two_isomorphic)
 from .oracle import oracle_divisibility, oracle_stabilizer_order
-from .stacky import (build_matrices, dm_torus, point_stabilizer, psi_exponents,
-                     rigidify, split_nonspanning, stacky_fan, validate_data)
+from .stacky import (build_matrices, dm_torus, point_stabilizer, rigidify,
+                     split_nonspanning, stacky_fan, validate_data)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -108,7 +108,7 @@ def _cmd_build(args):
     inputs = []
     data = _load_valid(args.path, inputs)
     b_matrix, q_matrix = build_matrices(data)
-    bq = psi_exponents(data)
+    bq = b_matrix.hstack(q_matrix)
     group = cokernel(bq.transpose())
     dim, band = dm_torus(data)
     payload = {
@@ -121,9 +121,9 @@ def _cmd_build(args):
         "dm_torus": {"dimension": documents.encode_int(dim),
                      "band": _group_payload(band)},
     }
-    split_data, torus_factor = split_nonspanning(data)
-    payload["rays_span"] = torus_factor == 0
-    if torus_factor == 0:
+    spans, _ = rays_span(data.fan)
+    payload["rays_span"] = spans
+    if spans:
         sf = stacky_fan(data)
         payload["stacky_fan"] = {
             "extended_group": {
@@ -132,6 +132,7 @@ def _cmd_build(args):
             "lifted_rays": [[documents.encode_int(x) for x in ray]
                             for ray in sf.lifted_rays]}
     else:
+        split_data, torus_factor = split_nonspanning(data)
         payload["split"] = {"torus_factor_rank": documents.encode_int(torus_factor),
                             "data": documents.serialize_stacky_data(split_data)}
     if args.verify:
@@ -378,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with toric stack data given as JSON documents.")
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     parser.add_argument("--sample-budget", type=_nonnegative_int, default=DEFAULT_SAMPLE_BUDGET,
-                        metavar="N", help="evaluation budget for refutation sampling")
+                        metavar="N", help="evaluation budget of the search for a rational witness")
     parser.add_argument("--seed", type=int, default=0, metavar="S",
-                        help="seed for refutation sampling")
+                        help="seed of the search for a rational witness")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check results with the brute-force verifiers")
     sub = parser.add_subparsers(dest="command", required=True)

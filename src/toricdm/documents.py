@@ -7,16 +7,24 @@ values and rejects whatever those schemas reject, with a :class:`DocumentError`
 located by a JSON pointer (``/`` is the whole document).  Integers beyond the
 53-bit range safe for double-based JSON readers are written as decimal
 strings; both forms are accepted.  Cone lists may name only the maximal cones;
-the loader closes them under faces before anything else sees the fan.
+the loader closes them under faces before anything else sees the fan.  The
+whole document is decoded before any size bound is checked, so ``too_large``
+always means a well-formed document beyond a bound.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
-from fractions import Fraction
 from typing import Any
+
+try:  # the bare SHA-256 extension module; ``hashlib`` loads the OpenSSL binding
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 on
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import DocumentError, TooLargeError
 from .fans import SimplicialFan, close_under_faces, maximal_cones
@@ -97,12 +105,20 @@ def encode_grid(matrix: IntegerMatrix) -> list[list[Any]]:
 def document_hash(document: Any) -> str:
     """SHA-256 of the canonical JSON form, insensitive to key order."""
     canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
 # Stack data documents
 # ---------------------------------------------------------------------------
+
+def _decode_stacky(document: Any, where: str) -> list:
+    """The decoded fields of a stack data object, structure checked only."""
+    return _decode_object(document, {
+        "schema_version": _decode_version, "lattice_rank": decode_int,
+        "rays": _decode_int_grid, "cones": _decode_int_grid,
+        "r": _decode_int_list, "b": _decode_int_grid}, where)
+
 
 def parse_stacky_document(document: Any, where: str = "") -> StackyData:
     """Build a :class:`StackyData` from a parsed JSON object, the one at JSON
@@ -111,10 +127,13 @@ def parse_stacky_document(document: Any, where: str = "") -> StackyData:
     Structural problems raise :class:`DocumentError` with a location; the
     semantic invariants are left to :func:`toricdm.stacky.validate_data`.
     """
-    _, rank, rays, cones, r, b = _decode_object(document, {
-        "schema_version": _decode_version, "lattice_rank": decode_int,
-        "rays": _decode_int_grid, "cones": _decode_int_grid,
-        "r": _decode_int_list, "b": _decode_int_grid}, where)
+    return _stacky_data(_decode_stacky(document, where), where)
+
+
+def _stacky_data(fields: list, where: str) -> StackyData:
+    """:class:`StackyData` from decoded fields: the rank bound, then the
+    shape checks the schema cannot state."""
+    _, rank, rays, cones, r, b = fields
     if rank < 0:
         raise DocumentError("lattice_rank must be nonnegative", f"{where}/lattice_rank")
     if rank > MAX_LATTICE_RANK:
@@ -150,7 +169,9 @@ def serialize_stacky_data(data: StackyData) -> dict:
 # Morphism documents
 # ---------------------------------------------------------------------------
 
-def _parse_fraction(text, where: str) -> Fraction:
+def _parse_fraction(text, where: str):
+    from fractions import Fraction  # loaded by morphism documents only
+
     if not isinstance(text, str) or not _COEFFICIENT.fullmatch(text):
         raise DocumentError(f"coefficients must be p or p/q strings, got {text!r}", where)
     try:
@@ -167,11 +188,15 @@ def _decode_term(term, where: str) -> list:
 def parse_morphism_document(document: Any) -> MorphismData:
     """Build a :class:`MorphismData` from a parsed JSON object, decoding the
     source and target in the same pass; their problems are located under
-    ``/source`` and ``/target``."""
+    ``/source`` and ``/target``.  Size bounds are checked only once the
+    whole document has decoded, and the rank bound before any Picard
+    presentation is built."""
     _, source, target, polynomials, chi_rows = _decode_object(document, {
-        "schema_version": _decode_version, "source": parse_stacky_document,
-        "target": parse_stacky_document, "polynomials": _list_of(_list_of(_decode_term)),
+        "schema_version": _decode_version, "source": _decode_stacky,
+        "target": _decode_stacky, "polynomials": _list_of(_list_of(_decode_term)),
         "chi": _decode_int_grid}, "")
+    source = _stacky_data(source, "/source")
+    target = _stacky_data(target, "/target")
     n_source = source.ray_count
 
     polys = []

@@ -8,17 +8,19 @@ condition is first certified in near-linear time by facet pairing (each
 facet in exactly two maximal cones, on opposite sides of its hyperplane)
 plus one generic vector covered exactly once; fans that certificate does not
 accept are decided pair by pair with exact integer Fourier-Motzkin
-elimination.  :func:`is_complete` means valid and certified complete.
+elimination.  :func:`is_complete` means valid and certified complete.  All
+eliminations run in integers, with fraction-free row steps.
 
-A fan hashes as its value, so :func:`validate_fan`, the certificate and
-:func:`rays_span` keep their answers for the last ``FAN_CACHE_SIZE`` fans,
-the most one command meets (two morphism documents, each with a source and
-a target): one command certifies each distinct fan once.
+A fan hashes as its value, so :func:`validate_fan`, the certificate,
+:func:`rays_span`, :func:`maximal_cones` and :func:`primitive_collections`
+keep their answers for the last ``FAN_CACHE_SIZE`` fans, the most one
+command meets (two morphism documents, each with a source and a target):
+one command certifies each distinct fan once, and computes its maximal cones
+and primitive collections once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
@@ -79,22 +81,22 @@ def primitive(vector: Sequence[int]) -> tuple[int, ...]:
     return tuple(x // g for x in vector) if g else tuple(vector)
 
 
-def _rank_rational(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by Gaussian elimination with exact fractions."""
-    grid = [[Fraction(x) for x in v] for v in vectors]
+def _rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank over Q by fraction-free elimination to row echelon form, with the
+    primitive row steps of :func:`_facet_normals`."""
+    rows = [tuple(v) for v in vectors]
     rank = 0
-    width = len(grid[0]) if grid else 0
+    width = len(rows[0]) if rows else 0
     for col in range(width):
-        pivot_row = next((i for i in range(rank, len(grid)) if grid[i][col]), None)
+        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot_row is None:
             continue
-        grid[rank], grid[pivot_row] = grid[pivot_row], grid[rank]
-        inv = 1 / grid[rank][col]
-        for i in range(len(grid)):
-            if i != rank and grid[i][col]:
-                factor = grid[i][col] * inv
-                for k in range(col, width):
-                    grid[i][k] -= factor * grid[rank][k]
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col]
+            if factor:
+                rows[i] = primitive([top[col] * x - factor * y for x, y in zip(rows[i], top)])
         rank += 1
     return rank
 
@@ -234,10 +236,10 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
                     sorted(cone)),))
 
     maximal = maximal_cones(fan)
-    if any(_rank_rational([fan.rays[i] for i in sorted(cone)]) != len(cone)
+    if any(_rank([fan.rays[i] for i in sorted(cone)]) != len(cone)
            for cone in maximal):
         for cone in cones:
-            if cone and _rank_rational([fan.rays[i] for i in sorted(cone)]) != len(cone):
+            if cone and _rank([fan.rays[i] for i in sorted(cone)]) != len(cone):
                 return ValidationReport((Violation(
                     "dependent_cone", f"rays of cone {sorted(cone)} are linearly dependent",
                     sorted(cone)),))
@@ -336,7 +338,8 @@ def _certifies_complete(fan: SimplicialFan) -> bool:
     return covering == 1
 
 
-def maximal_cones(fan: SimplicialFan) -> list[frozenset[int]]:
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def maximal_cones(fan: SimplicialFan) -> tuple[frozenset[int], ...]:
     """Cones not strictly contained in another listed cone, in sorted order.
 
     Scanning from the largest cones down, a cone is maximal unless it lies in
@@ -346,7 +349,27 @@ def maximal_cones(fan: SimplicialFan) -> list[frozenset[int]]:
     for cone in sorted(fan.cones, key=len, reverse=True):
         if not any(cone < top for top in maximal):
             maximal.append(cone)
-    return sorted(maximal, key=lambda c: (len(c), sorted(c)))
+    return tuple(sorted(maximal, key=lambda c: (len(c), sorted(c))))
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def primitive_collections(fan: SimplicialFan) -> tuple[frozenset[int], ...]:
+    """The minimal sets of rays that lie in no cone, in sorted order.
+
+    For a face-closed fan a zero pattern is admissible exactly when it
+    contains none of them.  Every proper subset of a primitive collection is
+    a cone, so each one is a cone plus one ray whose other facets are cones
+    too; those candidates are all that is scanned.
+    """
+    found = set()
+    for cone in fan.cones:
+        for i in range(fan.ray_count):
+            if i in cone:
+                continue
+            candidate = cone | {i}
+            if candidate not in fan.cones and all(candidate - {j} in fan.cones for j in cone):
+                found.add(candidate)
+    return tuple(sorted(found, key=lambda c: (len(c), sorted(c))))
 
 
 def is_complete(fan: SimplicialFan) -> bool:

@@ -6,26 +6,42 @@ Three verdicts are computed: the degree condition on the classes, the
 nondegeneracy condition on where the polynomials may vanish, and whether two
 tuples differ by the group action (a scalar per coordinate satisfying the
 exponent relations of the target rays).
+
+The nondegeneracy condition (condition B) is decided exactly, chart by
+chart, as in Cox's description of morphisms by homogeneous polynomials
+("The homogeneous coordinate ring of a toric variety", 1995).  A
+homogeneous tuple has a zero set stable under the group, and on the chart of
+a maximal source cone every orbit meets the slice where the coordinates off
+the cone are 1; the image leaves the target locus exactly where the
+polynomials of a primitive collection of the target fan vanish together.
+So the condition holds exactly when 1 lies in every ideal those polynomials
+generate on every slice, which Buchberger's algorithm decides.
+
+Coefficients are exact rationals.  The functions that build them import
+``fractions`` themselves, so commands without a morphism document never
+load it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
                      SourceNotCompleteError, SourceNotRigidError,
                      TargetRaysNotSpanningError, Value, ZeroPolynomialError)
-from .fans import is_admissible_zero_pattern, is_complete, maximal_cones, rays_span
+from .fans import (FAN_CACHE_SIZE, is_admissible_zero_pattern, is_complete, maximal_cones,
+                   primitive_collections, rays_span)
 from .gerbes import PicardPresentation, PicClass, picard_group
 from .stacky import StackyData
 
-DEFAULT_SAMPLE_VALUES = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
-                         Fraction(3), Fraction(-3), Fraction(1, 2), Fraction(-1, 2))
+# Any values ``fractions.Fraction`` accepts; the refutation search samples them.
+DEFAULT_SAMPLE_VALUES = ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2")
 DEFAULT_SAMPLE_BUDGET = 2000
+SPAIR_LIMIT = 2000  # S-pairs the ideal of one chart may reduce
 
 
 class SparsePolynomial(Value):
@@ -39,6 +55,8 @@ class SparsePolynomial(Value):
     _fields = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: Iterable[tuple[Fraction, Sequence[int]]]):
+        from fractions import Fraction
+
         merged: dict[tuple[int, ...], Fraction] = {}
         for coeff, exponents in terms:
             exponents = tuple(int(e) for e in exponents)
@@ -56,21 +74,19 @@ class SparsePolynomial(Value):
 
     @classmethod
     def monomial(cls, num_vars: int, coefficient, exponents: Sequence[int]) -> "SparsePolynomial":
-        return cls(num_vars, ((Fraction(coefficient), tuple(exponents)),))
+        return cls(num_vars, ((coefficient, tuple(exponents)),))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def support_vars(self) -> frozenset[int]:
         """Variables that occur with a positive exponent in some term."""
         return frozenset(k for _, exps in self.terms for k, e in enumerate(exps) if e)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
+        from fractions import Fraction
+
         total = Fraction(0)
         for coeff, exps in self.terms:
             term = coeff
@@ -81,6 +97,8 @@ class SparsePolynomial(Value):
         return total
 
     def scale(self, factor) -> "SparsePolynomial":
+        from fractions import Fraction
+
         factor = Fraction(factor)
         return SparsePolynomial(self.num_vars,
                                 tuple((factor * c, e) for c, e in self.terms))
@@ -105,9 +123,10 @@ class MorphismData(Value):
 class ConditionBVerdict(Value):
     """Outcome of the vanishing-locus check: proven, refuted, or unknown.
 
-    A refutation carries either the failing maximal source cone (worst-case
-    zero pattern) or an explicit rational point of the source locus whose
-    image leaves the target locus.
+    A refutation carries either an explicit rational point of the source
+    locus whose image leaves the target locus, or a maximal source cone
+    whose chart holds such a point: the worst-case zero pattern of a
+    monomial tuple, or a chart whose ideal misses 1.
     """
 
     _fields = ("status", "witness_pattern", "witness_point")
@@ -220,12 +239,13 @@ def check_condition_a(md: MorphismData) -> bool:
     checks that the sum of a_rho-weighted classes vanishes coordinatewise and
     that for each root index i the b-weighted class sum plus r_i times the
     chosen twist class vanishes.  Every class lives on one source Picard
-    presentation: the twist classes' own, or one built here.  The data go
-    through :func:`validate_morphism_data` first; its fan checks are cached
-    by fan, so a second check of the same data does not certify again.
+    presentation: the twist classes' own, or the source's, built once per
+    source value.  The data go through :func:`validate_morphism_data` first;
+    its fan checks are cached by fan, so a second check of the same data
+    does not certify again.
     """
     validate_morphism_data(md)
-    presentation = md.chi[0].presentation if md.chi else picard_group(md.source)
+    presentation = _grading(md)
     classes = [degree(p, md.source, presentation) for p in md.polys]
     d = md.target.lattice_rank
     for l in range(d):
@@ -243,27 +263,100 @@ def check_condition_a(md: MorphismData) -> bool:
     return True
 
 
+def _grading(md: MorphismData) -> PicardPresentation:
+    """The presentation the classes of ``md`` live on."""
+    return md.chi[0].presentation if md.chi else _source_presentation(md.source)
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _source_presentation(source: StackyData) -> PicardPresentation:
+    return picard_group(source)
+
+
 def check_condition_b(md: MorphismData,
-                      sample_values: Sequence[Fraction] = DEFAULT_SAMPLE_VALUES,
+                      sample_values: Sequence = DEFAULT_SAMPLE_VALUES,
                       sample_budget: int = DEFAULT_SAMPLE_BUDGET,
                       seed: int = 0) -> ConditionBVerdict:
     """Does the polynomial tuple map the source locus into the target locus?
 
-    For tuples in which every polynomial is a single monomial or zero the
-    question is decided exactly: the worst case for a maximal source cone is
-    the point vanishing exactly on its rays, whose image vanishes on the
-    target rays whose polynomial meets the cone (or is zero); the verdict is
-    proven when each such image pattern is admissible on the target, refuted
-    with the failing cone otherwise.
+    For tuples in which every polynomial is a single monomial or zero, the
+    worst case for a maximal source cone is the point vanishing exactly on
+    its rays, whose image vanishes on the target rays whose polynomial meets
+    the cone (or is zero); the verdict is proven when each such image
+    pattern is admissible on the target, refuted with the failing cone
+    otherwise.
 
-    General tuples are only searched for refutations: for every admissible
-    source zero pattern, smallest first, the free coordinates run over the
-    nonzero ``sample_values``: all combinations when they fit in what is left
-    of ``sample_budget``, otherwise the rest of the budget as samples drawn
-    one coordinate at a time by ``random.Random(seed).choice``.  Any sample whose
-    image pattern is inadmissible refutes, and the verdict carries it as a
-    point of ``Fraction`` coordinates.  With the budget exhausted or the
-    search clean the verdict is unknown, never proven.
+    Other tuples are decided by :func:`chart_verdict`.  When the charts do
+    not prove the tuple, :func:`sample_witness` searches for a rational
+    point with ``sample_values``, ``sample_budget`` and ``seed``; a point
+    found refutes and is the witness.  Otherwise the charts' verdict stands:
+    refuted with the first chart cone whose ideal misses 1, or unknown when
+    an ideal ran out of S-pairs and none missed 1.  The data are validated
+    as in :func:`check_condition_a`.
+    """
+    validate_morphism_data(md)
+    if all(len(p.terms) <= 1 for p in md.polys):
+        for cone in maximal_cones(md.source.fan):
+            image_pattern = frozenset(
+                k for k, p in enumerate(md.polys)
+                if p.is_zero or (p.support_vars() & cone))
+            if not is_admissible_zero_pattern(md.target.fan, image_pattern):
+                return ConditionBVerdict.refuted_pattern(cone)
+        return ConditionBVerdict.proven()
+
+    verdict = chart_verdict(md)
+    if verdict.is_proven:
+        return verdict
+    witness = sample_witness(md, sample_values, sample_budget, seed)
+    return witness if witness.is_refuted else verdict
+
+
+def chart_verdict(md: MorphismData) -> ConditionBVerdict:
+    """Condition B decided on the charts of the maximal source cones.
+
+    The tuple must be homogeneous in the source grading, graded as in
+    :func:`check_condition_a`; :class:`NotHomogeneousError` is raised
+    otherwise, since only then is its zero set stable under the group.  For
+    each maximal source cone, in :func:`~toricdm.fans.maximal_cones` order,
+    and each primitive collection of the target fan, the coordinates off the
+    cone are set to 1 in the collection's polynomials, and Buchberger's
+    algorithm decides whether 1 lies in the ideal they generate (see the
+    module docstring).  Proven when it does for every pair; refuted with the
+    first cone where it does not; unknown when some ideal needs more than
+    ``SPAIR_LIMIT`` S-pairs and none misses 1.  The data are expected to
+    have passed :func:`validate_morphism_data`.
+    """
+    presentation = _grading(md)
+    for p in md.polys:
+        if not p.is_zero:
+            degree(p, md.source, presentation)
+    compiled = [_integer_terms(p, 1) for p in md.polys]
+    collections = primitive_collections(md.target.fan)
+    undecided = False
+    for cone in maximal_cones(md.source.fan):
+        chart = sorted(cone)
+        restricted = [_dehomogenize(terms, chart) for terms in compiled]
+        for collection in collections:
+            contains_one = _contains_one([restricted[k] for k in collection if restricted[k]])
+            if contains_one is False:
+                return ConditionBVerdict.refuted_pattern(cone)
+            undecided |= contains_one is None
+    return ConditionBVerdict.unknown() if undecided else ConditionBVerdict.proven()
+
+
+def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VALUES,
+                   sample_budget: int = DEFAULT_SAMPLE_BUDGET,
+                   seed: int = 0) -> ConditionBVerdict:
+    """Search for a rational point of the source locus whose image leaves the
+    target locus: refuted with that point, or unknown.
+
+    For every admissible source zero pattern, smallest first, the free
+    coordinates run over the nonzero ``sample_values`` (anything
+    ``fractions.Fraction`` accepts): all combinations when they fit in what
+    is left of ``sample_budget``, otherwise the rest of the budget as samples
+    drawn one coordinate at a time by ``random.Random(seed).choice``.  The
+    first sample whose image pattern is inadmissible is returned as a point
+    of ``Fraction`` coordinates.
 
     The samples are evaluated in integers.  With ``D`` the lcm of the sample
     denominators, each value ``v`` becomes the integer ``v * D``, and each
@@ -272,24 +365,15 @@ def check_condition_b(md: MorphismData,
     total degree ``deg`` by ``D**(top - deg)``, ``top`` the polynomial's
     largest total degree.  At the scaled point the compiled polynomial is the
     original value times a nonzero integer, so every zero test, and with it
-    every verdict and witness, is the one exact rational evaluation gives.
-    The data are validated as in :func:`check_condition_a`.
+    every witness, is the one exact rational evaluation gives.  The tuple
+    need not be homogeneous and the data are not validated here.
     """
-    validate_morphism_data(md)
+    from fractions import Fraction
+
     target_fan = md.target.fan
-
-    if all(len(p.terms) <= 1 for p in md.polys):
-        for cone in maximal_cones(md.source.fan):
-            image_pattern = frozenset(
-                k for k, p in enumerate(md.polys)
-                if p.is_zero or (p.support_vars() & cone))
-            if not is_admissible_zero_pattern(target_fan, image_pattern):
-                return ConditionBVerdict.refuted_pattern(cone)
-        return ConditionBVerdict.proven()
-
     # Free coordinates take nonzero values only: the zero set of a sample must
     # be a source cone, and every cone is searched as a pattern of its own.
-    sample_values = [v for v in sample_values if v]
+    sample_values = [v for v in map(Fraction, sample_values) if v]
     denominator = lcm(*(v.denominator for v in sample_values))
     scaled_values = [v.numerator * (denominator // v.denominator) for v in sample_values]
     compiled = [_integer_terms(p, denominator) for p in md.polys]
@@ -348,8 +432,142 @@ def _integer_value(terms, values) -> int:
     return total
 
 
+# ---------------------------------------------------------------------------
+# Chart ideals: integer polynomials as {exponents: coefficient} dictionaries
+# ---------------------------------------------------------------------------
+
+def _dehomogenize(terms, chart: Sequence[int]) -> dict:
+    """The (coefficient, exponents) terms with every variable outside
+    ``chart`` set to 1, in the variables of ``chart``."""
+    poly: dict[tuple[int, ...], int] = {}
+    for c, exps in terms:
+        key = tuple(exps[k] for k in chart)
+        poly[key] = poly.get(key, 0) + c
+    return {e: c for e, c in poly.items() if c}
+
+
+def _grevlex(exponents: tuple[int, ...]):
+    """Sort key of a monomial in graded reverse lexicographic order."""
+    return sum(exponents), tuple(-e for e in reversed(exponents))
+
+
+def _contains_one(generators: Sequence[dict]) -> Optional[bool]:
+    """Does 1 lie in the ideal over Q of these nonzero integer polynomials?
+
+    Buchberger's algorithm in grevlex order, the pair of least lcm first,
+    with the pair criteria of Gebauer and Moller ("On an installation of
+    Buchberger's algorithm", 1988) as in Becker and Weispfenning,
+    *Groebner Bases*, section 5.5.  True as soon as a nonzero constant turns
+    up; False when the basis is complete without one; None when more than
+    ``SPAIR_LIMIT`` S-pairs would have to be reduced.
+    """
+    polys: list[tuple] = []  # (leading exponents, leading coefficient, poly)
+    active: list[int] = []
+    pairs: list[tuple[int, int, tuple[int, ...]]] = []  # (i, j, lcm of leads)
+
+    def add(poly: dict) -> bool:
+        """Put ``poly`` in the basis and update the pairs; True when it is
+        a nonzero constant."""
+        lead = max(poly, key=_grevlex)
+        if not any(lead):
+            return True
+        new = len(polys)
+        polys.append((lead, poly[lead], poly))
+        candidates = [(i, tuple(map(max, polys[i][0], lead))) for i in active]
+        kept = []
+        for index, (i, top) in enumerate(candidates):
+            if _coprime(polys[i][0], lead) or not any(
+                    _divides(other, top) for _, other in candidates[index + 1:] + kept):
+                kept.append((i, top))
+        pairs[:] = [(i, j, top) for i, j, top in pairs
+                    if not (_divides(lead, top)
+                            and tuple(map(max, polys[i][0], lead)) != top
+                            and tuple(map(max, polys[j][0], lead)) != top)]
+        pairs.extend((i, new, top) for i, top in kept if not _coprime(polys[i][0], lead))
+        active[:] = [i for i in active if not _divides(lead, polys[i][0])] + [new]
+        return False
+
+    for g in generators:
+        if add(g):
+            return True
+    spent = 0
+    while pairs:
+        index = min(range(len(pairs)), key=lambda k: _grevlex(pairs[k][2]))
+        i, j, top = pairs.pop(index)
+        if spent == SPAIR_LIMIT:
+            return None
+        spent += 1
+        (lead_i, coeff_i, poly_i), (lead_j, coeff_j, poly_j) = polys[i], polys[j]
+        k = gcd(coeff_i, coeff_j)
+        s_poly = _combine({}, coeff_j // k, _shifted(poly_i, top, lead_i))
+        s_poly = _combine(s_poly, -(coeff_i // k), _shifted(poly_j, top, lead_j))
+        remainder = _reduce(s_poly, [polys[m] for m in active])
+        if remainder and add(remainder):
+            return True
+    return False
+
+
+def _divides(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    return all(a <= b for a, b in zip(small, big))
+
+
+def _coprime(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return not any(x and y for x, y in zip(a, b))
+
+
+def _shifted(poly: dict, top: tuple[int, ...], lead: tuple[int, ...]) -> dict:
+    """``poly`` times the monomial ``top / lead``."""
+    shift = [t - e for t, e in zip(top, lead)]
+    return {tuple(map(sum, zip(e, shift))): c for e, c in poly.items()}
+
+
+def _combine(poly: dict, factor: int, other: dict) -> dict:
+    """``poly + factor * other``, dropping cancelled terms, in place."""
+    for e, c in other.items():
+        value = poly.get(e, 0) + factor * c
+        if value:
+            poly[e] = value
+        else:
+            poly.pop(e, None)
+    return poly
+
+
+def _reduce(poly: dict, basis: Sequence[tuple]) -> dict:
+    """A nonzero integer multiple of the remainder of ``poly`` on full
+    division by ``basis``, divided by the gcd of its coefficients.
+
+    The terms are visited largest first, and each one divisible by a leading
+    monomial of the basis is cancelled: the whole polynomial is scaled by
+    the integer that makes the cancellation exact, and the terms it adds lie
+    below the cancelled one, so the scan resumes after a sort of what is
+    left.  The terms kept lie above every term still to reduce, so they
+    never meet again.
+    """
+    poly = dict(poly)
+    kept: dict[tuple[int, ...], int] = {}
+    while poly:
+        for lead in sorted(poly, key=_grevlex, reverse=True):
+            divisor = next((g for g in basis if _divides(g[0], lead)), None)
+            if divisor is None:
+                kept[lead] = poly.pop(lead)
+                continue
+            g_lead, g_coeff, g = divisor
+            coeff = poly[lead]
+            k = gcd(coeff, g_coeff)
+            scale = g_coeff // k
+            if scale != 1:
+                poly = {e: scale * c for e, c in poly.items()}
+                kept = {e: scale * c for e, c in kept.items()}
+            poly = _combine(poly, -(coeff // k), _shifted(g, lead, g_lead))
+            break
+    content = gcd(*kept.values())
+    return {e: c // content for e, c in kept.items()}
+
+
 def _scalar_ratio(new: SparsePolynomial, old: SparsePolynomial) -> Optional[Fraction]:
     """The constant lambda with new = lambda * old, or None."""
+    from fractions import Fraction
+
     if new.is_zero and old.is_zero:
         return Fraction(1)
     if len(new.terms) != len(old.terms):
@@ -383,7 +601,7 @@ def check_two_isomorphic(md1: MorphismData, md2: MorphismData) -> TwoIsoVerdict:
             return TwoIsoVerdict.no()
         ratios.append(ratio)
     for l in range(md1.target.lattice_rank):
-        product = Fraction(1)
+        product = 1
         for k, ratio in enumerate(ratios):
             exponent = md1.target.fan.rays[k][l]
             if exponent:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
@@ -349,6 +348,8 @@ def _solve_unique(matrix_rows, rhs):
     Returns None when the columns are dependent (no basic solution on this
     support) or the system is inconsistent.
     """
+    from fractions import Fraction  # only the fan oracle solves over Q
+
     m = len(matrix_rows)
     k = len(matrix_rows[0]) if matrix_rows else 0
     aug = [[Fraction(x) for x in row] + [Fraction(r)]

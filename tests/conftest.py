@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, fans,
-                     lattice, smith_normal_form)
+                     lattice, morphisms, smith_normal_form)
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +140,9 @@ def random_spanning_data(rng: random.Random) -> StackyData:
 def fresh_fan_caches():
     """Empty the per-fan caches before each test, so that a test counting
     work or patching a helper does not depend on which fans ran before."""
-    for cached in (fans.validate_fan, fans._certifies_complete, fans.rays_span):
+    for cached in (fans.validate_fan, fans._certifies_complete, fans.rays_span,
+                   fans.maximal_cones, fans.primitive_collections,
+                   morphisms._source_presentation):
         cached.cache_clear()
 
 

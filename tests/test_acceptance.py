@@ -17,7 +17,7 @@ from toricdm import (FgAbelianGroup, IntegerMatrix, MorphismData,
                      cli, cokernel_with_projection, documents, gerbe_class,
                      generic_stabilizer, invariant_factor_chain,
                      is_admissible_zero_pattern, is_isomorphic_banded,
-                     picard_group, point_stabilizer, quotient_group, rigidify,
+                     morphisms, picard_group, point_stabilizer, quotient_group, rigidify,
                      smith_normal_form, split_nonspanning)
 from toricdm.oracle import (det_cofactor, oracle_divisibility,
                             oracle_element_order_census,
@@ -199,7 +199,7 @@ def test_criterion_8_nonspanning_split():
         assert split_nonspanning(spanning) == (spanning, 0)
 
 
-def test_criterion_9_cli_round_trip_and_exit_codes(tmp_path):
+def test_criterion_9_cli_round_trip_and_exit_codes(tmp_path, monkeypatch):
     with criterion("9 document round-trip and exit codes", 5.0):
         stacky_docs = {
             "wps_root": {"schema_version": "1", "lattice_rank": 1,
@@ -276,5 +276,8 @@ def test_criterion_9_cli_round_trip_and_exit_codes(tmp_path):
         assert code == 1
         code, _ = cli.run(["classify", paths["p1_k1"], paths["p1_k0"]])
         assert code == 2
+        code, report = cli.run(["morphism", "check", paths["sumsq"]])
+        assert code == 0 and report["condition_b"]["status"] == "proven"
+        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)  # chart ideals undecided
         code, _ = cli.run(["morphism", "check", paths["sumsq"]])
         assert code == 3

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toricdm import cli, documents, lattice
+from toricdm import cli, documents, lattice, morphisms
 from toricdm.errors import DocumentError
 
 from conftest import EXPLODING_CONES, EXPLODING_RAYS, schema_errors, spy
@@ -44,8 +44,8 @@ def duple_doc(d, sign=1):
 
 
 def binomial_doc(d):
-    """(x-^d + x+^d, x+^d) on the projective line: no rational common zero
-    on the source locus, so the sampler answers unknown."""
+    """(x-^d + x+^d, x+^d) on the projective line: a morphism the charts
+    prove, with no monomial shortcut and no rational zero to sample."""
     return {"schema_version": "1", "source": P1_DOC, "target": P1_DOC,
             "polynomials": [
                 [{"coefficient": "1", "exponents": [d, 0]},
@@ -132,7 +132,9 @@ class TestExitCodes:
         assert code == 2
         assert report["isomorphic"] is False
 
-    def test_unknown_verdict_is_three(self, tmp_path):
+    def test_unknown_verdict_is_three(self, tmp_path, monkeypatch):
+        # a chart ideal allowed no S-pair is undecided, and no sample refutes
+        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)
         code, report = run_checked(
             ["morphism", "check", write(tmp_path, "m.json", binomial_doc(2))])
         assert code == 3
@@ -194,8 +196,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert "--sample-budget" in captured.err and "Traceback" not in captured.err
 
-    def test_zero_sample_budget_is_unknown(self, tmp_path):
+    def test_zero_sample_budget_is_unknown(self, tmp_path, monkeypatch):
+        # the sample budget bounds only the witness search: the charts still
+        # prove, and only with the S-pair budget spent too is the verdict unknown
         path = write(tmp_path, "m.json", binomial_doc(2))
+        code, report = run_checked(["--sample-budget", "0", "morphism", "check", path])
+        assert code == 0
+        assert report["condition_b"]["status"] == "proven"
+        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)
         code, report = run_checked(["--sample-budget", "0", "morphism", "check", path])
         assert code == 3
         assert report["condition_b"]["status"] == "unknown"
@@ -264,6 +272,18 @@ class TestCommands:
         assert report["quotient_group"] == {"torus_rank": 1, "invariant_factors": []}
         assert report["generic_stabilizer"] == [2]
         assert report["stacky_fan"]["lifted_rays"] == [[-3, 0], [2, 1]]
+
+    def test_build_runs_one_smith_form_of_the_rays(self, tmp_path, snf_calls):
+        code, report = run_checked(["build", write(tmp_path, "a.json", WPS_ROOT)])
+        assert code == 0 and report["rays_span"] is True
+        # the 3 x 2 relation matrix of the quotient group, then the 1 x 2 ray
+        # matrix once: rays_span answers both the span and the stacky fan
+        assert snf_calls == [(3, 2), (1, 2)]
+        snf_calls.clear()
+        code, report = run_checked(["build", write(tmp_path, "n.json", NONSPAN)])
+        assert code == 0 and report["rays_span"] is False
+        # only data whose rays do not span is split, with a Smith form of its own
+        assert snf_calls == [(1, 2), (2, 1), (2, 1)]
 
     def test_build_affine_quotient(self, tmp_path):
         code, report = run_checked(["build", write(tmp_path, "a.json", A1_MU3)])
@@ -379,8 +399,9 @@ class TestCommands:
     def test_morphism_check_validates_once(self, tmp_path, certificates, snf_calls):
         doc = dict(binomial_doc(2), target=dict(P1_DOC, rays=[[-2], [2]]))
         code, report = run_checked(["morphism", "check", write(tmp_path, "m.json", doc)])
-        assert code == 3
+        assert code == 0
         assert report["condition_a"] is True
+        assert report["condition_b"] == {"status": "proven"}
         # one certificate per fan, one rays_span Smith form for the target
         # (1 x 2) and one Picard presentation grading the polynomials (2 x 1)
         assert len(certificates) == 2

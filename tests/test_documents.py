@@ -2,6 +2,7 @@
 document the shipped schemas reject, with a located :class:`DocumentError`
 and never another exception.  ``jsonschema`` is the oracle."""
 
+import hashlib
 import json
 
 import pytest
@@ -172,6 +173,49 @@ class TestDecoderAgainstSchema:
         for doc in MORPHISM_DOCS:
             assert schema_errors(doc, "morphism.schema.json") == []
             documents.parse_morphism_document(doc)
+
+
+class TestStructureBeforeSize:
+    # a source beyond the rank bound next to a target that is not an object:
+    # the structural error wins, so too_large always means well-formed
+    MALFORMED = {"schema_version": "1",
+                 "source": {"schema_version": "1", "lattice_rank": 129,
+                            "rays": [[-1], [1]], "cones": [[0], [1]], "r": [], "b": []},
+                 "target": None,
+                 "polynomials": [[{"coefficient": "1", "exponents": [3, 0]}],
+                                 [{"coefficient": "-1/2", "exponents": [0, "3"]}]],
+                 "chi": []}
+
+    def test_malformed_target_beats_the_source_rank_bound(self):
+        with pytest.raises(DocumentError) as info:
+            documents.parse_morphism_document(self.MALFORMED)
+        assert info.value.location == "/target"
+        _assert_decoder_covers_schema(self.MALFORMED, documents.parse_morphism_document,
+                                      "morphism.schema.json")
+
+    def test_malformed_term_beats_the_rank_bound(self):
+        doc = _copy(self.MALFORMED)
+        doc["target"] = P1
+        doc["polynomials"][0][0]["coefficient"] = 1
+        with pytest.raises(DocumentError) as info:
+            documents.parse_morphism_document(doc)
+        assert info.value.location == "/polynomials/0/0/coefficient"
+
+
+def _reference_hash(document):
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+class TestDocumentHash:
+    def test_fixtures_hash_as_hashlib_does(self):
+        for document in STACKY_DOCS + MORPHISM_DOCS:
+            assert documents.document_hash(document) == _reference_hash(document)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(mutated(STACKY_DOCS), mutated(MORPHISM_DOCS), values))
+    def test_drawn_documents_hash_as_hashlib_does(self, document):
+        assert documents.document_hash(document) == _reference_hash(document)
 
 
 class TestDecoderErrors:

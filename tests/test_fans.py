@@ -281,14 +281,48 @@ class TestCloseUnderFaces:
 
 class TestMaximalCones:
     def test_projective_line(self):
-        assert maximal_cones(projective_line_fan()) == [frozenset({0}), frozenset({1})]
+        assert maximal_cones(projective_line_fan()) == (frozenset({0}), frozenset({1}))
 
     def test_half_line(self):
-        assert maximal_cones(affine_fan(1)) == [frozenset({0})]
+        assert maximal_cones(affine_fan(1)) == (frozenset({0}),)
 
     def test_projective_plane(self):
         tops = maximal_cones(projective_plane_fan())
         assert sorted(sorted(c) for c in tops) == [[0, 1], [0, 2], [1, 2]]
+
+    def test_equal_fans_share_one_answer(self):
+        assert maximal_cones(projective_plane_fan()) is maximal_cones(projective_plane_fan())
+
+
+class TestPrimitiveCollections:
+    def test_fixtures(self):
+        square = product_fan(projective_line_fan(), projective_line_fan())
+        assert fans.primitive_collections(projective_plane_fan()) == (frozenset({0, 1, 2}),)
+        assert fans.primitive_collections(square) == (frozenset({0, 1}), frozenset({2, 3}))
+        assert fans.primitive_collections(affine_fan(3)) == ()
+        # a ray in no cone is a primitive collection on its own
+        assert fans.primitive_collections(make_fan(1, [(1,), (-1,)], [[0]])) == (frozenset({1}),)
+
+    def test_minimal_non_faces_by_brute_force(self, rng):
+        spaces = [projective_fan(3), product_fan(projective_line_fan(), projective_plane_fan()),
+                  _rank2_fan(9), affine_fan(2)]
+        for fan in spaces:
+            rays = range(fan.ray_count)
+            non_faces = [frozenset(c) for size in range(1, fan.ray_count + 1)
+                         for c in itertools.combinations(rays, size)
+                         if frozenset(c) not in fan.cones]
+            minimal = {c for c in non_faces if not any(o < c for o in non_faces)}
+            found = fans.primitive_collections(fan)
+            assert set(found) == minimal and len(found) == len(minimal)
+            patterns = [frozenset(c) for size in range(fan.ray_count + 1)
+                        for c in itertools.combinations(rays, size)]
+            for pattern in rng.sample(patterns, min(len(patterns), 60)):
+                admissible = not any(c <= pattern for c in found)
+                assert admissible == is_admissible_zero_pattern(fan, pattern)
+
+    def test_equal_fans_share_one_answer(self):
+        assert (fans.primitive_collections(projective_plane_fan())
+                is fans.primitive_collections(projective_plane_fan()))
 
 
 class TestIsComplete:
@@ -350,7 +384,7 @@ class TestFanCaches:
                               (affine_fan(2), False)):
             assert validate_fan(fan).valid
             assert is_complete(fan) == complete
-        assert certificates == [maximal_cones(projective_plane_fan()), [frozenset({0, 1})]]
+        assert certificates == [maximal_cones(projective_plane_fan()), (frozenset({0, 1}),)]
 
 
 class TestRaysSpan:

@@ -12,8 +12,9 @@ from toricdm import (MismatchedSourceTargetError, MorphismData,
                      ZeroPolynomialError, check_condition_a, check_condition_b,
                      check_two_isomorphic, degree, is_admissible_zero_pattern,
                      maximal_cones, picard_group)
+from toricdm import morphisms
 from toricdm.morphisms import (DEFAULT_SAMPLE_BUDGET, DEFAULT_SAMPLE_VALUES,
-                               ConditionBVerdict)
+                               ConditionBVerdict, chart_verdict, sample_witness)
 
 from conftest import (affine_fan, line_fan, make_fan, product_fan, projective_fan,
                       projective_line_fan, projective_plane_fan,
@@ -163,19 +164,24 @@ class TestConditionB:
             assert not is_admissible_zero_pattern(P1.fan, image_pattern)
 
     def test_sound_unknown_for_rational_nonvanishing(self):
-        # z-^2 + z+^2 has no rational zero on the source locus; the sampler
-        # cannot refute and must not claim proven
+        # z-^2 + z+^2 has no rational zero on the source locus, so the sampler
+        # cannot refute and answers unknown; the two vanish together only
+        # where z- = z+ = 0, so the charts prove the tuple
         md = MorphismData(P1, P1,
                           (SparsePolynomial(2, ((Fraction(1), (2, 0)),
                                                 (Fraction(1), (0, 2)))),
                            mono(2, 1, (0, 2))), ())
-        assert check_condition_b(md).status == "unknown"
+        assert sample_witness(md).status == "unknown"
+        assert check_condition_b(md).is_proven
 
-    def test_budget_zero_is_unknown(self):
+    def test_budget_zero_is_unknown(self, monkeypatch):
         md = MorphismData(P1, P1,
                           (SparsePolynomial(2, ((Fraction(1), (1, 0)),
                                                 (Fraction(1), (0, 1)))),
                            mono(2, 1, (0, 1))), ())
+        # the sample budget bounds only the search for a witness
+        assert check_condition_b(md, sample_budget=0).is_proven
+        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)
         assert check_condition_b(md, sample_budget=0).status == "unknown"
 
     def test_scaling_one_coordinate_keeps_verdict(self):
@@ -276,7 +282,7 @@ class TestOneValidationOnePresentation:
     def test_both_conditions_certify_the_source_once(self, certificates, snf_calls):
         md = MorphismData(P1, P1, (binomial_line(), mono(2, 1, (0, 1))), ())
         assert check_condition_a(md)
-        assert check_condition_b(md, sample_budget=50, seed=3).status == "unknown"
+        assert check_condition_b(md, sample_budget=50, seed=3).is_proven
         assert certificates == [maximal_cones(P1.fan)]
         # the second validation reads the cached rays_span: one target Smith
         # form, then the Picard presentation condition A grades with
@@ -299,7 +305,7 @@ def fraction_condition_b(md, sample_values, sample_budget, seed):
     it was written before samples were evaluated in integers: the reference
     for the integer path.  Zero values are dropped, so that every sample lies
     on the source locus."""
-    sample_values = [v for v in sample_values if v]
+    sample_values = [v for v in map(Fraction, sample_values) if v]
     rng = random.Random(seed)
     remaining = sample_budget
     n_source = md.source.ray_count
@@ -380,7 +386,7 @@ class TestIntegerSampler:
     @given(general_tuples())
     def test_matches_fraction_evaluation(self, case):
         md, values, budget, seed = case
-        verdict = check_condition_b(md, values, budget, seed)
+        verdict = sample_witness(md, values, budget, seed)
         assert verdict == fraction_condition_b(md, values, budget, seed)
         assert verdict.status in ("refuted", "unknown")
         if verdict.is_refuted:
@@ -399,7 +405,7 @@ class TestIntegerSampler:
         p1 = SparsePolynomial(2, ((Fraction(1), (1, 1)), (Fraction(-1, 3), (0, 1))))
         md = MorphismData(P1, P1, (p0, p1), ())
         values = (Fraction(1, 3), Fraction(1))
-        verdict = check_condition_b(md, values, 100, 0)
+        verdict = sample_witness(md, values, 100, 0)
         assert verdict == ConditionBVerdict.refuted_point((Fraction(1, 3), Fraction(1, 3)))
         assert verdict == fraction_condition_b(md, values, 100, 0)
 
@@ -408,8 +414,9 @@ class TestIntegerSampler:
         # the source, so a sample value 0 on both coordinates must not refute
         md = MorphismData(P1, P1, (binomial_line(), mono(2, 1, (0, 1))), ())
         values = (Fraction(0), Fraction(1))
-        assert check_condition_b(md, values, 100, 0).status == "unknown"
+        assert sample_witness(md, values, 100, 0).status == "unknown"
         assert fraction_condition_b(md, values, 100, 0).status == "unknown"
+        assert check_condition_b(md, values, 100, 0).is_proven
 
     def test_default_search_matches_fraction_evaluation(self):
         # the full default budget, drawn at random on (P1)^2, for seeds 0-2
@@ -423,10 +430,181 @@ class TestIntegerSampler:
                 (Fraction(7, 3), tuple(2 if v == lo else 0 for v in range(4))))))
         md = MorphismData(space, space, tuple(polys), ())
         for seed in range(3):
-            verdict = check_condition_b(md, seed=seed)
+            verdict = sample_witness(md, seed=seed)
             assert verdict.status == "unknown"
             assert verdict == fraction_condition_b(
                 md, DEFAULT_SAMPLE_VALUES, DEFAULT_SAMPLE_BUDGET, seed)
+
+
+def binomial_self_map(k, m, coefficients):
+    """The true two-term map of (P1)^k the benchmark draws: factor i goes to
+    (a x_-^m, b x_+^m + c x_-^m), zero only where x_- = x_+ = 0."""
+    space = StackyData(projective_line_fan()) if k == 1 else P1_POWERS[k]
+    n = 2 * k
+    polys = []
+    for i, (a, b, c) in zip(range(k), coefficients):
+        lo = tuple(m if v == 2 * i else 0 for v in range(n))
+        hi = tuple(m if v == 2 * i + 1 else 0 for v in range(n))
+        polys.append(SparsePolynomial(n, ((a, lo),)))
+        polys.append(SparsePolynomial(n, ((b, hi), (c, lo))))
+    return MorphismData(space, space, tuple(polys), ())
+
+
+P1_SQUARED = StackyData(product_fan(projective_line_fan(), projective_line_fan()))
+P1_POWERS = {2: P1_SQUARED, 3: P1_CUBED}
+EXACT_SPACES = (P1, P2, StackyData(projective_fan(3)), P1_SQUARED)
+EXACT_COEFFICIENTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2),
+                      Fraction(3))
+_MONOMIALS_BY_CLASS = {}
+
+
+def monomials_by_class(space):
+    """Exponent vectors with entries at most 2, grouped by their class."""
+    if space not in _MONOMIALS_BY_CLASS:
+        presentation = picard_group(space)
+        groups = {}
+        for exps in itertools.product(range(3), repeat=space.ray_count):
+            groups.setdefault(presentation.class_of(exps), []).append(exps)
+        _MONOMIALS_BY_CLASS[space] = list(groups.values())
+    return _MONOMIALS_BY_CLASS[space]
+
+
+@st.composite
+def homogeneous_tuples(draw, sources=EXACT_SPACES):
+    """A homogeneous tuple with some polynomial of two or more terms: each
+    polynomial is a random form, often times a form shared by the tuple, so
+    that common zeros are frequent."""
+    source = draw(st.sampled_from(sources))
+    target = draw(st.sampled_from(EXACT_SPACES))
+    n = source.ray_count
+    groups = monomials_by_class(source)
+
+    def form():
+        monomials = draw(st.lists(st.sampled_from(draw(st.sampled_from(groups))),
+                                  min_size=1, max_size=3, unique=True))
+        return SparsePolynomial(n, [(draw(st.sampled_from(EXACT_COEFFICIENTS)), e)
+                                    for e in monomials])
+
+    shared = form()
+    polys = [form() * shared if draw(st.booleans()) else form()
+             for _ in range(target.ray_count)]
+    assume(any(len(p.terms) > 1 for p in polys))
+    return MorphismData(source, target, tuple(polys), ())
+
+
+def univariate(p, var):
+    """``p`` with the variable other than ``var`` set to 1, as a coefficient
+    list in ``var``, lowest degree first, without trailing zeros."""
+    coefficients = [Fraction(0)] * (1 + max((e[var] for _, e in p.terms), default=0))
+    for c, e in p.terms:
+        coefficients[e[var]] += c
+    while coefficients and not coefficients[-1]:
+        coefficients.pop()
+    return coefficients
+
+
+def polynomial_gcd(a, b):
+    """Greatest common divisor of two coefficient lists over Q, by Euclid."""
+    while b:
+        a = list(a)
+        while len(a) >= len(b):
+            factor = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] -= factor * c
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def p1_chart_reference(md):
+    """Condition B for a source P^1, from gcds: on the chart of cone {v} the
+    other coordinate is 1, and the polynomials of a minimal non-face of the
+    target vanish together there exactly when their gcd is not a nonzero
+    constant.  The verdict of the first failing chart, or proven."""
+    rays = range(md.target.ray_count)
+    non_faces = [frozenset(c) for size in range(1, len(rays) + 1)
+                 for c in itertools.combinations(rays, size)
+                 if frozenset(c) not in md.target.fan.cones]
+    minimal = [c for c in non_faces if not any(other < c for other in non_faces)]
+    for var in (0, 1):
+        for collection in minimal:
+            common = []
+            for k in sorted(collection):
+                common = polynomial_gcd(common, univariate(md.polys[k], var))
+            if len(common) != 1:
+                return ConditionBVerdict.refuted_pattern({var})
+    return ConditionBVerdict.proven()
+
+
+class TestExactConditionB:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_workload_binomial_maps_are_proven(self, k, rng):
+        for m in (1, 2, 3):
+            coefficients = [[rng.choice(EXACT_COEFFICIENTS) for _ in range(3)]
+                            for _ in range(k)]
+            md = binomial_self_map(k, m, coefficients)
+            assert check_condition_a(md)
+            assert check_condition_b(md).is_proven
+
+    def test_sum_of_squares_is_proven(self):
+        md = MorphismData(P1, P1, (SparsePolynomial(2, ((1, (2, 0)), (1, (0, 2)))),
+                                   mono(2, 1, (0, 2))), ())
+        assert check_condition_b(md) == ConditionBVerdict.proven()
+
+    def test_irrational_bad_points_refute_with_a_pattern(self):
+        # x-^2 - 2 x+^2 vanishes only where x- / x+ = +-sqrt(2): no rational
+        # sample refutes, the chart of cone {0} does
+        p = SparsePolynomial(2, ((1, (2, 0)), (-2, (0, 2))))
+        md = MorphismData(P1, P1, (p, p), ())
+        assert sample_witness(md).status == "unknown"
+        verdict = check_condition_b(md)
+        assert verdict == ConditionBVerdict.refuted_pattern({0})
+        assert verdict.witness_point is None
+
+    def test_a_rational_witness_is_kept(self):
+        # (x- - x+) x-, (x- - x+) x+: the sampler finds (1, 1) first
+        md = MorphismData(P1, P1, (SparsePolynomial(2, ((1, (2, 0)), (-1, (1, 1)))),
+                                   SparsePolynomial(2, ((1, (1, 1)), (-1, (0, 2))))), ())
+        assert chart_verdict(md) == ConditionBVerdict.refuted_pattern({0})
+        assert check_condition_b(md) == ConditionBVerdict.refuted_point((1, 1))
+
+    def test_inhomogeneous_tuple_is_rejected(self):
+        md = MorphismData(P1, P1, (SparsePolynomial(2, ((1, (2, 0)), (1, (0, 1)))),
+                                   mono(2, 1, (0, 2))), ())
+        with pytest.raises(NotHomogeneousError):
+            check_condition_b(md)
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_tuples(), st.integers(0, 2 ** 16))
+    def test_sampler_never_refutes_a_proven_tuple(self, md, seed):
+        verdict = check_condition_b(md, sample_budget=300, seed=seed)
+        witness = sample_witness(md, DEFAULT_SAMPLE_VALUES, 300, seed)
+        assert verdict.status in ("proven", "refuted")
+        if verdict.is_proven:
+            assert not witness.is_refuted
+        elif witness.is_refuted:
+            assert verdict == witness
+        else:
+            assert verdict == chart_verdict(md)
+
+    @settings(max_examples=150, deadline=None)
+    @given(homogeneous_tuples(sources=(P1,)))
+    def test_p1_charts_match_polynomial_gcds(self, md):
+        assert chart_verdict(md) == p1_chart_reference(md)
+
+    def test_charts_agree_with_the_monomial_branch(self, rng):
+        spaces = (P1, P2, P1_SQUARED)
+        for _ in range(80):
+            source, target = rng.choice(spaces), rng.choice(spaces)
+            n = source.ray_count
+            polys = tuple(
+                SparsePolynomial.zero(n) if rng.random() < 0.1 else
+                mono(n, rng.choice((1, -2)), [rng.randint(0, 2) for _ in range(n)])
+                for _ in range(target.ray_count))
+            md = MorphismData(source, target, polys, ())
+            assert chart_verdict(md) == check_condition_b(md)
 
 
 class TestTwoIsomorphic:
@@ -481,11 +659,11 @@ class TestEquivarianceOfVerdicts:
 
 class TestIrrelevantPatterns:
     def test_line(self):
-        assert maximal_cones(P1.fan) == [frozenset({0}), frozenset({1})]
+        assert maximal_cones(P1.fan) == (frozenset({0}), frozenset({1}))
 
     def test_plane(self):
         patterns = maximal_cones(P2.fan)
         assert sorted(sorted(p) for p in patterns) == [[0, 1], [0, 2], [1, 2]]
 
     def test_half_line(self):
-        assert maximal_cones(affine_fan(1)) == [frozenset({0})]
+        assert maximal_cones(affine_fan(1)) == (frozenset({0}),)

@@ -5,6 +5,7 @@ assignment."""
 
 import ast
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -97,13 +98,34 @@ def test_presentation_equality_ignores_project():
     assert "project" not in repr(PRESENTATION)
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # -S keeps the site hooks of the environment out of the module list
+def _modules_after(code, *args):
+    """The modules a fresh interpreter has loaded after running ``code``;
+    -S keeps the site hooks of the environment out of the list."""
     src = str(Path(toricdm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import toricdm.cli, sys; print(sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    loaded = set(ast.literal_eval(out))
+    probe = code + "\nimport sys; print(sorted(sys.modules))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe, *args], env=env,
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return set(ast.literal_eval(out.splitlines()[-1]))
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    loaded = _modules_after("import toricdm.cli")
     assert "toricdm.cli" in loaded
     assert {"dataclasses", "inspect"} & loaded == set()
+
+
+def test_cli_import_leaves_hashlib_and_fractions_unloaded():
+    loaded = _modules_after("import toricdm.cli")
+    assert "toricdm.cli" in loaded
+    assert {"hashlib", "_hashlib", "fractions", "decimal", "numbers"} & loaded == set()
+
+
+def test_validate_run_leaves_fractions_unloaded(tmp_path):
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps({"schema_version": "1", "lattice_rank": 1, "rays": [[-1], [1]],
+                                "cones": [[0], [1]], "r": [], "b": []}))
+    code = "import sys, toricdm.cli as c\nassert c.run(['validate', sys.argv[1]])[0] == 0"
+    loaded = _modules_after(code, str(path))
+    assert "toricdm.fans" in loaded
+    assert {"hashlib", "fractions"} & loaded == set()
