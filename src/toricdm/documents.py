@@ -34,8 +34,9 @@ from .morphisms import MorphismData, SparsePolynomial
 from .stacky import StackyData
 
 SCHEMA_VERSION = "1"
-# Largest total degree of a polynomial term; a sample of condition B raises
-# coordinates to this power, so the bound keeps one sample cheap.
+# Largest total degree of a polynomial term.  A sample of condition B raises
+# coordinates to this power, so the bound keeps one sample cheap; it does not
+# bound the chart check, which stops at ``morphisms.CHART_WORK_LIMIT``.
 MAX_TERM_DEGREE = 1000
 # Largest lattice rank.  Smith forms of matrices with this many rows or
 # columns cost about rank^3 big-integer steps, so the bound keeps the linear

@@ -12,18 +12,19 @@ elimination.  :func:`is_complete` means valid and certified complete.  All
 eliminations run in integers, with fraction-free row steps.
 
 A fan hashes as its value, so :func:`validate_fan`, the certificate,
-:func:`rays_span`, :func:`maximal_cones` and :func:`primitive_collections`
-keep their answers for the last ``FAN_CACHE_SIZE`` fans, the most one
-command meets (two morphism documents, each with a source and a target):
-one command certifies each distinct fan once, and computes its maximal cones
-and primitive collections once.
+:func:`rays_span`, :func:`maximal_cones`, the facet normals of the maximal
+cones and :func:`primitive_collections` keep their answers for the last
+``FAN_CACHE_SIZE`` fans, the most one command meets (two morphism documents,
+each with a source and a target): one command certifies each distinct fan
+once, eliminates each maximal cone's ray matrix once for both simpliciality
+and the certificate, and computes its primitive collections once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import TooLargeError, ValidationReport, Value, Violation
 from .lattice import IntegerMatrix, smith_normal_form
@@ -79,26 +80,6 @@ def primitive(vector: Sequence[int]) -> tuple[int, ...]:
     """The vector divided by the gcd of its entries; zero stays zero."""
     g = gcd(*vector)
     return tuple(x // g for x in vector) if g else tuple(vector)
-
-
-def _rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over Q by fraction-free elimination to row echelon form, with the
-    primitive row steps of :func:`_facet_normals`."""
-    rows = [tuple(v) for v in vectors]
-    rank = 0
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        top = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            factor = rows[i][col]
-            if factor:
-                rows[i] = primitive([top[col] * x - factor * y for x, y in zip(rows[i], top)])
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +217,9 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
                     sorted(cone)),))
 
     maximal = maximal_cones(fan)
-    if any(_rank([fan.rays[i] for i in sorted(cone)]) != len(cone)
-           for cone in maximal):
+    if None in _maximal_normals(fan):
         for cone in cones:
-            if cone and _rank([fan.rays[i] for i in sorted(cone)]) != len(cone):
+            if _facet_normals(fan, cone) is None:
                 return ValidationReport((Violation(
                     "dependent_cone", f"rays of cone {sorted(cone)} are linearly dependent",
                     sorted(cone)),))
@@ -278,28 +258,41 @@ def _facet_owners(maximal: Sequence[frozenset[int]]) -> dict[frozenset[int], lis
     return owners
 
 
-def _facet_normals(fan: SimplicialFan, cone: frozenset[int]) -> dict[int, tuple[int, ...]]:
-    """For each ray i of a full-dimensional independent cone, the primitive
-    integer normal of the facet without i, oriented positive on ray i.
+def _facet_normals(fan: SimplicialFan, cone: frozenset[int]) -> Optional[dict[int, tuple[int, ...]]]:
+    """For each ray i of an independent cone, a primitive integer functional
+    that vanishes on the cone's other rays and is positive on ray i; None
+    when the rays are linearly dependent.
 
-    These are the rows of the inverse ray matrix up to positive scaling (the
-    cofactor normals), found by fraction-free Gauss-Jordan elimination of
-    [B | I] with the cone's rays as the columns of B.
+    For a full-dimensional cone these are the normals of its facets, the
+    rows of the inverse ray matrix up to positive scaling (the cofactor
+    normals).  They come from fraction-free Gauss-Jordan elimination of
+    [B | I] with the cone's rays as the columns of B; the rays are
+    independent exactly when every column of B gets a pivot, so the one
+    elimination serves both the simpliciality check and the certificate.
     """
     order = sorted(cone)
-    d = fan.lattice_rank
-    rows = [[fan.rays[j][l] for j in order] + [int(l == k) for k in range(d)] for l in range(d)]
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if rows[r][col])
+    k, d = len(order), fan.lattice_rank
+    rows = [[fan.rays[j][l] for j in order] + [int(l == m) for m in range(d)] for l in range(d)]
+    for col in range(k):
+        pivot = next((r for r in range(col, d) if rows[r][col]), None)
+        if pivot is None:
+            return None
         rows[col], rows[pivot] = rows[pivot], rows[col]
         top = rows[col]
         for r in range(d):
             factor = rows[r][col]
             if r != col and factor:
                 rows[r] = primitive([top[col] * x - factor * y for x, y in zip(rows[r], top)])
-    # row c now reads (0..a_c..0 | a_c times row c of the inverse)
-    return {order[c]: primitive([x if rows[c][c] > 0 else -x for x in rows[c][d:]])
-            for c in range(d)}
+    # row c now reads (0..a_c..0 | a_c times row c of a left inverse of B)
+    return {order[c]: primitive([x if rows[c][c] > 0 else -x for x in rows[c][k:]])
+            for c in range(k)}
+
+
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _maximal_normals(fan: SimplicialFan) -> tuple[Optional[dict[int, tuple[int, ...]]], ...]:
+    """:func:`_facet_normals` of each maximal cone, in
+    :func:`maximal_cones` order."""
+    return tuple(_facet_normals(fan, cone) for cone in maximal_cones(fan))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -328,7 +321,7 @@ def _certifies_complete(fan: SimplicialFan) -> bool:
     owners = _facet_owners(maximal)
     if any(len(pair) != 2 for pair in owners.values()):
         return False
-    normals = [_facet_normals(fan, cone) for cone in maximal]
+    normals = _maximal_normals(fan)
     for (a, i), (_, j) in owners.values():
         if _dot(normals[a][i], fan.rays[j]) >= 0:
             return False

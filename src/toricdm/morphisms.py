@@ -41,7 +41,9 @@ from .stacky import StackyData
 # Any values ``fractions.Fraction`` accepts; the refutation search samples them.
 DEFAULT_SAMPLE_VALUES = ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2")
 DEFAULT_SAMPLE_BUDGET = 2000
-SPAIR_LIMIT = 2000  # S-pairs the ideal of one chart may reduce
+# Units the chart check of one tuple may spend (see ``_Work``): at most about
+# 0.1-0.2 s, where no tuple of the benchmark's morphism workload needs 200.
+CHART_WORK_LIMIT = 50_000
 
 
 class SparsePolynomial(Value):
@@ -291,8 +293,8 @@ def check_condition_b(md: MorphismData,
     point with ``sample_values``, ``sample_budget`` and ``seed``; a point
     found refutes and is the witness.  Otherwise the charts' verdict stands:
     refuted with the first chart cone whose ideal misses 1, or unknown when
-    an ideal ran out of S-pairs and none missed 1.  The data are validated
-    as in :func:`check_condition_a`.
+    the charts spent ``CHART_WORK_LIMIT`` before one missed 1.  The data are
+    validated as in :func:`check_condition_a`.
     """
     validate_morphism_data(md)
     if all(len(p.terms) <= 1 for p in md.polys):
@@ -322,9 +324,10 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
     cone are set to 1 in the collection's polynomials, and Buchberger's
     algorithm decides whether 1 lies in the ideal they generate (see the
     module docstring).  Proven when it does for every pair; refuted with the
-    first cone where it does not; unknown when some ideal needs more than
-    ``SPAIR_LIMIT`` S-pairs and none misses 1.  The data are expected to
-    have passed :func:`validate_morphism_data`.
+    first cone where it does not; unknown when the ideals, taken in that
+    order, spend ``CHART_WORK_LIMIT`` units of work (see :class:`_Work`)
+    before one of them misses 1.  The data are expected to have passed
+    :func:`validate_morphism_data`.
     """
     presentation = _grading(md)
     for p in md.polys:
@@ -332,16 +335,18 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
             degree(p, md.source, presentation)
     compiled = [_integer_terms(p, 1) for p in md.polys]
     collections = primitive_collections(md.target.fan)
-    undecided = False
-    for cone in maximal_cones(md.source.fan):
-        chart = sorted(cone)
-        restricted = [_dehomogenize(terms, chart) for terms in compiled]
-        for collection in collections:
-            contains_one = _contains_one([restricted[k] for k in collection if restricted[k]])
-            if contains_one is False:
-                return ConditionBVerdict.refuted_pattern(cone)
-            undecided |= contains_one is None
-    return ConditionBVerdict.unknown() if undecided else ConditionBVerdict.proven()
+    work = _Work(CHART_WORK_LIMIT)
+    try:
+        for cone in maximal_cones(md.source.fan):
+            chart = sorted(cone)
+            restricted = [_dehomogenize(terms, chart) for terms in compiled]
+            for collection in collections:
+                generators = [restricted[k] for k in collection if restricted[k]]
+                if not _contains_one(generators, work):
+                    return ConditionBVerdict.refuted_pattern(cone)
+    except _OutOfWork:
+        return ConditionBVerdict.unknown()
+    return ConditionBVerdict.proven()
 
 
 def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VALUES,
@@ -451,28 +456,63 @@ def _grevlex(exponents: tuple[int, ...]):
     return sum(exponents), tuple(-e for e in reversed(exponents))
 
 
-def _contains_one(generators: Sequence[dict]) -> Optional[bool]:
+def _descending(exponents: tuple[int, ...]):
+    """Sort key that puts the grevlex-largest monomial first."""
+    return -sum(exponents), exponents[::-1]
+
+
+class _OutOfWork(Exception):
+    """The chart check of one tuple has spent ``CHART_WORK_LIMIT``."""
+
+
+class _Work:
+    """What the chart check of one tuple may still spend, in units.
+
+    A step over ``terms`` terms costs one unit per term, and when it
+    multiplies coefficients of about ``a_bits`` and ``b_bits`` bits, one
+    more per 2**20 bit pairs: the interpreter spends about as long on one
+    term as on multiplying 256 pairs of 64-bit words.  A unit then takes
+    2-4 microseconds on a 2-core x86 machine.  Buchberger's algorithm has
+    no useful bound of its own, and the coefficients of fraction-free
+    remainders can grow by digits at every step, so the count bounds time,
+    not only S-pairs.
+    """
+
+    __slots__ = ("left",)
+
+    def __init__(self, limit: int):
+        self.left = limit
+
+    def spend(self, terms: int, a_bits: int = 0, b_bits: int = 0) -> None:
+        self.left -= terms * (1 + (a_bits * b_bits >> 20))
+        if self.left < 0:
+            raise _OutOfWork
+
+
+def _contains_one(generators: Sequence[dict], work: _Work) -> bool:
     """Does 1 lie in the ideal over Q of these nonzero integer polynomials?
 
     Buchberger's algorithm in grevlex order, the pair of least lcm first,
     with the pair criteria of Gebauer and Moller ("On an installation of
     Buchberger's algorithm", 1988) as in Becker and Weispfenning,
     *Groebner Bases*, section 5.5.  True as soon as a nonzero constant turns
-    up; False when the basis is complete without one; None when more than
-    ``SPAIR_LIMIT`` S-pairs would have to be reduced.
+    up; False when the basis is complete without one.  Every step is paid
+    from ``work``, which raises :class:`_OutOfWork` when it runs out.
     """
-    polys: list[tuple] = []  # (leading exponents, leading coefficient, poly)
+    # (leading exponents, leading coefficient, poly, largest coefficient bits)
+    polys: list[tuple] = []
     active: list[int] = []
     pairs: list[tuple[int, int, tuple[int, ...]]] = []  # (i, j, lcm of leads)
 
     def add(poly: dict) -> bool:
         """Put ``poly`` in the basis and update the pairs; True when it is
         a nonzero constant."""
+        work.spend(len(poly) + len(pairs) + len(active) ** 2)
         lead = max(poly, key=_grevlex)
         if not any(lead):
             return True
         new = len(polys)
-        polys.append((lead, poly[lead], poly))
+        polys.append((lead, poly[lead], poly, max(c.bit_length() for c in poly.values())))
         candidates = [(i, tuple(map(max, polys[i][0], lead))) for i in active]
         kept = []
         for index, (i, top) in enumerate(candidates):
@@ -490,18 +530,17 @@ def _contains_one(generators: Sequence[dict]) -> Optional[bool]:
     for g in generators:
         if add(g):
             return True
-    spent = 0
     while pairs:
+        work.spend(len(pairs))
         index = min(range(len(pairs)), key=lambda k: _grevlex(pairs[k][2]))
         i, j, top = pairs.pop(index)
-        if spent == SPAIR_LIMIT:
-            return None
-        spent += 1
-        (lead_i, coeff_i, poly_i), (lead_j, coeff_j, poly_j) = polys[i], polys[j]
+        (lead_i, coeff_i, poly_i, bits_i), (lead_j, coeff_j, poly_j, bits_j) = polys[i], polys[j]
+        work.spend(len(poly_i), bits_i, coeff_j.bit_length())
+        work.spend(len(poly_j), bits_j, coeff_i.bit_length())
         k = gcd(coeff_i, coeff_j)
         s_poly = _combine({}, coeff_j // k, _shifted(poly_i, top, lead_i))
         s_poly = _combine(s_poly, -(coeff_i // k), _shifted(poly_j, top, lead_j))
-        remainder = _reduce(s_poly, [polys[m] for m in active])
+        remainder = _reduce(s_poly, [polys[m] for m in active], work)
         if remainder and add(remainder):
             return True
     return False
@@ -532,36 +571,58 @@ def _combine(poly: dict, factor: int, other: dict) -> dict:
     return poly
 
 
-def _reduce(poly: dict, basis: Sequence[tuple]) -> dict:
+def _reduce(poly: dict, basis: Sequence[tuple], work: _Work) -> dict:
     """A nonzero integer multiple of the remainder of ``poly`` on full
     division by ``basis``, divided by the gcd of its coefficients.
 
-    The terms are visited largest first, and each one divisible by a leading
-    monomial of the basis is cancelled: the whole polynomial is scaled by
-    the integer that makes the cancellation exact, and the terms it adds lie
-    below the cancelled one, so the scan resumes after a sort of what is
-    left.  The terms kept lie above every term still to reduce, so they
-    never meet again.
+    The terms are visited largest first, from a heap, and each one divisible
+    by a leading monomial of the basis is cancelled: the whole polynomial is
+    scaled by the integer that makes the cancellation exact, and the terms
+    it adds lie below the cancelled one.  The terms kept lie above every
+    term still to reduce, so they never meet again; each is scaled once at
+    the end by the product of the scales that came after it.  Each step is
+    paid from ``work`` at the sizes of the coefficients it multiplies.
     """
+    from heapq import heapify, heappop, heappush
+
     poly = dict(poly)
-    kept: dict[tuple[int, ...], int] = {}
-    while poly:
-        for lead in sorted(poly, key=_grevlex, reverse=True):
-            divisor = next((g for g in basis if _divides(g[0], lead)), None)
-            if divisor is None:
-                kept[lead] = poly.pop(lead)
-                continue
-            g_lead, g_coeff, g = divisor
-            coeff = poly[lead]
-            k = gcd(coeff, g_coeff)
-            scale = g_coeff // k
-            if scale != 1:
-                poly = {e: scale * c for e, c in poly.items()}
-                kept = {e: scale * c for e, c in kept.items()}
-            poly = _combine(poly, -(coeff // k), _shifted(g, lead, g_lead))
-            break
-    content = gcd(*kept.values())
-    return {e: c // content for e, c in kept.items()}
+    order = [(_descending(e), e) for e in poly]
+    heapify(order)
+    kept: dict[tuple[int, ...], tuple[int, int]] = {}  # (coefficient, scale so far)
+    total_scale, kept_bits = 1, 0
+    bits = max((c.bit_length() for c in poly.values()), default=0)
+    work.spend(len(poly))
+    while order:
+        lead = heappop(order)[1]
+        coeff = poly.pop(lead, 0)
+        if not coeff:  # cancelled since it was pushed, or visited already
+            continue
+        work.spend(len(basis))
+        divisor = next((g for g in basis if _divides(g[0], lead)), None)
+        if divisor is None:
+            kept[lead] = coeff, total_scale
+            kept_bits = max(kept_bits, coeff.bit_length())
+            continue
+        g_lead, g_coeff, g, g_bits = divisor
+        k = gcd(coeff, g_coeff)
+        scale, factor = g_coeff // k, coeff // k
+        if scale != 1:
+            work.spend(len(poly), bits, scale.bit_length())
+            poly = {e: scale * c for e, c in poly.items()}
+            total_scale *= scale
+            bits = max((c.bit_length() for c in poly.values()), default=0)
+        shifted = _shifted(g, lead, g_lead)
+        del shifted[lead]  # cancels the visited term exactly
+        work.spend(len(g), factor.bit_length(), g_bits)
+        bits = max(bits, factor.bit_length() + g_bits)
+        for e in shifted:
+            if e not in poly:
+                heappush(order, (_descending(e), e))
+        poly = _combine(poly, -factor, shifted)
+    work.spend(len(kept), kept_bits, total_scale.bit_length())
+    remainder = {e: c * (total_scale // scale) for e, (c, scale) in kept.items()}
+    content = gcd(*remainder.values())
+    return {e: c // content for e, c in remainder.items()}
 
 
 def _scalar_ratio(new: SparsePolynomial, old: SparsePolynomial) -> Optional[Fraction]:

@@ -141,7 +141,7 @@ def fresh_fan_caches():
     """Empty the per-fan caches before each test, so that a test counting
     work or patching a helper does not depend on which fans ran before."""
     for cached in (fans.validate_fan, fans._certifies_complete, fans.rays_span,
-                   fans.maximal_cones, fans.primitive_collections,
+                   fans.maximal_cones, fans._maximal_normals, fans.primitive_collections,
                    morphisms._source_presentation):
         cached.cache_clear()
 

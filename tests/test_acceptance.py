@@ -278,6 +278,6 @@ def test_criterion_9_cli_round_trip_and_exit_codes(tmp_path, monkeypatch):
         assert code == 2
         code, report = cli.run(["morphism", "check", paths["sumsq"]])
         assert code == 0 and report["condition_b"]["status"] == "proven"
-        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)  # chart ideals undecided
+        monkeypatch.setattr(morphisms, "CHART_WORK_LIMIT", 0)  # charts undecided
         code, _ = cli.run(["morphism", "check", paths["sumsq"]])
         assert code == 3

@@ -133,8 +133,8 @@ class TestExitCodes:
         assert report["isomorphic"] is False
 
     def test_unknown_verdict_is_three(self, tmp_path, monkeypatch):
-        # a chart ideal allowed no S-pair is undecided, and no sample refutes
-        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)
+        # charts allowed no work are undecided, and no sample refutes
+        monkeypatch.setattr(morphisms, "CHART_WORK_LIMIT", 0)
         code, report = run_checked(
             ["morphism", "check", write(tmp_path, "m.json", binomial_doc(2))])
         assert code == 3
@@ -198,12 +198,12 @@ class TestExitCodes:
 
     def test_zero_sample_budget_is_unknown(self, tmp_path, monkeypatch):
         # the sample budget bounds only the witness search: the charts still
-        # prove, and only with the S-pair budget spent too is the verdict unknown
+        # prove, and only with the chart work budget spent too is it unknown
         path = write(tmp_path, "m.json", binomial_doc(2))
         code, report = run_checked(["--sample-budget", "0", "morphism", "check", path])
         assert code == 0
         assert report["condition_b"]["status"] == "proven"
-        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)
+        monkeypatch.setattr(morphisms, "CHART_WORK_LIMIT", 0)
         code, report = run_checked(["--sample-budget", "0", "morphism", "check", path])
         assert code == 3
         assert report["condition_b"]["status"] == "unknown"
@@ -240,6 +240,30 @@ class TestExitCodes:
         assert schema_errors(report, "report.schema.json") == []
         assert report["error"]["code"] == "too_large"
         assert report["error"]["location"] == "/source/lattice_rank"
+
+    @pytest.mark.parametrize("last_term, code, status", [
+        (("3", 1), 2, "refuted"),    # both forms vanish at x- = 0: a sample refutes
+        (("-3", 0), 3, "unknown"),   # coprime forms: the charts' proof runs out of work
+    ])
+    def test_high_degree_forms_are_bounded(self, tmp_path, capsys, last_term, code, status):
+        # unbounded, the chart check of these two binary forms of degree
+        # 1,000 runs about 1,000 S-pairs with growing coefficients: seconds
+        coefficient, exponent = last_term
+        forms = [[("1", 1000), ("2", 582), ("1", 867), ("3", 821), ("3", exponent)],
+                 [("1", 1000), ("3", 667), ("1", 388), ("3", 807), (coefficient, exponent)]]
+        doc = {"schema_version": "1", "source": P1_DOC, "target": P1_DOC, "chi": [],
+               "polynomials": [[{"coefficient": c, "exponents": [e, 1000 - e]} for c, e in form]
+                               for form in forms]}
+        path = write(tmp_path, "m.json", doc)
+        assert os.path.getsize(path) < 1000
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--json", "morphism", "check", path])
+        assert time.perf_counter() - start < 0.5
+        assert info.value.code == code
+        report = json.loads(capsys.readouterr().out)
+        assert schema_errors(report, "report.schema.json") == []
+        assert report["condition_b"]["status"] == status
 
     def test_too_large_fan_is_one(self, tmp_path, capsys):
         doc = {"schema_version": "1", "lattice_rank": 4, "rays": EXPLODING_RAYS,

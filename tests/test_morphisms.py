@@ -181,7 +181,7 @@ class TestConditionB:
                            mono(2, 1, (0, 1))), ())
         # the sample budget bounds only the search for a witness
         assert check_condition_b(md, sample_budget=0).is_proven
-        monkeypatch.setattr(morphisms, "SPAIR_LIMIT", 0)
+        monkeypatch.setattr(morphisms, "CHART_WORK_LIMIT", 0)
         assert check_condition_b(md, sample_budget=0).status == "unknown"
 
     def test_scaling_one_coordinate_keeps_verdict(self):
