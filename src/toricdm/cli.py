@@ -73,39 +73,43 @@ def _require_valid(data):
         raise DocumentError(f"invalid data: {first.message}", first.code)
 
 
+def _read(path, inputs):
+    """The JSON document at ``path``, recorded in ``inputs`` before it is
+    parsed, so that an error report names the document it locates."""
+    document = documents.read_json(path)
+    inputs.append((str(path), documents.document_hash(document)))
+    return document
+
+
 def _load_valid(path, inputs):
     """Load and semantically validate one stack-data file."""
-    data, digest = documents.load_stacky_file(path)
-    inputs.append((str(path), digest))
+    data = documents.parse_stacky_document(_read(path, inputs))
     _require_valid(data)
     return data
 
 
 def _load_valid_morphism(path, inputs):
     """Load one morphism file and validate its source and target data."""
-    md, digest = documents.load_morphism_file(path)
-    inputs.append((str(path), digest))
+    md = documents.parse_morphism_document(_read(path, inputs))
     _require_valid(md.source)
     _require_valid(md.target)
     return md
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (exit_code, report dict)
+# Command handlers: each returns (exit_code, report dict) and records the
+# documents it reads in ``inputs``
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args):
-    inputs = []
-    data, digest = documents.load_stacky_file(args.path)
-    inputs.append((str(args.path), digest))
+def _cmd_validate(args, inputs):
+    data = documents.parse_stacky_document(_read(args.path, inputs))
     result = validate_data(data)
     code = EXIT_OK if result.valid else EXIT_INVALID
     return code, _report("validate", inputs, valid=result.valid,
                          violations=_violations_payload(result))
 
 
-def _cmd_build(args):
-    inputs = []
+def _cmd_build(args, inputs):
     data = _load_valid(args.path, inputs)
     b_matrix, q_matrix = build_matrices(data)
     bq = b_matrix.hstack(q_matrix)
@@ -158,8 +162,7 @@ def _verify_build(data):
             "all_agree": all(c.get("agrees", True) for c in checks)}
 
 
-def _cmd_pic(args):
-    inputs = []
+def _cmd_pic(args, inputs):
     data = _load_valid(args.path, inputs)
     presentation = picard_group(rigidify(data))
     payload = {
@@ -182,8 +185,7 @@ def _parse_cone(text):
         raise DocumentError(f"bad cone argument {text!r}; expected i,j,k") from None
 
 
-def _cmd_stabilizer(args):
-    inputs = []
+def _cmd_stabilizer(args, inputs):
     data = _load_valid(args.path, inputs)
     cone = _parse_cone(args.cone)
     group = point_stabilizer(data, cone)
@@ -202,15 +204,13 @@ def _cmd_stabilizer(args):
     return EXIT_OK, _report("stabilizer", inputs, **payload)
 
 
-def _cmd_rigidify(args):
-    inputs = []
+def _cmd_rigidify(args, inputs):
     data = _load_valid(args.path, inputs)
     return EXIT_OK, _report("rigidify", inputs,
                             data=documents.serialize_stacky_data(rigidify(data)))
 
 
-def _cmd_split(args):
-    inputs = []
+def _cmd_split(args, inputs):
     data = _load_valid(args.path, inputs)
     split_data, torus_factor = split_nonspanning(data)
     return EXIT_OK, _report(
@@ -219,8 +219,7 @@ def _cmd_split(args):
         data=documents.serialize_stacky_data(split_data))
 
 
-def _cmd_canonicalize(args):
-    inputs = []
+def _cmd_canonicalize(args, inputs):
     data = _load_valid(args.path, inputs)
     canonical, certificate = canonicalize(data)
     return EXIT_OK, _report(
@@ -250,8 +249,7 @@ def _classify_pair(base, base_canonical, other, verify):
     return result
 
 
-def _cmd_classify(args):
-    inputs = []
+def _cmd_classify(args, inputs):
     base = _load_valid(args.paths[0], inputs)
     others = [_load_valid(path, inputs) for path in args.paths[1:]]
     for other in others:
@@ -265,8 +263,7 @@ def _cmd_classify(args):
     return code, _report("classify", inputs, results=results, isomorphic=everything)
 
 
-def _cmd_morphism(args):
-    inputs = []
+def _cmd_morphism(args, inputs):
     md = _load_valid_morphism(args.paths[0], inputs)
     if args.mode == "check":
         condition_a = check_condition_a(md)
@@ -407,6 +404,7 @@ def _execute(argv) -> tuple[argparse.Namespace, int, dict]:
     report).  A usage error exits 1 with no report unless the subcommand is
     known: argparse names it before it parses the subcommand's arguments."""
     args = argparse.Namespace()
+    inputs = []
     try:
         build_parser().parse_args(argv, args)
         if args.command == "classify" and len(args.paths) < 2:
@@ -415,11 +413,11 @@ def _execute(argv) -> tuple[argparse.Namespace, int, dict]:
             expected = 1 if args.mode == "check" else 2
             if len(args.paths) != expected:
                 raise DocumentError(f"morphism {args.mode} needs exactly {expected} document(s)")
-        return (args, *_HANDLERS[args.command](args))
+        return (args, *_HANDLERS[args.command](args, inputs))
     except ToricError as exc:
         if args.command is None:
             sys.exit(EXIT_INVALID)
-        return args, EXIT_INVALID, _error_report(args.command, [], exc)
+        return args, EXIT_INVALID, _error_report(args.command, inputs, exc)
 
 
 def run(argv=None) -> tuple[int, dict]:

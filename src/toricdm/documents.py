@@ -35,8 +35,8 @@ from .stacky import StackyData
 
 SCHEMA_VERSION = "1"
 # Largest total degree of a polynomial term.  A sample of condition B raises
-# coordinates to this power, so the bound keeps one sample cheap; it does not
-# bound the chart check, which stops at ``morphisms.CHART_WORK_LIMIT``.
+# coordinates to this power, so the bound keeps one sample cheap; the chart
+# check and the sampler as a whole stop at ``morphisms.CHART_WORK_LIMIT``.
 MAX_TERM_DEGREE = 1000
 # Largest lattice rank.  Smith forms of matrices with this many rows or
 # columns cost about rank^3 big-integer steps, so the bound keeps the linear
@@ -261,12 +261,3 @@ def read_json(path) -> Any:
     except ValueError as exc:  # an integer literal beyond the interpreter's digit limit
         raise DocumentError(f"invalid JSON in {path}: {exc}") from None
 
-
-def load_stacky_file(path) -> tuple[StackyData, str]:
-    document = read_json(path)
-    return parse_stacky_document(document), document_hash(document)
-
-
-def load_morphism_file(path) -> tuple[MorphismData, str]:
-    document = read_json(path)
-    return parse_morphism_document(document), document_hash(document)

@@ -7,9 +7,10 @@ condition.  When every maximal cone is full-dimensional the intersection
 condition is first certified in near-linear time by facet pairing (each
 facet in exactly two maximal cones, on opposite sides of its hyperplane)
 plus one generic vector covered exactly once; fans that certificate does not
-accept are decided pair by pair with exact integer Fourier-Motzkin
-elimination.  :func:`is_complete` means valid and certified complete.  All
-eliminations run in integers, with fraction-free row steps.
+accept are decided pair by pair by exact cone-membership tests, phase one of
+the simplex method, with no size limit.  :func:`is_complete` means valid and
+certified complete.  All eliminations and pivots run in integers, with
+fraction-free row steps.
 
 A fan hashes as its value, so :func:`validate_fan`, the certificate,
 :func:`rays_span`, :func:`maximal_cones`, the facet normals of the maximal
@@ -26,12 +27,11 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .errors import TooLargeError, ValidationReport, Value, Violation
+from .errors import ValidationReport, Value, Violation
 from .lattice import IntegerMatrix, smith_normal_form
 
 ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
 
-FM_PAIR_LIMIT = 100_000  # row pairs one Fourier-Motzkin step may combine
 FAN_CACHE_SIZE = 4  # distinct fans one command validates, at most
 
 
@@ -83,82 +83,64 @@ def primitive(vector: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin elimination
+# Cone membership
 # ---------------------------------------------------------------------------
 
-def _normalize_row(coeffs: tuple[int, ...], rhs: int):
-    g = abs(rhs)
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        rhs //= g
-    return coeffs, rhs
+def _in_cone(generators: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
+    """Is ``target`` a nonnegative rational combination of ``generators``?
 
-
-def fourier_motzkin_feasible(rows: Sequence[tuple[Sequence[int], int]], nvars: int) -> bool:
-    """Rational feasibility of a system of inequalities sum(c*x) <= rhs.
-
-    Eliminates the variables one at a time by combining each positive row with
-    each negative row, deduplicating normalized rows to limit growth.  All
-    arithmetic stays in the integers.  Raises :class:`TooLargeError` when one
-    step would combine more than ``FM_PAIR_LIMIT`` row pairs.
+    Phase one of the simplex method on ``sum x_j g_j = target``, ``x >= 0``:
+    one artificial variable per coordinate, whose sum is minimized; the
+    target lies in the cone exactly when the minimum is 0.  Bland's rule
+    (smallest entering column, then smallest leaving basic variable)
+    guarantees termination.  Each row is kept integral and primitive, with a
+    positive coefficient on its basic variable, so the ratio test compares
+    right-hand side over entry by cross-multiplication.  An artificial that
+    leaves the basis stays at 0, so its column is never stored.
     """
-    system = {_normalize_row(tuple(int(c) for c in coeffs), int(rhs)) for coeffs, rhs in rows}
-    for var in range(nvars):
-        positive, negative, rest = [], [], []
-        for coeffs, rhs in system:
-            c = coeffs[var]
-            if c > 0:
-                positive.append((coeffs, rhs))
-            elif c < 0:
-                negative.append((coeffs, rhs))
-            else:
-                rest.append((coeffs, rhs))
-        if len(positive) * len(negative) > FM_PAIR_LIMIT:
-            raise TooLargeError(f"a Fourier-Motzkin step of {len(positive)} x "
-                                f"{len(negative)} row pairs exceeds {FM_PAIR_LIMIT}")
-        new_system = set(rest)
-        for pc, pr in positive:
-            for nc, nr in negative:
-                mp, mn = -nc[var], pc[var]
-                combined = tuple(mp * a + mn * b for a, b in zip(pc, nc))
-                new_system.add(_normalize_row(combined, mp * pr + mn * nr))
-        system = new_system
-        for coeffs, rhs in system:
-            if not any(coeffs) and rhs < 0:
-                return False
-    return all(rhs >= 0 for _, rhs in system)
+    n = len(generators)
+    rows = []
+    for l, t in enumerate(target):
+        sign = -1 if t < 0 else 1
+        rows.append([sign * g[l] for g in generators] + [sign * t])
+    basis = [n + l for l in range(len(rows))]  # the artificials come after x
+    objective = [sum(column) for column in zip(*rows)]  # w + sum o_j x_j = o_rhs
+    while objective[-1]:
+        col = next((j for j in range(n) if objective[j] > 0), None)
+        if col is None:
+            return False
+        pivot = None
+        for r, row in enumerate(rows):
+            if row[col] <= 0:
+                continue
+            if pivot is None or (row[-1] * top[col], basis[r]) < (top[-1] * row[col], basis[pivot]):
+                pivot, top = r, row
+        for r, row in enumerate(rows):
+            if r != pivot and row[col]:
+                rows[r] = primitive([top[col] * x - row[col] * y for x, y in zip(row, top)])
+        objective = primitive([top[col] * x - objective[col] * y for x, y in zip(objective, top)])
+        basis[pivot] = col
+    return True
 
 
 def _cone_pair_violation(fan: SimplicialFan, cone_a: frozenset[int], cone_b: frozenset[int]):
     """A ray index witnessing cone(a) and cone(b) meeting outside their common
     face, or None when the pair is compatible.
 
-    Feasibility of {sum a-side = sum b-side, all coefficients >= 0, probe
-    coefficient >= 1} for a probe ray outside the shared face means the
-    intersection contains a point that cannot lie in the common face.
+    The rays outside the shared face are probed in order, those of ``cone_a``
+    first.  A ray p of one cone is a witness exactly when some point of the
+    intersection has a positive coefficient on p, that is (Farkas' lemma, as
+    in the separation lemma of Fulton, *Introduction to Toric Varieties*,
+    section 1.2) when p lies in the cone spanned by the other cone's rays and
+    the negated remaining rays of its own cone.
     """
-    a_list = sorted(cone_a)
-    b_list = sorted(cone_b)
     shared = cone_a & cone_b
-    nvars = len(a_list) + len(b_list)
-    d = fan.lattice_rank
-
-    base_rows: list[tuple[tuple[int, ...], int]] = []
-    for l in range(d):
-        coeffs = tuple([fan.rays[i][l] for i in a_list] + [-fan.rays[j][l] for j in b_list])
-        base_rows.append((coeffs, 0))
-        base_rows.append((tuple(-c for c in coeffs), 0))
-    for k in range(nvars):
-        base_rows.append((tuple(-1 if i == k else 0 for i in range(nvars)), 0))
-
-    probes = [(k, a_list[k]) for k in range(len(a_list)) if a_list[k] not in shared]
-    probes += [(len(a_list) + k, b_list[k]) for k in range(len(b_list)) if b_list[k] not in shared]
-    for var, ray_index in probes:
-        probe_row = (tuple(-1 if i == var else 0 for i in range(nvars)), -1)
-        if fourier_motzkin_feasible(base_rows + [probe_row], nvars):
-            return ray_index
+    for own, other in ((cone_a, cone_b), (cone_b, cone_a)):
+        for p in sorted(own - shared):
+            generators = [fan.rays[j] for j in other]
+            generators += [[-x for x in fan.rays[i]] for i in own - {p}]
+            if _in_cone(generators, fan.rays[p]):
+                return p
     return None
 
 
@@ -180,9 +162,9 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
     first dependent cone once a maximal cone fails.  When every maximal cone
     is full-dimensional the completeness certificate of
     :func:`_certifies_complete` is tried first; it can only accept.  Fans it
-    does not certify, complete or not, get the pairwise Fourier-Motzkin
-    check, which also supplies the ``bad_intersection`` witness; it raises
-    :class:`TooLargeError` when an elimination outgrows ``FM_PAIR_LIMIT``.
+    does not certify, complete or not, get the pairwise check of
+    :func:`_cone_pair_violation`, which also supplies the
+    ``bad_intersection`` witness.  Every fan gets a verdict.
     """
     d = fan.lattice_rank
     if d < 0:
@@ -370,9 +352,8 @@ def is_complete(fan: SimplicialFan) -> bool:
     space exactly once?
 
     True exactly when :func:`validate_fan` accepts and
-    :func:`_certifies_complete` does; it raises :class:`TooLargeError` where
-    validation does.  A fan that winds twice, or whose cones overlap, gets
-    False.
+    :func:`_certifies_complete` does.  A fan that winds twice, or whose
+    cones overlap, gets False.
     """
     return validate_fan(fan).valid and _certifies_complete(fan)
 

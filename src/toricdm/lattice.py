@@ -159,9 +159,6 @@ class SnfDecomposition(Value):
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
 
-    def reconstruct(self) -> IntegerMatrix:
-        return self.u @ self.d @ self.v
-
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)

@@ -41,8 +41,9 @@ from .stacky import StackyData
 # Any values ``fractions.Fraction`` accepts; the refutation search samples them.
 DEFAULT_SAMPLE_VALUES = ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2")
 DEFAULT_SAMPLE_BUDGET = 2000
-# Units the chart check of one tuple may spend (see ``_Work``): at most about
-# 0.1-0.2 s, where no tuple of the benchmark's morphism workload needs 200.
+# Units the chart check of one tuple may spend (see ``_Work``), and apart from
+# it the sampler: at most about 0.1-0.2 s each, where no tuple of the
+# benchmark's morphism workload needs 200 on the charts or 500 in the sampler.
 CHART_WORK_LIMIT = 50_000
 
 
@@ -372,6 +373,12 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
     original value times a nonzero integer, so every zero test, and with it
     every witness, is the one exact rational evaluation gives.  The tuple
     need not be homogeneous and the data are not validated here.
+
+    The search pays each sample from a :class:`_Work` of ``CHART_WORK_LIMIT``
+    units of its own: one unit per term evaluated, plus the multiplications
+    that build a term's value, charged as one product of two numbers of the
+    largest term value's bit length.  Running out of work ends the search as
+    an exhausted ``sample_budget`` does.
     """
     from fractions import Fraction
 
@@ -382,37 +389,46 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
     denominator = lcm(*(v.denominator for v in sample_values))
     scaled_values = [v.numerator * (denominator // v.denominator) for v in sample_values]
     compiled = [_integer_terms(p, denominator) for p in md.polys]
+    value_bits = max((v.bit_length() for v in scaled_values), default=0)
     rng = random.Random(seed)
     remaining = sample_budget
+    work = _Work(CHART_WORK_LIMIT)
     n_source = md.source.ray_count
-    for pattern in md.source.fan.sorted_cones():
-        if remaining <= 0:
-            break
-        free = [k for k in range(n_source) if k not in pattern]
-        space = len(sample_values) ** len(free)
-        if space <= remaining:
-            assignments = itertools.product(scaled_values, repeat=len(free))
-            remaining -= space
-        else:
-            count = remaining
-            assignments = (tuple(map(rng.choice, itertools.repeat(scaled_values, len(free))))
-                           for _ in range(count))
-            remaining = 0
-        # Terms through a coordinate of the pattern vanish; the others read
-        # the sample by position in ``free``.
-        position = {k: j for j, k in enumerate(free)}
-        restricted = [[(c, tuple((position[k], e) for k, e in enumerate(exps) if e))
-                       for c, exps in terms if not any(exps[k] for k in pattern)]
-                      for terms in compiled]
-        for assignment in assignments:
-            image_pattern = frozenset(
-                k for k, terms in enumerate(restricted)
-                if not _integer_value(terms, assignment))
-            if not is_admissible_zero_pattern(target_fan, image_pattern):
-                point = [Fraction(0)] * n_source
-                for k, value in zip(free, assignment):
-                    point[k] = Fraction(value, denominator)
-                return ConditionBVerdict.refuted_point(point)
+    try:
+        for pattern in md.source.fan.sorted_cones():
+            if remaining <= 0:
+                break
+            free = [k for k in range(n_source) if k not in pattern]
+            space = len(sample_values) ** len(free)
+            if space <= remaining:
+                assignments = itertools.product(scaled_values, repeat=len(free))
+                remaining -= space
+            else:
+                count = remaining
+                assignments = (tuple(map(rng.choice, itertools.repeat(scaled_values, len(free))))
+                               for _ in range(count))
+                remaining = 0
+            # Terms through a coordinate of the pattern vanish; the others read
+            # the sample by position in ``free``.
+            position = {k: j for j, k in enumerate(free)}
+            restricted = [[(c, tuple((position[k], e) for k, e in enumerate(exps) if e))
+                           for c, exps in terms if not any(exps[k] for k in pattern)]
+                          for terms in compiled]
+            size = sum(map(len, restricted))
+            bits = max((c.bit_length() + value_bits * sum(e for _, e in factors)
+                        for terms in restricted for c, factors in terms), default=0)
+            for assignment in assignments:
+                work.spend(size, bits, bits)
+                image_pattern = frozenset(
+                    k for k, terms in enumerate(restricted)
+                    if not _integer_value(terms, assignment))
+                if not is_admissible_zero_pattern(target_fan, image_pattern):
+                    point = [Fraction(0)] * n_source
+                    for k, value in zip(free, assignment):
+                        point[k] = Fraction(value, denominator)
+                    return ConditionBVerdict.refuted_point(point)
+    except _OutOfWork:
+        pass
     return ConditionBVerdict.unknown()
 
 
@@ -462,11 +478,13 @@ def _descending(exponents: tuple[int, ...]):
 
 
 class _OutOfWork(Exception):
-    """The chart check of one tuple has spent ``CHART_WORK_LIMIT``."""
+    """The chart check or the sampler of one tuple has spent
+    ``CHART_WORK_LIMIT``."""
 
 
 class _Work:
-    """What the chart check of one tuple may still spend, in units.
+    """What the chart check or the sampler of one tuple may still spend, in
+    units.
 
     A step over ``terms`` terms costs one unit per term, and when it
     multiplies coefficients of about ``a_bits`` and ``b_bits`` bits, one

@@ -265,15 +265,20 @@ class TestExitCodes:
         assert schema_errors(report, "report.schema.json") == []
         assert report["condition_b"]["status"] == status
 
-    def test_too_large_fan_is_one(self, tmp_path, capsys):
+    def test_exploding_fan_gets_a_verdict(self, tmp_path, capsys):
         doc = {"schema_version": "1", "lattice_rank": 4, "rays": EXPLODING_RAYS,
                "cones": EXPLODING_CONES, "r": [], "b": []}
+        path = write(tmp_path, "big.json", doc)
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as info:
-            cli.main(["--json", "validate", write(tmp_path, "big.json", doc)])
+            cli.main(["--json", "validate", path])
+        assert time.perf_counter() - start < 0.1
         assert info.value.code == 1
         report = json.loads(capsys.readouterr().out)
         assert schema_errors(report, "report.schema.json") == []
-        assert report["error"]["code"] == "too_large"
+        assert report["valid"] is False
+        assert report["violations"][0]["code"] == "bad_intersection"
+        assert report["violations"][0]["witness"] == [[1, 2, 3, 4], [2, 3, 4, 5], 1]
 
 
 def test_cli_import_leaves_jsonschema_unloaded():
@@ -385,6 +390,27 @@ class TestCommands:
         code, report = run_checked(["classify", a, b])
         assert code == 1
         assert "error" in report
+
+    def test_error_reports_name_the_rejected_document(self, tmp_path):
+        base = write(tmp_path, "base.json", p1_root_doc(0))
+        good = write(tmp_path, "good.json", p1_root_doc(1))
+        overlapping = dict(P1_DOC, rays=[[1], [2]])
+        bad = write(tmp_path, "bad.json", overlapping)
+        code, report = run_checked(["classify", base, good, bad])
+        assert code == 1
+        assert report["error"]["location"] == "duplicate_ray_direction"
+        assert [entry["path"] for entry in report["inputs"]] == [base, good, bad]
+        assert report["inputs"][-1]["hash"] == documents.document_hash(overlapping)
+
+        rejected = duple_doc(2)
+        rejected["polynomials"][0][0]["exponents"] = [2]
+        a = write(tmp_path, "a.json", duple_doc(2))
+        b = write(tmp_path, "b.json", rejected)
+        code, report = run_checked(["morphism", "iso", a, b])
+        assert code == 1
+        assert report["error"]["location"] == "/polynomials/0"
+        assert [entry["path"] for entry in report["inputs"]] == [a, b]
+        assert report["inputs"][-1]["hash"] == documents.document_hash(rejected)
 
     def test_classify_batch(self, tmp_path):
         base = write(tmp_path, "base.json", p1_root_doc(0))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,17 +9,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from toricdm import (SimplicialFan, TooLargeError, close_under_faces,
+from toricdm import (SimplicialFan, close_under_faces,
                      is_admissible_zero_pattern, is_complete, maximal_cones, rays_span,
                      validate_fan)
-from toricdm import fans
+from toricdm import cli, fans
 from toricdm.documents import parse_stacky_document
 from toricdm.fans import _certifies_complete, _cone_pair_violation
 from toricdm.oracle import oracle_cones_meet_along_common_face
 
 from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, make_fan, product_fan,
-                      projective_fan,
-                      projective_line_fan, projective_plane_fan)
+                      projective_fan, projective_line_fan, projective_plane_fan,
+                      schema_errors)
 
 
 class TestValidateFan:
@@ -108,9 +109,9 @@ class TestIntersectionChecker:
             return tuple(x // g for x in v)
 
         checked = 0
-        while checked < 120:
-            d = rng.randint(2, 3)
-            n = rng.randint(3, 6)
+        while checked < 240:
+            d = rng.randint(1, 4)
+            n = rng.randint(2, 6) if d > 1 else 2  # Z^1 has two ray directions
             rays, prims = [], set()
             while len(rays) < n:
                 v = tuple(rng.randint(-3, 3) for _ in range(d))
@@ -121,7 +122,7 @@ class TestIntersectionChecker:
 
             def random_cone():
                 while True:
-                    cone = frozenset(rng.sample(range(n), rng.randint(1, d)))
+                    cone = frozenset(rng.sample(range(n), rng.randint(1, min(d, n))))
                     if rank_q([rays[i] for i in sorted(cone)]) == len(cone):
                         return cone
 
@@ -130,9 +131,9 @@ class TestIntersectionChecker:
                 continue
             fan = SimplicialFan(d, tuple(rays),
                                 close_under_faces([sorted(cone_a), sorted(cone_b)]))
-            by_elimination = _cone_pair_violation(fan, cone_a, cone_b) is None
+            by_membership = _cone_pair_violation(fan, cone_a, cone_b) is None
             by_vertices = oracle_cones_meet_along_common_face(rays, d, cone_a, cone_b)
-            assert by_elimination == by_vertices, (rays, sorted(cone_a), sorted(cone_b))
+            assert by_membership == by_vertices, (rays, sorted(cone_a), sorted(cone_b))
             checked += 1
 
 
@@ -215,6 +216,19 @@ def _assert_agrees_with_all_pairs(fan):
         assert report.first().witness == first_bad
 
 
+@st.composite
+def small_fan_documents(draw):
+    """A fan document in Z^1..Z^4 with distinct ray directions and two to
+    four random cones of at most d rays each, valid or not."""
+    d = draw(st.integers(1, 4))
+    vectors = st.tuples(*[st.integers(-2, 2)] * d).filter(any)
+    rays = draw(st.lists(vectors, min_size=2, max_size=6, unique_by=fans.primitive))
+    cones = draw(st.lists(st.sets(st.integers(0, len(rays) - 1), min_size=1, max_size=d),
+                          min_size=2, max_size=4))
+    return {"schema_version": "1", "lattice_rank": d, "rays": [list(ray) for ray in rays],
+            "cones": [sorted(cone) for cone in cones], "r": [], "b": []}
+
+
 class TestCompletenessCertificate:
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
     @given(rank2_cycles())
@@ -261,13 +275,41 @@ class TestCompletenessCertificate:
         assert not is_complete(punctured)
 
 
-class TestFourierMotzkinBound:
-    def test_exploding_elimination_is_too_large(self):
+class TestConeMembership:
+    def test_exploding_fan_gets_a_verdict(self):
         fan = make_fan(4, EXPLODING_RAYS, EXPLODING_CONES)
         start = time.perf_counter()
-        with pytest.raises(TooLargeError):
-            validate_fan(fan)
-        assert time.perf_counter() - start < 1.0
+        report = validate_fan(fan)
+        assert time.perf_counter() - start < 0.1
+        assert report.first().code == "bad_intersection"
+        assert report.first().witness == ([1, 2, 3, 4], [2, 3, 4, 5], 1)
+        maximal = maximal_cones(fan)
+        for k, a in enumerate(maximal):
+            for b in maximal[k + 1:]:
+                assert ((_cone_pair_violation(fan, a, b) is None)
+                        == oracle_cones_meet_along_common_face(fan.rays, 4, a, b))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.function_scoped_fixture])
+    @given(doc=small_fan_documents())
+    def test_validate_command_agrees_with_the_oracle(self, tmp_path, doc):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(doc))
+        code, report = cli.run(["--json", "validate", str(path)])
+        assert code in (0, 1)
+        assert schema_errors(report, "report.schema.json") == []
+        assert "error" not in report  # in particular, never too_large
+        violations = report["violations"]
+        assume(not violations or violations[0]["code"] == "bad_intersection")
+        listed = {frozenset(cone) for cone in doc["cones"]}
+        maximal = sorted((c for c in listed if not any(c < other for other in listed)),
+                         key=lambda c: (len(c), sorted(c)))
+        bad = [[sorted(a), sorted(b)] for k, a in enumerate(maximal) for b in maximal[k + 1:]
+               if not oracle_cones_meet_along_common_face(doc["rays"], doc["lattice_rank"], a, b)]
+        assert report["valid"] == (code == 0) == (not bad)
+        if bad:
+            assert violations[0]["witness"][:2] == bad[0]
 
 
 class TestCloseUnderFaces:

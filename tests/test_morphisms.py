@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -569,6 +570,25 @@ class TestExactConditionB:
                                    SparsePolynomial(2, ((1, (1, 1)), (-1, (0, 2))))), ())
         assert chart_verdict(md) == ConditionBVerdict.refuted_pattern({0})
         assert check_condition_b(md) == ConditionBVerdict.refuted_point((1, 1))
+
+    def test_high_degree_samples_are_bounded_by_work(self):
+        # two random forms of degree 1,000 with 60 terms each on P^3: the
+        # charts run out of work, and 2,000 unbounded samples took over 1 s
+        rng = random.Random(1000)
+
+        def form():
+            terms = []
+            for _ in range(60):
+                cuts = sorted(rng.randint(0, 1000) for _ in range(3))
+                exponents = [b - a for a, b in zip([0] + cuts, cuts + [1000])]
+                terms.append((rng.choice(EXACT_COEFFICIENTS), exponents))
+            return SparsePolynomial(4, terms)
+
+        md = MorphismData(StackyData(projective_fan(3)), P1, (form(), form()), ())
+        start = time.perf_counter()
+        verdict = check_condition_b(md)
+        assert time.perf_counter() - start < 0.5
+        assert verdict.status == "unknown"
 
     def test_inhomogeneous_tuple_is_rejected(self):
         md = MorphismData(P1, P1, (SparsePolynomial(2, ((1, (2, 0)), (1, (0, 1)))),
