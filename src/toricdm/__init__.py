@@ -20,11 +20,11 @@ from .gerbes import (PicardPresentation, PicClass, canonicalize, gerbe_class,
                      is_isomorphic_banded, picard_group)
 from .lattice import (FgAbelianGroup, IntegerMatrix, SnfDecomposition,
                       cokernel, cokernel_with_projection, invariant_factor_chain,
-                      smith_normal_form, solve_linear)
+                      smith_normal_form)
 from .morphisms import (ConditionBVerdict, MorphismData, SparsePolynomial,
                         TwoIsoVerdict, check_condition_a, check_condition_b,
                         check_two_isomorphic, degree, validate_morphism_data)
-from .oracle import (FiniteGroupTable, det_cofactor,
+from .oracle import (FiniteGroupTable, det_cofactor, oracle_banded_isomorphic,
                      oracle_cones_meet_along_common_face, oracle_divisibility,
                      oracle_element_order_census, oracle_is_group_isomorphism,
                      oracle_quotient_enumerate, oracle_stabilizer_order,

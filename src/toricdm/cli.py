@@ -7,13 +7,17 @@ object that validates against the shipped report schema.  Exit codes: 0 for
 success or a true verdict, 1 for invalid input or invalid arguments, 2 for a
 false verdict, 3 for an unknown verdict.  Invalid arguments to a known
 subcommand also get that command's error report, with code ``usage``.
+:func:`main` ends the process once the report is written; :func:`run` is
+the in-process API.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import NoReturn
 
 from . import documents
 from .errors import (DocumentError, TooLargeError, ToricError)
@@ -282,7 +286,7 @@ def _cmd_morphism(args, inputs):
     verdict = check_two_isomorphic(md, md2)
     payload = {"mode": "iso", "iso": {"status": verdict.status}}
     if verdict.ratios is not None:
-        payload["iso"]["ratios"] = [str(ratio) for ratio in verdict.ratios]
+        payload["iso"]["ratios"] = [documents.encode_fraction(x) for x in verdict.ratios]
     code = {"yes": EXIT_OK, "no": EXIT_FALSE, "unknown": EXIT_UNKNOWN}[verdict.status]
     return code, _report("morphism", inputs, **payload)
 
@@ -292,7 +296,7 @@ def _condition_b_payload(verdict):
     if verdict.witness_pattern is not None:
         payload["witness_pattern"] = sorted(verdict.witness_pattern)
     if verdict.witness_point is not None:
-        payload["witness_point"] = [str(x) for x in verdict.witness_point]
+        payload["witness_point"] = [documents.encode_fraction(x) for x in verdict.witness_point]
     return payload
 
 
@@ -426,13 +430,38 @@ def run(argv=None) -> tuple[int, dict]:
     return code, report
 
 
-def main(argv=None) -> None:
-    args, code, report = _execute(argv)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=False))
-    else:
-        print(_render_text(report))
-    sys.exit(code)
+def main(argv=None) -> NoReturn:
+    """Run the command, print its report and end the process with the
+    command's exit code.
+
+    The process ends through :func:`os._exit` once stdout and stderr are
+    flushed, so it skips interpreter teardown and ``atexit`` handlers
+    (``toricdm`` registers none): on small inputs teardown costs more than
+    the command.  In-process callers use :func:`run`.
+    """
+    try:
+        args, code, report = _execute(argv)
+    except SystemExit as exc:  # argparse's --help, or a usage error of no known command
+        _flush_and_exit(exc.code)
+    _flush_and_exit(code, json.dumps(report, indent=2) if args.json else _render_text(report))
+
+
+def _flush_and_exit(code: int, text: str | None = None) -> NoReturn:
+    """Print ``text``, flush stdout and stderr and end the process with
+    ``code``, or with 1 once the reader has closed stdout.
+
+    ``print`` writes the line end apart from the text, so a closed pipe
+    raises even on an unbuffered stdout, whose write cut short raises
+    nothing."""
+    try:
+        if text is not None:
+            print(text)
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except BrokenPipeError:
+        code = EXIT_INVALID
+    os._exit(code)
 
 
 if __name__ == "__main__":

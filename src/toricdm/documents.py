@@ -6,10 +6,10 @@ The decoder is the one structural check: in a single pass it builds the
 values and rejects whatever those schemas reject, with a :class:`DocumentError`
 located by a JSON pointer (``/`` is the whole document).  Integers beyond the
 53-bit range safe for double-based JSON readers are written as decimal
-strings; both forms are accepted.  Cone lists may name only the maximal cones;
-the loader closes them under faces before anything else sees the fan.  The
-whole document is decoded before any size bound is checked, so ``too_large``
-always means a well-formed document beyond a bound.
+strings, of any length; both forms are accepted.  Cone lists may name only
+the maximal cones; the loader closes them under faces before anything else
+sees the fan.  The whole document is decoded before any size bound is
+checked, so ``too_large`` always means a well-formed document beyond a bound.
 """
 
 from __future__ import annotations
@@ -49,7 +49,28 @@ _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def encode_int(value: int):
     value = int(value)
-    return value if abs(value) <= _JSON_SAFE_MAX else str(value)
+    return value if abs(value) <= _JSON_SAFE_MAX else _decimal(value)
+
+
+def encode_fraction(value) -> str:
+    """A rational number (a ``Fraction`` or an int) as ``p`` or ``p/q``."""
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+
+
+def _decimal(value: int) -> str:
+    """The decimal digits of ``value``.  ``str`` refuses integers longer than
+    the interpreter's digit limit (4,300 digits by default, 640 at the
+    least), so a long one is split at a power of ten near half its length
+    and the halves are written one by one."""
+    if value < 0:
+        return "-" + _decimal(-value)
+    if value.bit_length() <= 2000:  # at most 603 digits
+        return str(value)
+    half = value.bit_length() * 3 // 20  # log10(2) / 2 is about 3 / 20
+    high, low = divmod(value, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
 
 
 def decode_int(value, where: str = "") -> int:
@@ -230,20 +251,6 @@ def parse_morphism_document(document: Any) -> MorphismData:
 
     return MorphismData(source=source, target=target,
                         polys=tuple(polys), chi=tuple(chi))
-
-
-def serialize_morphism_data(md: MorphismData) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "source": serialize_stacky_data(md.source),
-        "target": serialize_stacky_data(md.target),
-        "polynomials": [
-            [{"coefficient": str(coeff), "exponents": [encode_int(e) for e in exps]}
-             for coeff, exps in poly.terms]
-            for poly in md.polys
-        ],
-        "chi": [[encode_int(x) for x in cls.representative] for cls in md.chi],
-    }
 
 
 # ---------------------------------------------------------------------------

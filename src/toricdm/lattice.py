@@ -419,40 +419,6 @@ def cokernel_with_projection(relations: IntegerMatrix
     return group, project
 
 
-# ---------------------------------------------------------------------------
-# Integer linear systems
-# ---------------------------------------------------------------------------
-
-def solve_linear(a: IntegerMatrix, b: Sequence[int]):
-    """Solve a x = b over the integers.
-
-    Returns ``(solution, kernel_basis)`` where ``solution`` is one integer
-    solution or None when none exists, and ``kernel_basis`` is a tuple of
-    integer vectors spanning the kernel of ``a`` (returned in either case).
-    """
-    b = tuple(int(x) for x in b)
-    if len(b) != a.rows:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")
-    snf = smith_normal_form(a)
-    diag = snf.diagonal()
-    c = snf.u_inv.apply(b)
-
-    kernel_cols = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
-    kernel = tuple(snf.v_inv.column(j) for j in kernel_cols)
-
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None, kernel
-        else:
-            if c[i] % di:
-                return None, kernel
-            y[i] = c[i] // di
-    return snf.v_inv.apply(y), kernel
-
-
 def invariant_factor_chain(orders: Sequence[int]) -> tuple[int, ...]:
     """Invariant factors of the direct sum of cyclic groups Z/r_i.
 

@@ -441,3 +441,57 @@ def oracle_stabilizer_order(data, cone: frozenset[int] | Sequence[int],
             columns.append(tuple(1 if pos == k else 0 for pos in range(n + len(data.r))))
     relations = IntegerMatrix.column_stack(columns, n + len(data.r))
     return oracle_quotient_enumerate(relations, bound=bound).order
+
+
+def _prime_powers(r: int) -> dict[int, int]:
+    """The factorization {p: k} of r >= 1, by trial division."""
+    if r > ENUMERATION_BOUND ** 2:
+        raise TooLargeError("root order too large to factor by trial division")
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= r:
+        while r % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            r //= p
+        p += 1
+    if r > 1:
+        factors[r] = 1
+    return factors
+
+
+def oracle_banded_isomorphic(data1, data2, bound: int = ENUMERATION_BOUND) -> bool:
+    """Decide prime by prime whether two data sets over one fan define
+    isomorphic gerbes banded by the chain group, with bands matched by the
+    Chinese-remainder identification.
+
+    Each (r_i; b_i) is pushed to its prime-power parts (p^k; b_i), found by
+    trial division.  For each prime, both data sets list their parts by
+    exponent, in root order among equal exponents; the verdict is yes when
+    the exponent lists agree and, place by place, the difference of the two
+    b rows is divisible by p^k in the Picard group
+    (:func:`oracle_divisibility`).  Independent of the divisor-chain form
+    and its certificate.
+    """
+    if data1.fan != data2.fan:
+        raise ValueError("data sets do not share the same fan")
+    relations = IntegerMatrix.from_rows(data1.fan.rays, data1.fan.lattice_rank)
+
+    def parts(data) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+        by_prime: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for i, r in enumerate(data.r):
+            for p, k in _prime_powers(r).items():
+                by_prime.setdefault(p, []).append((k, data.b.row(i)))
+        for listed in by_prime.values():
+            listed.sort(key=lambda part: part[0])
+        return by_prime
+
+    parts1, parts2 = parts(data1), parts(data2)
+    if {p: [k for k, _ in listed] for p, listed in parts1.items()} != \
+            {p: [k for k, _ in listed] for p, listed in parts2.items()}:
+        return False
+    for p, listed in parts1.items():
+        for (k, row1), (_, row2) in zip(listed, parts2[p]):
+            diff = tuple(a - b for a, b in zip(row1, row2))
+            if not oracle_divisibility(diff, p ** k, relations, bound):
+                return False
+    return True

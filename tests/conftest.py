@@ -12,8 +12,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, fans,
-                     lattice, morphisms, smith_normal_form)
+from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, documents,
+                     fans, lattice, morphisms, smith_normal_form)
 
 
 @lru_cache(maxsize=None)
@@ -96,6 +96,51 @@ def p1_root_data(k, r=2):
     """The projective line with one root of order r and twists (0, k)."""
     return StackyData(projective_line_fan(), r=(r,),
                       b=IntegerMatrix.from_rows([[0, k]]))
+
+
+def solve_linear(a: IntegerMatrix, b):
+    """Solve a x = b over the integers.
+
+    Returns ``(solution, kernel_basis)`` where ``solution`` is one integer
+    solution or None when none exists, and ``kernel_basis`` is a tuple of
+    integer vectors spanning the kernel of ``a`` (returned in either case).
+    """
+    b = tuple(int(x) for x in b)
+    if len(b) != a.rows:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")
+    snf = smith_normal_form(a)
+    diag = snf.diagonal()
+    c = snf.u_inv.apply(b)
+
+    kernel_cols = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
+    kernel = tuple(snf.v_inv.column(j) for j in kernel_cols)
+
+    y = [0] * a.cols
+    for i in range(a.rows):
+        di = diag[i] if i < len(diag) else 0
+        if di == 0:
+            if c[i] != 0:
+                return None, kernel
+        else:
+            if c[i] % di:
+                return None, kernel
+            y[i] = c[i] // di
+    return snf.v_inv.apply(y), kernel
+
+
+def serialize_morphism_data(md) -> dict:
+    """The document form of a :class:`MorphismData`, for round trips."""
+    return {
+        "schema_version": documents.SCHEMA_VERSION,
+        "source": documents.serialize_stacky_data(md.source),
+        "target": documents.serialize_stacky_data(md.target),
+        "polynomials": [
+            [{"coefficient": str(coeff), "exponents": [documents.encode_int(e) for e in exps]}
+             for coeff, exps in poly.terms]
+            for poly in md.polys
+        ],
+        "chi": [[documents.encode_int(x) for x in cls.representative] for cls in md.chi],
+    }
 
 
 def random_spanning_data(rng: random.Random) -> StackyData:

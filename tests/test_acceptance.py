@@ -26,7 +26,7 @@ from toricdm.oracle import (det_cofactor, oracle_divisibility,
 
 from conftest import (affine_quotient_data, make_fan, p1_root_data,
                       projective_line_fan, random_spanning_data, schema_errors,
-                      weighted_line_root_data)
+                      serialize_morphism_data, weighted_line_root_data)
 
 
 @contextmanager
@@ -247,7 +247,7 @@ def test_criterion_9_cli_round_trip_and_exit_codes(tmp_path, monkeypatch):
             assert documents.parse_stacky_document(serialized) == data
         for name, doc in morphism_docs.items():
             md = documents.parse_morphism_document(doc)
-            serialized = documents.serialize_morphism_data(md)
+            serialized = serialize_morphism_data(md)
             assert schema_errors(serialized, "morphism.schema.json") == []
             assert documents.parse_morphism_document(serialized) == md
 

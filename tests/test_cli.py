@@ -10,7 +10,8 @@ import pytest
 from toricdm import cli, documents, lattice, morphisms
 from toricdm.errors import DocumentError
 
-from conftest import EXPLODING_CONES, EXPLODING_RAYS, schema_errors, spy
+from conftest import (EXPLODING_CONES, EXPLODING_RAYS, schema_errors,
+                      serialize_morphism_data, spy)
 
 WPS_ROOT = {
     "schema_version": "1", "lattice_rank": 1,
@@ -54,6 +55,31 @@ def binomial_doc(d):
             "chi": []}
 
 
+@pytest.fixture(autouse=True)
+def exit_raises(monkeypatch):
+    """``cli.main`` ends its process with ``os._exit``; in these in-process
+    tests that exit raises ``SystemExit`` with its code instead."""
+    def raise_exit(code):
+        raise SystemExit(code)
+    monkeypatch.setattr(os, "_exit", raise_exit)
+
+
+def binary_forms_doc(last_term):
+    """A self-map of the projective line by two binary forms of degree
+    1,000; ``last_term`` is the (coefficient, exponent of x-) of the second
+    form's last term, whose x- exponent the first form's last term shares."""
+    coefficient, exponent = last_term
+    forms = [[("1", 1000), ("2", 582), ("1", 867), ("3", 821), ("3", exponent)],
+             [("1", 1000), ("3", 667), ("1", 388), ("3", 807), (coefficient, exponent)]]
+    return {"schema_version": "1", "source": P1_DOC, "target": P1_DOC, "chi": [],
+            "polynomials": [[{"coefficient": c, "exponents": [e, 1000 - e]} for c, e in form]
+                            for form in forms]}
+
+
+# (10^4000 + 1)(10^4000 + 3), beyond the interpreter's 4,300-digit limit on str
+HUGE_PRODUCT = "1" + "0" * 3999 + "4" + "0" * 3999 + "3"
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -76,7 +102,7 @@ class TestDocuments:
 
     def test_morphism_round_trip(self):
         md = documents.parse_morphism_document(duple_doc(3))
-        again = documents.parse_morphism_document(documents.serialize_morphism_data(md))
+        again = documents.parse_morphism_document(serialize_morphism_data(md))
         assert md == again
 
     def test_faces_are_closed_by_loader(self):
@@ -248,13 +274,7 @@ class TestExitCodes:
     def test_high_degree_forms_are_bounded(self, tmp_path, capsys, last_term, code, status):
         # unbounded, the chart check of these two binary forms of degree
         # 1,000 runs about 1,000 S-pairs with growing coefficients: seconds
-        coefficient, exponent = last_term
-        forms = [[("1", 1000), ("2", 582), ("1", 867), ("3", 821), ("3", exponent)],
-                 [("1", 1000), ("3", 667), ("1", 388), ("3", 807), (coefficient, exponent)]]
-        doc = {"schema_version": "1", "source": P1_DOC, "target": P1_DOC, "chi": [],
-               "polynomials": [[{"coefficient": c, "exponents": [e, 1000 - e]} for c, e in form]
-                               for form in forms]}
-        path = write(tmp_path, "m.json", doc)
+        path = write(tmp_path, "m.json", binary_forms_doc(last_term))
         assert os.path.getsize(path) < 1000
         start = time.perf_counter()
         with pytest.raises(SystemExit) as info:
@@ -281,14 +301,92 @@ class TestExitCodes:
         assert report["violations"][0]["witness"] == [[1, 2, 3, 4], [2, 3, 4, 5], 1]
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
+def package_env():
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
     probe = "import sys, toricdm.cli; print('jsonschema' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=package_env(), capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+CLI_ENTRY = "from toricdm.cli import main; main()"
+
+
+def run_process(argv, **options):
+    """``toricdm`` with ``argv`` as its own process: (exit code, stdout, stderr)."""
+    done = subprocess.run([sys.executable, "-c", CLI_ENTRY, *argv], env=package_env(),
+                          capture_output=True, text=True, timeout=60, **options)
+    return done.returncode, done.stdout, done.stderr
+
+
+def many_roots_doc(count):
+    """The projective line with ``count`` square roots: a report of about
+    30 bytes per root."""
+    return {"schema_version": "1", "lattice_rank": 1, "rays": [[-1], [1]],
+            "cones": [[0], [1]], "r": [2] * count, "b": [[0, 1]] * count}
+
+
+class TestProcess:
+    """``main`` ends its process with ``os._exit``: the report, the exit code
+    and the usage text still arrive whole."""
+
+    def test_large_report_arrives_whole(self, tmp_path):
+        argv = ["--json", "pic", write(tmp_path, "many.json", many_roots_doc(5000))]
+        code, out, err = run_process(argv)
+        assert code == 0 and err == ""
+        assert len(out) > 64 * 1024
+        assert out == json.dumps(cli.run(argv)[1], indent=2) + "\n"
+
+    def test_exit_codes(self, tmp_path):
+        unknown = binary_forms_doc(("-3", 0))
+        cases = [
+            (0, ["validate", write(tmp_path, "ok.json", WPS_ROOT)]),
+            (1, ["validate", write(tmp_path, "bad.json", dict(WPS_ROOT, r=[0]))]),
+            (2, ["classify", write(tmp_path, "k1.json", p1_root_doc(1)),
+                 write(tmp_path, "k0.json", p1_root_doc(0))]),
+            (3, ["morphism", "check", write(tmp_path, "unknown.json", unknown)]),
+        ]
+        for expected, argv in cases:
+            for flags in (["--json"], []):
+                code, out, err = run_process(flags + argv)
+                assert (code, err) == (expected, "")
+                report = cli.run(argv)[1]
+                text = json.dumps(report, indent=2) if flags else cli._render_text(report)
+                assert out == text + "\n"
+
+    def test_help(self):
+        code, out, err = run_process(["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: toricdm")
+
+    def test_unknown_subcommand(self):
+        code, out, err = run_process(["--json", "frobnicate", "x.json"])
+        assert (code, out) == (1, "")
+        assert "usage: toricdm" in err and "invalid choice: 'frobnicate'" in err
+        assert "Traceback" not in err
+
+    def test_no_stdout(self, tmp_path):
+        # started with descriptor 1 closed, the interpreter has no sys.stdout
+        argv = ["--json", "validate", write(tmp_path, "ok.json", WPS_ROOT)]
+        assert run_process(argv, preexec_fn=lambda: os.close(1)) == (0, "", "")
+
+    def test_closed_stdout_exits_one_quietly(self, tmp_path):
+        # a reader that takes 10 bytes of a 150 KB report and closes the pipe
+        path = write(tmp_path, "many.json", many_roots_doc(5000))
+        with subprocess.Popen([sys.executable, "-c", CLI_ENTRY, "--json", "pic", path],
+                              env=package_env(), stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{\n  "schem'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert code == 1
+        assert err == b""
 
 
 class TestCommands:
@@ -418,6 +516,43 @@ class TestCommands:
         code, report = run_checked(["classify", base, *others])
         assert code == 2
         assert [r["isomorphic"] for r in report["results"]] == [True, True, False]
+
+    def test_classify_split_pair(self, tmp_path):
+        # the sixth root of a line bundle is the fibre product of its square
+        # and cube roots: (6; beta) and (2, 3; beta, beta) are isomorphic
+        six = dict(P1_DOC, r=[6], b=[[1, 0]])
+        split = dict(P1_DOC, r=[2, 3], b=[[1, 0], [1, 0]])
+        code, report = run_checked(["--verify", "classify", write(tmp_path, "six.json", six),
+                                    write(tmp_path, "split.json", split)])
+        assert code == 0
+        assert report["results"][0] == {"chains": [[6], [6]], "isomorphic": True,
+                                        "divisibility": [True], "oracle_agrees": [True]}
+
+    def test_integers_beyond_the_digit_limit_are_written(self, tmp_path):
+        # two coprime root orders of 4,001 digits: the chain factor, the
+        # group orders and the certificate have about 8,000 digits
+        big1, big2 = 10 ** 4000 + 1, 10 ** 4000 + 3
+        doc = dict(P1_DOC, r=[str(big1), str(big2)], b=[[1, 0], [0, 1]])
+        path = write(tmp_path, "huge.json", doc)
+        assert os.path.getsize(path) < 8200
+        code, report = run_checked(["canonicalize", path])
+        assert code == 0 and report["chain"] == [HUGE_PRODUCT]
+        code, report = run_checked(["stabilizer", path, "--cone", "0"])
+        assert code == 0 and report["stabilizer"]["order"] == HUGE_PRODUCT
+        code, report = run_checked(["build", path])
+        assert code == 0 and report["generic_stabilizer"] == [HUGE_PRODUCT]
+
+    def test_ratios_beyond_the_digit_limit_are_written(self, tmp_path):
+        # the tuples differ by the factor (10^4000 + 1)(10^4000 + 3)
+        def doc(coefficient):
+            return {"schema_version": "1", "source": P1_DOC, "target": P1_DOC, "chi": [],
+                    "polynomials": [[{"coefficient": coefficient, "exponents": [1, 0]}],
+                                    [{"coefficient": coefficient, "exponents": [0, 1]}]]}
+        first = write(tmp_path, "m1.json", doc("1/" + str(10 ** 4000 + 3)))
+        second = write(tmp_path, "m2.json", doc(str(10 ** 4000 + 1)))
+        code, report = run_checked(["morphism", "iso", first, second])
+        assert code == 0
+        assert report["iso"]["ratios"] == [HUGE_PRODUCT] * 2
 
     def test_canonicalize(self, tmp_path):
         doc = {"schema_version": "1", "lattice_rank": 1,

@@ -3,15 +3,14 @@ import pytest
 from toricdm import (FgAbelianGroup, IntegerMatrix, MismatchedUnderlyingDataError,
                      NotInChainFormError, StackyData, canonicalize, gerbe_class,
                      generic_stabilizer, invariant_factor_chain,
-                     is_isomorphic_banded, picard_group, rigidify,
-                     solve_linear)
+                     is_isomorphic_banded, picard_group, rigidify)
 from toricdm.gerbes import twist_divisibility
-from toricdm.oracle import (oracle_divisibility, oracle_element_order_census,
-                            oracle_is_group_isomorphism)
+from toricdm.oracle import (oracle_banded_isomorphic, oracle_divisibility,
+                            oracle_element_order_census, oracle_is_group_isomorphism)
 
 from conftest import (affine_fan, line_fan, make_fan, p1_root_data, product_fan,
                       projective_fan, projective_line_fan, projective_plane_fan,
-                      weighted_line_root_data)
+                      solve_linear, weighted_line_root_data)
 
 # P^2 modulo Z/3: Pic is Z + Z/3
 P2_MOD_3 = make_fan(2, [(2, -1), (-1, 2), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
@@ -252,3 +251,96 @@ class TestCanonicalize:
             again, _ = canonicalize(canonical)
             assert again.r == canonical.r
             assert is_isomorphic_banded(again, canonical)
+
+
+def random_twists(rng, rows, fan, spread=9):
+    return IntegerMatrix.from_rows(
+        [[rng.randint(-spread, spread) for _ in fan.rays] for _ in range(rows)], len(fan.rays))
+
+
+def banded_verdict(data1, data2):
+    """The main path's verdict on two data sets in any root-order form."""
+    return is_isomorphic_banded(canonicalize(data1)[0], canonicalize(data2)[0])
+
+
+class TestBandIdentification:
+    COPRIME = [(2, 3), (3, 2), (4, 3), (2, 5), (5, 3), (4, 9), (3, 1)]
+
+    def test_fibre_product_law(self, rng):
+        # the mn-th root of a line bundle is the fibre product of its m-th and
+        # n-th roots, with bands matched by the Chinese-remainder map
+        for fan in CLASS_FANS:
+            for m, n in self.COPRIME:
+                beta = random_twists(rng, 1, fan).row(0)
+                whole = StackyData(fan, (m * n,), IntegerMatrix.from_rows([beta]))
+                parts = StackyData(fan, (m, n), IntegerMatrix.from_rows([beta, beta]))
+                assert banded_verdict(whole, parts)
+                assert oracle_banded_isomorphic(whole, parts)
+
+    def test_fibre_product_law_detects_a_changed_part(self):
+        # (6; beta) against (2, 3; beta + e_0, beta) on P^1: the square root
+        # part moves by a class not divisible by 2
+        fan = projective_line_fan()
+        whole = StackyData(fan, (6,), IntegerMatrix.from_rows([[1, 0]]))
+        moved = StackyData(fan, (2, 3), IntegerMatrix.from_rows([[2, 0], [1, 0]]))
+        assert not banded_verdict(whole, moved)
+        assert not oracle_banded_isomorphic(whole, moved)
+
+    def test_data_is_isomorphic_to_its_canonical_form(self, rng):
+        for fan in CLASS_FANS:
+            for _ in range(8):
+                r = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 4)))
+                data = StackyData(fan, r, random_twists(rng, len(r), fan))
+                canonical, _ = canonicalize(data)
+                assert banded_verdict(data, canonical)
+                assert oracle_banded_isomorphic(data, canonical)
+
+    def test_main_path_agrees_with_the_prime_by_prime_oracle(self, rng):
+        fan = projective_line_fan()
+        verdicts = []
+        for _ in range(300):
+            r1 = tuple(rng.choice((1, 2, 3, 4, 6, 8, 9, 12)) for _ in range(rng.randint(1, 3)))
+            data1 = StackyData(fan, r1, random_twists(rng, len(r1), fan, 3))
+            if rng.random() < 0.5:  # the same roots in another order
+                order = rng.sample(range(len(r1)), len(r1))
+                data2 = StackyData(fan, [r1[i] for i in order],
+                                   IntegerMatrix.from_rows([data1.b.row(i) for i in order], 2))
+            else:
+                r2 = tuple(rng.choice((2, 3, 4, 6, 12)) for _ in range(rng.randint(1, 3)))
+                data2 = StackyData(fan, r2, random_twists(rng, len(r2), fan, 3))
+            verdicts.append(banded_verdict(data1, data2))
+            assert verdicts[-1] == oracle_banded_isomorphic(data1, data2)
+        assert 50 < sum(verdicts) < 250
+
+    def test_chain_inputs_keep_their_verdicts(self, rng):
+        for fan in (projective_line_fan(), projective_plane_fan(), P2_MOD_3):
+            for _ in range(30):
+                r = [rng.randint(1, 4)]
+                for _ in range(rng.randint(0, 2)):
+                    r.append(r[-1] * rng.randint(1, 3))
+                data1 = StackyData(fan, r, random_twists(rng, len(r), fan, 4))
+                data2 = StackyData(fan, r, random_twists(rng, len(r), fan, 4))
+                assert banded_verdict(data1, data2) == is_isomorphic_banded(data1, data2)
+                assert oracle_banded_isomorphic(data1, data2) == \
+                    is_isomorphic_banded(data1, data2)
+
+    def test_oracle_accepts_every_certificate(self, rng):
+        for fan in (projective_line_fan(), P2_MOD_3):
+            for _ in range(40):
+                r = tuple(rng.randint(1, 30) for _ in range(rng.randint(1, 3)))
+                data = StackyData(fan, r, random_twists(rng, len(r), fan))
+                canonical, certificate = canonicalize(data)
+                assert oracle_is_group_isomorphism(certificate, r, canonical.r)
+                for j, c in enumerate(canonical.r):
+                    assert all(0 <= x < c for x in certificate.row(j))
+
+    def test_huge_coprime_orders(self):
+        big1, big2 = 10 ** 4000 + 1, 10 ** 4000 + 3
+        data = StackyData(projective_line_fan(), (big1, big2),
+                          IntegerMatrix.from_rows([[1, 0], [0, 1]]))
+        canonical, certificate = canonicalize(data)
+        assert canonical.r == (big1 * big2,)
+        row = certificate.row(0)
+        assert row[0] % big1 == 1 and row[0] % big2 == 0
+        assert row[1] % big1 == 0 and row[1] % big2 == 1
+
