@@ -1,22 +1,27 @@
-"""Command-line interface.
+"""Command-line interface: ``toricdm [global options] SUBCOMMAND ARGS``.
 
-Subcommands mirror the library: ``validate``, ``build``, ``pic``,
-``stabilizer``, ``rigidify``, ``split``, ``classify``, ``canonicalize`` and
-``morphism``.  Reports go to stdout as text or, with ``--json``, as a JSON
-object that validates against the shipped report schema.  Exit codes: 0 for
-success or a true verdict, 1 for invalid input or invalid arguments, 2 for a
-false verdict, 3 for an unknown verdict.  Invalid arguments to a known
-subcommand also get that command's error report, with code ``usage``.
+The global options (``--json``, ``--verify``, ``--sample-budget N``, ``--seed
+S``) come before the subcommand; a long option may be shortened to a unique
+prefix and given its value as ``--name=value``.  Subcommands mirror the
+library: ``validate``, ``build``, ``pic``, ``stabilizer``, ``rigidify``,
+``split``, ``classify``, ``canonicalize`` and ``morphism``.  Reports go to
+stdout as text or, with ``--json``, as a JSON object that validates against
+the shipped report schema.  Exit codes: 0 for success or a true verdict, 1
+for invalid input or invalid arguments, 2 for a false verdict, 3 for an
+unknown verdict.  Invalid arguments get the usage on stderr; to a known
+subcommand they also get its error report, with code ``usage``, and to an
+unknown one none, as a report's ``command`` names one of the nine.
 :func:`main` ends the process once the report is written; :func:`run` is
 the in-process API.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 from . import documents
@@ -106,7 +111,7 @@ def _load_valid_morphism(path, inputs):
 # ---------------------------------------------------------------------------
 
 def _cmd_validate(args, inputs):
-    data = documents.parse_stacky_document(_read(args.path, inputs))
+    data = documents.parse_stacky_document(_read(args.paths[0], inputs))
     result = validate_data(data)
     code = EXIT_OK if result.valid else EXIT_INVALID
     return code, _report("validate", inputs, valid=result.valid,
@@ -114,7 +119,7 @@ def _cmd_validate(args, inputs):
 
 
 def _cmd_build(args, inputs):
-    data = _load_valid(args.path, inputs)
+    data = _load_valid(args.paths[0], inputs)
     b_matrix, q_matrix = build_matrices(data)
     bq = b_matrix.hstack(q_matrix)
     group = cokernel(bq.transpose())
@@ -167,7 +172,7 @@ def _verify_build(data):
 
 
 def _cmd_pic(args, inputs):
-    data = _load_valid(args.path, inputs)
+    data = _load_valid(args.paths[0], inputs)
     presentation = picard_group(rigidify(data))
     payload = {
         "picard": {
@@ -179,28 +184,17 @@ def _cmd_pic(args, inputs):
     return EXIT_OK, _report("pic", inputs, **payload)
 
 
-def _parse_cone(text):
-    text = text.strip()
-    if not text:
-        return frozenset()
-    try:
-        return frozenset(int(part) for part in text.split(","))
-    except ValueError:
-        raise DocumentError(f"bad cone argument {text!r}; expected i,j,k") from None
-
-
 def _cmd_stabilizer(args, inputs):
-    data = _load_valid(args.path, inputs)
-    cone = _parse_cone(args.cone)
-    group = point_stabilizer(data, cone)
+    data = _load_valid(args.paths[0], inputs)
+    group = point_stabilizer(data, args.cone)
     payload = {
-        "cone": sorted(cone),
+        "cone": sorted(args.cone),
         "stabilizer": {"invariant_factors": _group_payload(group),
                        "order": documents.encode_int(group.order())},
     }
     if args.verify:
         try:
-            oracle_order = oracle_stabilizer_order(data, cone)
+            oracle_order = oracle_stabilizer_order(data, args.cone)
             payload["verify"] = {"oracle_order": documents.encode_int(oracle_order),
                                  "agrees": oracle_order == group.order()}
         except TooLargeError as exc:
@@ -209,13 +203,13 @@ def _cmd_stabilizer(args, inputs):
 
 
 def _cmd_rigidify(args, inputs):
-    data = _load_valid(args.path, inputs)
+    data = _load_valid(args.paths[0], inputs)
     return EXIT_OK, _report("rigidify", inputs,
                             data=documents.serialize_stacky_data(rigidify(data)))
 
 
 def _cmd_split(args, inputs):
-    data = _load_valid(args.path, inputs)
+    data = _load_valid(args.paths[0], inputs)
     split_data, torus_factor = split_nonspanning(data)
     return EXIT_OK, _report(
         "split", inputs,
@@ -224,7 +218,7 @@ def _cmd_split(args, inputs):
 
 
 def _cmd_canonicalize(args, inputs):
-    data = _load_valid(args.path, inputs)
+    data = _load_valid(args.paths[0], inputs)
     canonical, certificate = canonicalize(data)
     return EXIT_OK, _report(
         "canonicalize", inputs,
@@ -337,87 +331,159 @@ def _render_text(report):
     return "\n".join(lines)
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "build": _cmd_build,
-    "pic": _cmd_pic,
-    "stabilizer": _cmd_stabilizer,
-    "rigidify": _cmd_rigidify,
-    "split": _cmd_split,
-    "classify": _cmd_classify,
-    "canonicalize": _cmd_canonicalize,
-    "morphism": _cmd_morphism,
-}
-
-
 class _UsageError(ToricError):
     code = "usage"
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Prints argparse's usage message and raises :class:`_UsageError` where
-    argparse would exit 2, the false-verdict code here."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageError(message)
-
-
 def _nonnegative_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="toricdm",
-        description="Exact computations with toric stack data given as JSON documents.")
-    parser.add_argument("--json", action="store_true", help="emit the report as JSON")
-    parser.add_argument("--sample-budget", type=_nonnegative_int, default=DEFAULT_SAMPLE_BUDGET,
-                        metavar="N", help="evaluation budget of the search for a rational witness")
-    parser.add_argument("--seed", type=int, default=0, metavar="S",
-                        help="seed of the search for a rational witness")
-    parser.add_argument("--verify", action="store_true",
-                        help="cross-check results with the brute-force verifiers")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name in ("validate", "build", "pic", "rigidify", "split", "canonicalize"):
-        p = sub.add_parser(name)
-        p.add_argument("path")
-    p = sub.add_parser("stabilizer")
-    p.add_argument("path")
-    p.add_argument("--cone", default="", metavar="i,j,k",
-                   help="ray indices of the cone (empty for the zero cone)")
-    p = sub.add_parser("classify")
-    p.add_argument("paths", nargs="+", metavar="PATH",
-                   help="two or more documents; the first is compared to the rest")
-    p = sub.add_parser("morphism")
-    p.add_argument("mode", choices=("check", "iso"))
-    p.add_argument("paths", nargs="+", metavar="PATH")
-    return parser
+def _cone(text):
+    return frozenset(int(part) for part in text.split(",")) if text.strip() else frozenset()
 
 
-def _execute(argv) -> tuple[argparse.Namespace, int, dict]:
+# The grammar, read by parsing, usage and help alike.  An option maps to
+# (destination, metavar or None for a flag, default, conversion, help).  A
+# subcommand maps to (handler, usage of its operands, the fewest and most
+# documents by mode, options); the mode None stands for no mode operand.
+_HELP = dict.fromkeys(("-h", "--help"), ("help", None, False, None, ""))
+_GLOBAL_OPTIONS = {
+    "--json": ("json", None, False, None, "emit the report as JSON"),
+    "--sample-budget": ("sample_budget", "N", DEFAULT_SAMPLE_BUDGET, _nonnegative_int,
+                        "evaluation budget of the search for a rational witness"),
+    "--seed": ("seed", "S", 0, int, "seed of the search for a rational witness"),
+    "--verify": ("verify", None, False, None, "cross-check results with the oracles")}
+_ONE = {None: (1, 1)}
+_COMMANDS = {
+    "validate": (_cmd_validate, "PATH", _ONE, {}),
+    "build": (_cmd_build, "PATH", _ONE, {}),
+    "pic": (_cmd_pic, "PATH", _ONE, {}),
+    "stabilizer": (_cmd_stabilizer, "PATH", _ONE, {
+        "--cone": ("cone", "i,j,k", "", _cone, "ray indices of the cone (none: the zero cone)")}),
+    "rigidify": (_cmd_rigidify, "PATH", _ONE, {}),
+    "split": (_cmd_split, "PATH", _ONE, {}),
+    "classify": (_cmd_classify, "PATH PATH [PATH ...]", {None: (2, sys.maxsize)}, {}),
+    "canonicalize": (_cmd_canonicalize, "PATH", _ONE, {}),
+    "morphism": (_cmd_morphism, "{check PATH | iso PATH PATH}",
+                 {"check": (1, 1), "iso": (2, 2)}, {})}
+
+
+def _usage(command, full=False):
+    """The usage line of ``command``, None for the program, and with ``full``
+    a line for each option."""
+    _, operands, _, options = _COMMANDS[command] if command else (
+        0, "{%s} ..." % ",".join(_COMMANDS), 0, _GLOBAL_OPTIONS)
+    named = {f"{name} {spec[1] or ''}".strip(): spec[4] for name, spec in options.items()}
+    return "\n".join([f"usage: toricdm{' ' + command if command else ''} [-h]"
+                      + "".join(f" [{name}]" for name in named) + f" {operands}"]
+                     + [f"  {name:<18} {text}" for name, text in named.items() if full])
+
+
+def _fail(command, message) -> NoReturn:
+    sys.stderr.write(f"{_usage(command)}\ntoricdm: error: {message}\n")
+    raise _UsageError(message)
+
+
+def _option(arg, options, command):
+    """How argparse read ``arg`` among ``options``, none of which begins another:
+    None for an operand, else (the option, None if unknown, the value given)."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    if eq and name in options:
+        return name, value
+    found = ([(o, value if eq else None) for o in options if o.startswith(name)]
+             if arg[1] == "-" else [(o, arg[2:] or None) for o in options if o == arg[:2]])
+    if len(found) > 1:
+        _fail(command, f"ambiguous option: {arg} could match {', '.join(o for o, _ in found)}")
+    if found:
+        return found[0]
+    return None if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def _walk(argv, options, choices, args, command):
+    """Read one level of ``argv`` as argparse did: set its options and their
+    defaults on ``args``; return the first run of operands, which begins with
+    one of ``choices`` unless that is None, and the arguments not recognized.
+    Options are read up to the first "--".  The run takes the rest at the top
+    level (no ``command``), else it ends at the next option, without that "--"."""
+    vars(args).update({spec[0]: spec[2] for spec in options.values()})
+    options = {**_HELP, **options}
+    cut = argv.index("--") if "--" in argv else len(argv)
+    read = [_option(arg, options, command) for arg in argv[:cut]] + [None] * (len(argv) - cut)
+    run, extras, i = None, [], 0
+    while i < len(argv):
+        if not read[i]:
+            end = len(argv) if not command else next(
+                (j for j in range(i, len(argv)) if read[j]), len(argv))
+            if run is not None:
+                extras += argv[i:end]
+            else:
+                run = [arg for j, arg in enumerate(argv[i:end], i) if j != cut or not command]
+                if choices and run and run[0] not in choices:
+                    _fail(command, f"invalid choice: {run[0]!r} "
+                                   f"(choose from {', '.join(choices)})")
+            i = end
+            continue
+        (name, value), i = read[i], i + 1
+        if name is None:
+            extras.append(argv[i - 1])
+            continue
+        dest, metavar, _, convert, _ = options[name]
+        if metavar is None and value is not None and (name != "-h" or value.strip("h")
+                                                      or not value):  # "-hh" is help
+            _fail(command, f"argument {name}: ignored explicit argument {value!r}")
+        if dest == "help":
+            print(_usage(command, full=True))
+            raise SystemExit(0)
+        if value is None and metavar is not None:
+            if i == cut or read[i]:
+                _fail(command, f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        try:  # a subcommand's option is converted once its last value is known
+            setattr(args, dest, True if metavar is None else value if command else convert(value))
+        except ValueError:
+            _fail(command, f"argument {name}: invalid value {value!r}")
+    return run or [], extras
+
+
+def _parse(argv, args):
+    """Fill ``args`` from ``argv`` as argparse did, then check the document count
+    and ``--cone``; set ``args.command`` once the subcommand is known.  Raise
+    :class:`_UsageError` with the usage on stderr, or SystemExit(0) after help."""
+    args.command = args.mode = None
+    rest, extras = _walk(argv, _GLOBAL_OPTIONS, _COMMANDS, args, None)
+    if not rest:
+        _fail(None, "the following arguments are required: command")
+    args.command = command = rest[0]
+    _, _, counts, options = _COMMANDS[command]
+    args.paths, more = _walk(rest[1:], options, None if None in counts else counts, args, command)
+    if None not in counts:
+        args.mode = args.paths.pop(0) if args.paths else _fail(
+            command, f"expected one of {', '.join(counts)}")
+    fewest, most = counts[args.mode]
+    if not fewest <= len(args.paths) <= most:
+        _fail(command, f"expected {fewest}{' or more' if most > fewest else ''} documents")
+    for name, (dest, _, _, convert, _) in options.items():
+        try:
+            setattr(args, dest, convert(getattr(args, dest)))
+        except ValueError:
+            _fail(command, f"argument {name}: invalid value {getattr(args, dest)!r}")
+    if extras + more:
+        _fail(None, f"unrecognized arguments: {' '.join(extras + more)}")
+
+
+def _execute(argv) -> tuple[SimpleNamespace, int, dict]:
     """Parse the arguments and run the command: (arguments, exit code,
     report).  A usage error exits 1 with no report unless the subcommand is
-    known: argparse names it before it parses the subcommand's arguments."""
-    args = argparse.Namespace()
-    inputs = []
+    known."""
+    args, inputs = SimpleNamespace(), []
     try:
-        build_parser().parse_args(argv, args)
-        if args.command == "classify" and len(args.paths) < 2:
-            raise DocumentError("classify needs at least two documents")
-        if args.command == "morphism":
-            expected = 1 if args.mode == "check" else 2
-            if len(args.paths) != expected:
-                raise DocumentError(f"morphism {args.mode} needs exactly {expected} document(s)")
-        return (args, *_HANDLERS[args.command](args, inputs))
+        _parse(sys.argv[1:] if argv is None else list(argv), args)
+        return (args, *_COMMANDS[args.command][0](args, inputs))
     except ToricError as exc:
         if args.command is None:
             sys.exit(EXIT_INVALID)
@@ -441,7 +507,7 @@ def main(argv=None) -> NoReturn:
     """
     try:
         args, code, report = _execute(argv)
-    except SystemExit as exc:  # argparse's --help, or a usage error of no known command
+    except SystemExit as exc:  # help, or a usage error of no known command
         _flush_and_exit(exc.code)
     _flush_and_exit(code, json.dumps(report, indent=2) if args.json else _render_text(report))
 

@@ -3,6 +3,7 @@ plus the JSON-schema oracle for documents and reports."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, documents,
                      fans, lattice, morphisms, smith_normal_form)
+from toricdm.morphisms import DEFAULT_SAMPLE_BUDGET
 
 
 @lru_cache(maxsize=None)
@@ -226,3 +228,92 @@ def snf_calls(monkeypatch):
     calls = []
     spy(monkeypatch, lattice.smith_normal_form, lambda a: calls.append((a.rows, a.cols)))
     return calls
+
+
+# ---------------------------------------------------------------------------
+# The argparse parser the command line had before its grammar became a table:
+# the reference of the differential test of ``cli._parse``, which follows how
+# argparse read arguments on Python 3.11
+# ---------------------------------------------------------------------------
+
+class ReferenceUsageError(Exception):
+    """Raised where the reference parser rejects its arguments."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises :class:`ReferenceUsageError` where argparse would exit 2."""
+
+    def error(self, message):
+        raise ReferenceUsageError(message)
+
+    def print_help(self, file=None):
+        pass  # help is recorded by its SystemExit(0); the text is the CLI's own
+
+
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
+def build_reference_parser() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(
+        prog="toricdm",
+        description="Exact computations with toric stack data given as JSON documents.")
+    parser.add_argument("--json", action="store_true", help="emit the report as JSON")
+    parser.add_argument("--sample-budget", type=_nonnegative_int, default=DEFAULT_SAMPLE_BUDGET,
+                        metavar="N", help="evaluation budget of the search for a rational witness")
+    parser.add_argument("--seed", type=int, default=0, metavar="S",
+                        help="seed of the search for a rational witness")
+    parser.add_argument("--verify", action="store_true",
+                        help="cross-check results with the brute-force verifiers")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    for name in ("validate", "build", "pic", "rigidify", "split", "canonicalize"):
+        p = sub.add_parser(name)
+        p.add_argument("path")
+    p = sub.add_parser("stabilizer")
+    p.add_argument("path")
+    p.add_argument("--cone", default="", metavar="i,j,k",
+                   help="ray indices of the cone (empty for the zero cone)")
+    p = sub.add_parser("classify")
+    p.add_argument("paths", nargs="+", metavar="PATH",
+                   help="two or more documents; the first is compared to the rest")
+    p = sub.add_parser("morphism")
+    p.add_argument("mode", choices=("check", "iso"))
+    p.add_argument("paths", nargs="+", metavar="PATH")
+    return parser
+
+
+def reference_parse(argv):
+    """The reading of ``argv`` by the reference parser followed by the checks
+    its command handlers made of the document counts and of ``--cone``:
+    ("help", None), ("usage", the command named or None), or ("ok", the
+    values as a dict, one document given as a one-element ``paths`` and the
+    cone as a set of ray indices)."""
+    args = argparse.Namespace()
+    try:
+        build_reference_parser().parse_args(argv, args)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help", None
+    except ReferenceUsageError:
+        return "usage", args.command
+    if args.command == "classify" and len(args.paths) < 2:
+        return "usage", args.command
+    if args.command == "morphism" and len(args.paths) != (1 if args.mode == "check" else 2):
+        return "usage", args.command
+    values = vars(args)
+    if "path" in values:
+        values["paths"] = [values.pop("path")]
+    if "cone" in values:
+        text = values["cone"].strip()
+        try:
+            values["cone"] = frozenset(int(part) for part in text.split(",")) if text else frozenset()
+        except ValueError:
+            return "usage", args.command
+    return "ok", values

@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdm import cli, documents, lattice, morphisms
 from toricdm.errors import DocumentError
 
-from conftest import (EXPLODING_CONES, EXPLODING_RAYS, schema_errors,
+from conftest import (EXPLODING_CONES, EXPLODING_RAYS, reference_parse, schema_errors,
                       serialize_morphism_data, spy)
 
 WPS_ROOT = {
@@ -189,7 +194,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, command", [
         (["stabilizer"], "stabilizer"), (["build", "@doc", "--cone"], "build"),
-        (["morphism", "check"], "morphism"), (["classify"], "classify")])
+        (["morphism", "check"], "morphism"), (["classify"], "classify"),
+        (["classify", "@doc"], "classify"), (["morphism", "check", "@doc", "@doc"], "morphism"),
+        (["morphism", "iso", "@doc"], "morphism"), (["stabilizer", "@doc", "--cone", "x"],
+                                                     "stabilizer")])
     def test_usage_error_of_a_known_command_is_reported(self, tmp_path, capsys, argv, command):
         path = write(tmp_path, "a.json", P1_DOC)
         argv = [path if arg == "@doc" else arg for arg in argv]
@@ -331,6 +339,11 @@ def many_roots_doc(count):
             "cones": [[0], [1]], "r": [2] * count, "b": [[0, 1]] * count}
 
 
+SUBCOMMANDS = ("validate", "build", "pic", "stabilizer", "rigidify", "split", "classify",
+               "canonicalize", "morphism")
+GLOBAL_OPTIONS = ("--json", "--verify", "--sample-budget", "--seed")
+
+
 class TestProcess:
     """``main`` ends its process with ``os._exit``: the report, the exit code
     and the usage text still arrive whole."""
@@ -360,9 +373,12 @@ class TestProcess:
                 assert out == text + "\n"
 
     def test_help(self):
-        code, out, err = run_process(["--help"])
-        assert (code, err) == (0, "")
-        assert out.startswith("usage: toricdm")
+        for argv in (["--help"], ["-h"], *([name, "-h"] for name in SUBCOMMANDS)):
+            code, out, err = run_process(argv)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: toricdm")
+            if len(argv) == 1:
+                assert all(name in out for name in SUBCOMMANDS + GLOBAL_OPTIONS)
 
     def test_unknown_subcommand(self):
         code, out, err = run_process(["--json", "frobnicate", "x.json"])
@@ -684,3 +700,97 @@ class TestCommands:
         assert info.value.code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "validate"
+
+
+# ---------------------------------------------------------------------------
+# The command line read against the argparse parser it replaced
+# ---------------------------------------------------------------------------
+
+def unique_prefixes(option):
+    """``option`` and each shorter prefix of it that names no other global option."""
+    names = GLOBAL_OPTIONS + ("--help",)
+    return [option[:n] for n in range(3, len(option) + 1)
+            if sum(name.startswith(option[:n]) for name in names) == 1]
+
+
+PREFIXES = [prefix for option in GLOBAL_OPTIONS for prefix in unique_prefixes(option)]
+INTEGERS = st.one_of(st.integers().map(str), st.sampled_from(["7" * 5000, "-" + "7" * 5000]))
+VALUES = st.one_of(INTEGERS, st.sampled_from(["", "x", "0,1"]))
+GLOBALS = st.one_of(st.sampled_from(PREFIXES), INTEGERS,
+                    st.builds("{}={}".format, st.sampled_from(PREFIXES), VALUES))
+ARGUMENTS = st.one_of(GLOBALS, st.builds("--cone={}".format, VALUES), st.sampled_from(
+    list(SUBCOMMANDS) + ["frobnicate", "check", "iso", "--cone", "--", "@p1", "@morphism",
+                         "@missing", "0,1", "x", "-h", "--help"]))
+OPERANDS = st.one_of(st.sampled_from(["@p1", "@morphism", "check", "iso", "--cone", "0,1"]),
+                     ARGUMENTS)
+# a flag, or an option and its value as one argument or as two
+SETTINGS = st.builds(lambda option, value, joined: [option] if option[2] != "s" else
+                     [f"{option}={value}"] if joined else [option, value],
+                     st.sampled_from(PREFIXES), st.one_of(st.integers(0, 99).map(str), VALUES),
+                     st.booleans())
+# arbitrary lists, and lists of the shape of a command: global options, then
+# a subcommand and mostly its operands
+ARGVS = st.one_of(st.lists(ARGUMENTS, max_size=8), st.builds(
+    lambda head, name, tail: sum(head, []) + [name] + tail, st.lists(SETTINGS, max_size=3),
+    st.sampled_from(SUBCOMMANDS), st.lists(OPERANDS, max_size=4)))
+
+
+def parsed(argv):
+    """The reading of ``argv`` by ``cli._parse``, in the form of
+    ``conftest.reference_parse``."""
+    args = SimpleNamespace()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli._parse(argv, args)
+    except SystemExit as exc:
+        assert exc.code == 0
+        return "help", None
+    except cli._UsageError:
+        return "usage", args.command
+    values = vars(args)
+    if values["mode"] is None:
+        del values["mode"]
+    return "ok", values
+
+
+@pytest.fixture(scope="module")
+def argument_documents(tmp_path_factory):
+    """Paths for the documents the drawn arguments name."""
+    folder = tmp_path_factory.mktemp("arguments")
+    return {"@p1": write(folder, "p1.json", P1_DOC),
+            "@morphism": write(folder, "morphism.json", duple_doc(1)),
+            "@missing": str(folder / "missing.json")}
+
+
+class TestArgumentGrammar:
+    @settings(max_examples=1000, deadline=None)
+    @given(ARGVS)
+    def test_parse_agrees_with_argparse(self, argv):
+        assert parsed(argv) == reference_parse(argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ARGVS)
+    def test_any_arguments_get_an_exit_code_and_a_valid_report(self, argument_documents, argv):
+        argv = [argument_documents.get(arg, arg) for arg in argv]
+        outcome, values = parsed(argv)
+        command = values["command"] if outcome == "ok" else values
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code, report = cli.run(argv)
+            except SystemExit as exc:
+                code, report = exc.code, None
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+        assert info.value.code == code and code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        printed = out.getvalue()
+        if report is None:
+            assert (outcome, code) in (("help", 0), ("usage", 1)) and command is None
+            assert printed.count("usage: toricdm") == (2 if outcome == "help" else 0)
+        else:
+            assert schema_errors(report, "report.schema.json") == []
+            assert report["command"] == command
+            assert printed in (json.dumps(report, indent=2) + "\n",
+                               cli._render_text(report) + "\n")
+            assert (outcome == "usage") == (report.get("error", {}).get("code") == "usage")

@@ -128,4 +128,4 @@ def test_validate_run_leaves_fractions_unloaded(tmp_path):
     code = "import sys, toricdm.cli as c\nassert c.run(['validate', sys.argv[1]])[0] == 0"
     loaded = _modules_after(code, str(path))
     assert "toricdm.fans" in loaded
-    assert {"hashlib", "fractions"} & loaded == set()
+    assert {"hashlib", "fractions", "argparse", "gettext", "locale"} & loaded == set()
