@@ -19,7 +19,7 @@ from .fans import (SimplicialFan, ZeroPattern, close_under_faces, is_admissible_
 from .gerbes import (PicardPresentation, PicClass, canonicalize, gerbe_class,
                      is_isomorphic_banded, picard_group)
 from .lattice import (FgAbelianGroup, IntegerMatrix, SnfDecomposition,
-                      cokernel, cokernel_with_projection, invariant_factor_chain,
+                      cokernel, cokernel_with_projection, cyclic_chain,
                       smith_normal_form)
 from .morphisms import (ConditionBVerdict, MorphismData, SparsePolynomial,
                         TwoIsoVerdict, check_condition_a, check_condition_b,

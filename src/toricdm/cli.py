@@ -28,11 +28,10 @@ from . import documents
 from .errors import (DocumentError, TooLargeError, ToricError)
 from .fans import maximal_cones, rays_span
 from .gerbes import canonicalize, picard_group, twist_divisibility
-from .lattice import cokernel
 from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
                         check_condition_b, check_two_isomorphic)
 from .oracle import oracle_divisibility, oracle_stabilizer_order
-from .stacky import (build_matrices, dm_torus, point_stabilizer, rigidify,
+from .stacky import (build_matrices, dm_torus, point_stabilizer, quotient_group, rigidify,
                      split_nonspanning, stacky_fan, validate_data)
 
 EXIT_OK = 0
@@ -120,24 +119,24 @@ def _cmd_validate(args, inputs):
 
 def _cmd_build(args, inputs):
     data = _load_valid(args.paths[0], inputs)
+    canonical, _ = canonicalize(data)
     b_matrix, q_matrix = build_matrices(data)
     bq = b_matrix.hstack(q_matrix)
-    group = cokernel(bq.transpose())
-    dim, band = dm_torus(data)
+    group = quotient_group(canonical)
+    dim, band = dm_torus(canonical)
     payload = {
         "matrices": {"b": documents.encode_grid(b_matrix),
                      "q": documents.encode_grid(q_matrix),
                      "bq": documents.encode_grid(bq)},
-        "quotient_group": {"torus_rank": documents.encode_int(group.free_rank),
-                           "invariant_factors": _group_payload(group)},
+        "quotient_group": {"torus_rank": documents.encode_int(group.torus_rank),
+                           "invariant_factors": _group_payload(group.finite_part)},
         "generic_stabilizer": _group_payload(band),
         "dm_torus": {"dimension": documents.encode_int(dim),
                      "band": _group_payload(band)},
     }
-    spans, _ = rays_span(data.fan)
-    payload["rays_span"] = spans
+    payload["rays_span"] = spans = rays_span(data.fan)
     if spans:
-        sf = stacky_fan(data)
+        sf = stacky_fan(canonical)
         payload["stacky_fan"] = {
             "extended_group": {
                 "free_rank": documents.encode_int(sf.extended_group.free_rank),
@@ -149,16 +148,17 @@ def _cmd_build(args, inputs):
         payload["split"] = {"torus_factor_rank": documents.encode_int(torus_factor),
                             "data": documents.serialize_stacky_data(split_data)}
     if args.verify:
-        payload["verify"] = _verify_build(data)
+        payload["verify"] = _verify_build(data, canonical)
     return EXIT_OK, _report("build", inputs, **payload)
 
 
-def _verify_build(data):
+def _verify_build(data, canonical):
+    # the oracle reads the document's own presentation, independent of canonicalize
     checks = []
     for cone in maximal_cones(data.fan):
         if len(cone) != data.lattice_rank:
             continue
-        main_order = point_stabilizer(data, cone).order()
+        main_order = point_stabilizer(canonical, cone).order()
         try:
             oracle_order = oracle_stabilizer_order(data, cone)
         except TooLargeError:
@@ -186,7 +186,7 @@ def _cmd_pic(args, inputs):
 
 def _cmd_stabilizer(args, inputs):
     data = _load_valid(args.paths[0], inputs)
-    group = point_stabilizer(data, args.cone)
+    group = point_stabilizer(canonicalize(data)[0], args.cone)
     payload = {
         "cone": sorted(args.cone),
         "stabilizer": {"invariant_factors": _group_payload(group),

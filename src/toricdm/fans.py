@@ -359,16 +359,10 @@ def is_complete(fan: SimplicialFan) -> bool:
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
-def rays_span(fan: SimplicialFan) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Whether the rays span the whole lattice rationally, plus a basis of the
-    saturated sublattice they do span.
-
-    The basis consists of the first ``rank`` columns of the left Smith
-    transform of the ray matrix.
-    """
-    snf = smith_normal_form(fan.ray_matrix())
-    basis = tuple(snf.u.column(j) for j in range(snf.rank))
-    return snf.rank == fan.lattice_rank, basis
+def rays_span(fan: SimplicialFan) -> bool:
+    """Do the rays span the whole lattice rationally?  Only the rank of the
+    Smith diagonal of the ray matrix is read, so no transform is built."""
+    return smith_normal_form(fan.ray_matrix()).rank == fan.lattice_rank
 
 
 def is_admissible_zero_pattern(fan: SimplicialFan, pattern: Iterable[int]) -> bool:

@@ -4,16 +4,16 @@ The Picard group of a rigid datum is presented as the dual ray lattice modulo
 the image of the character lattice (the column span of the transposed ray
 matrix).  Divisor classes, the twist classes attached to the root data, the
 divisor-chain canonical form and the banded-isomorphism decision all live
-here.
+here; the canonical form is the chain of :func:`lattice.cyclic_chain` with
+the twists pushed through its isomorphism.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
 from typing import Callable, Sequence
 
 from .errors import MismatchedUnderlyingDataError, NotInChainFormError, Value
-from .lattice import FgAbelianGroup, IntegerMatrix, cokernel_with_projection
+from .lattice import FgAbelianGroup, IntegerMatrix, cokernel_with_projection, cyclic_chain
 from .stacky import StackyData, rigidify
 
 
@@ -155,79 +155,9 @@ def is_isomorphic_banded(data1: StackyData, data2: StackyData) -> bool:
     return rows is not None and all(divisible for _, divisible in rows)
 
 
-def _split_power(x: int, q: int) -> tuple[int, int]:
-    """(e, x / q^e) for the largest e with q^e dividing x (q >= 2), by
-    repeated squaring of q, so a high power costs few divisions."""
-    if x % q:
-        return 0, x
-    e, rest = _split_power(x // q, q * q)
-    if rest % q:
-        return 2 * e + 1, rest
-    return 2 * e + 2, rest // q
-
-
-def _coprime_base(numbers: Sequence[int]) -> list[int]:
-    """Pairwise coprime integers >= 2 of which each of ``numbers`` (all >= 1)
-    is a product of powers: factor refinement by gcds, no factoring (Bach,
-    Driscoll and Shallit, "Factor refinement", J. Algorithms 15, 1993).
-    Splitting q and x at g = gcd(q, x) > 1 into q/g, g and x with every
-    factor g removed keeps each number a product of powers of the parts and
-    shrinks the product of all parts."""
-    base: list[int] = []
-    pending = [x for x in numbers if x >= 2]
-    while pending:
-        x = pending.pop()
-        for k, q in enumerate(base):
-            g = gcd(q, x)
-            if g > 1:
-                base[k] = base[-1]
-                base.pop()
-                pending += [y for y in (q // g, g, _split_power(x, g)[1]) if y >= 2]
-                break
-        else:
-            base.append(x)
-    return base
-
-
 def canonicalize(data: StackyData) -> tuple[StackyData, IntegerMatrix]:
-    """Rewrite the root data in divisor-chain form.
-
-    The chain comes from the primary decomposition.  Over a coprime base of
-    the root orders, each Z/r_i splits into its q-parts Z/q^e by the
-    Chinese-remainder (CRT) map.  For each base element q the parts are
-    ordered by exponent, a stable sort by root index, and the j-th parts of
-    all base elements are glued by CRT into the j-th chain factor c_j, so
-    the choice depends on ``r`` alone.  This is the band identification of
-    the fibre product: Z/m + Z/n with m and n coprime becomes Z/mn through
-    (a, b) -> a e_m + b e_n, where e_m and e_n are the CRT idempotents.
-
-    The certificate is the matrix of that isomorphism from the sum of Z/r_i
-    onto the sum of the chain factors, with row j reduced into [0, c_j), and
-    the b rows are pushed forward through it.  Factors equal to 1 are
-    dropped.  Data already in chain form comes back unchanged with an
-    identity certificate.
-    """
-    r = data.r
-    if any(x < 1 for x in r):
-        raise ValueError("root orders must be positive")
-    big_r = len(r)
-    if big_r == 0:
-        return data, IntegerMatrix.identity(0)
-    # parts[j]: (root index, its q-part q^e) for the parts glued into factor j
-    parts: list[list[tuple[int, int]]] = [[] for _ in r]
-    for q in _coprime_base(r):
-        exponents = [_split_power(x, q)[0] for x in r]
-        for j, i in enumerate(sorted(range(big_r), key=exponents.__getitem__)):
-            if exponents[i]:
-                parts[j].append((i, q ** exponents[i]))
-    chain, rows = [], []
-    for glued in filter(None, parts):
-        c = prod(m for _, m in glued)
-        row = [0] * big_r
-        for i, m in glued:
-            rest = c // m
-            row[i] = (row[i] + rest * pow(rest, -1, m)) % c
-        chain.append(c)
-        rows.append(row)
-    certificate = IntegerMatrix.from_rows(rows, big_r)
-    return StackyData(fan=data.fan, r=tuple(chain), b=certificate @ data.b), certificate
+    """The divisor-chain form ``(c; C b)`` of ``(r; b)``, the same stack, and
+    the certificate ``C``: the chain and isomorphism of :func:`lattice.cyclic_chain`,
+    the band identification of the fibre product of roots."""
+    chain, certificate = cyclic_chain(data.r)
+    return StackyData(fan=data.fan, r=chain, b=certificate @ data.b), certificate

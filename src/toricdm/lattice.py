@@ -2,16 +2,17 @@
 
 Smith normal form with unimodular transforms and their inverses (the one
 normal-form engine), cokernels of integer matrices presented as finitely
-generated abelian groups with normalized coordinates, and integer linear
-system solving.  Everything runs on Python's arbitrary-precision integers;
-no floating point is used anywhere.  All public values are immutable and
-safe to share between threads: a Smith form builds each transform on first
-read, and a concurrent first read builds the same value.
+generated abelian groups with normalized coordinates, and the divisor chain
+of a sum of cyclic groups with an isomorphism onto it (the one chain
+algorithm, by gcds).  Everything runs on Python's arbitrary-precision
+integers; no floating point is used anywhere.  All public values are
+immutable and safe to share between threads: a Smith form builds each
+transform on first read, and a concurrent first read builds the same value.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import Value
@@ -419,20 +420,67 @@ def cokernel_with_projection(relations: IntegerMatrix
     return group, project
 
 
-def invariant_factor_chain(orders: Sequence[int]) -> tuple[int, ...]:
-    """Invariant factors of the direct sum of cyclic groups Z/r_i.
+def _split_power(x: int, q: int) -> tuple[int, int]:
+    """(e, x / q^e) for the largest e with q^e dividing x (q >= 2), by
+    repeated squaring of q, so a high power costs few divisions."""
+    if x % q:
+        return 0, x
+    e, rest = _split_power(x // q, q * q)
+    if rest % q:
+        return 2 * e + 1, rest
+    return 2 * e + 2, rest // q
 
-    Accepts any list of integers >= 1; factors equal to 1 are dropped and the
-    result satisfies the divisor-chain condition.  Rewrites each pair with
-    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after pairing position i with
-    every later one, it divides all of them, so the list ends up a chain.
+
+def _coprime_base(numbers: Sequence[int]) -> list[int]:
+    """Pairwise coprime integers >= 2 of which each of ``numbers`` (all >= 1)
+    is a product of powers: factor refinement by gcds, no factoring (Bach,
+    Driscoll and Shallit, "Factor refinement", J. Algorithms 15, 1993).
+    Splitting q and x at g = gcd(q, x) > 1 into q/g, g and x with every
+    factor g removed keeps each number a product of powers of the parts and
+    shrinks their product; one coprime to the whole base joins it in one gcd."""
+    base: list[int] = []
+    product = 1
+    pending = [x for x in numbers if x >= 2]
+    while pending:
+        x = pending.pop()
+        if gcd(product, x) == 1:
+            base.append(x)
+            product *= x
+            continue
+        q = base.pop(next(k for k, q in enumerate(base) if gcd(q, x) > 1))
+        g = gcd(q, x)
+        product //= q
+        pending += [y for y in (q // g, g, _split_power(x, g)[1]) if y >= 2]
+    return base
+
+
+def cyclic_chain(orders: Sequence[int]) -> tuple[tuple[int, ...], IntegerMatrix]:
+    """Invariant factors c_1 | ... | c_k of the sum of the Z/r_i, and the
+    k x R matrix of an isomorphism onto Z/c_1 + ... + Z/c_k, row j reduced
+    into [0, c_j).  Factors 1 are dropped; a chain without 1s gets the identity.
+
+    Over a coprime base of the orders, each Z/r_i splits into its q-parts
+    Z/q^e by the Chinese-remainder (CRT) map, the parts of each q are ordered
+    by exponent, stably by index, and the j-th parts of all q are glued into
+    c_j through the CRT idempotents, so the result depends on the orders alone.
     """
-    orders = [int(r) for r in orders]
-    if any(r < 1 for r in orders):
+    r = tuple(int(x) for x in orders)
+    if any(x < 1 for x in r):
         raise ValueError("cyclic orders must be positive")
-    for i in range(len(orders)):
-        for j in range(i + 1, len(orders)):
-            a, b = orders[i], orders[j]
-            g = gcd(a, b)
-            orders[i], orders[j] = g, a // g * b
-    return tuple(x for x in orders if x >= 2)
+    # parts[j]: (index, its q-part q^e) for the parts glued into factor j;
+    # the orders q divides take the last places, in the sorted order
+    parts: list[list[tuple[int, int]]] = [[] for _ in r]
+    for q in _coprime_base(r):
+        powers = sorted((_split_power(x, q)[0], i) for i, x in enumerate(r) if x % q == 0)
+        for j, (e, i) in enumerate(powers, len(r) - len(powers)):
+            parts[j].append((i, q ** e))
+    chain, rows = [], []
+    for glued in filter(None, parts):
+        c = prod(m for _, m in glued)
+        row = [0] * len(r)
+        for i, m in glued:
+            rest = c // m
+            row[i] = (row[i] + rest * pow(rest, -1, m)) % c
+        chain.append(c)
+        rows.append(row)
+    return tuple(chain), IntegerMatrix.from_rows(rows, len(r))

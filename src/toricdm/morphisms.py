@@ -208,7 +208,7 @@ def validate_morphism_data(md: MorphismData) -> None:
                 "twist classes do not live on the source Picard presentation")
     if not is_complete(md.source.fan):
         raise SourceNotCompleteError("the source fan must be complete")
-    if not rays_span(md.target.fan)[0]:
+    if not rays_span(md.target.fan):
         raise TargetRaysNotSpanningError("the target rays must span the target lattice")
 
 

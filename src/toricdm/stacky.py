@@ -6,6 +6,10 @@ this module builds the exponent matrices of the defining torus homomorphism,
 the acting quotient group, generic and per-cone isotropy groups, the
 rigidification, the splitting over the sublattice spanned by the rays, and
 the associated stacky fan.
+
+None of these groups depends on how the torsion of the extended group is
+presented (Borisov, Chen and Smith, J. Amer. Math. Soc. 18, 2005), so the
+canonical chain form (``gerbes.canonicalize``) gives them from n + k rows.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from typing import Sequence
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
                      Value, Violation)
 from .fans import SimplicialFan, rays_span, validate_fan
-from .lattice import (FgAbelianGroup, IntegerMatrix, cokernel, cokernel_with_projection,
-                      invariant_factor_chain, smith_normal_form)
+from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, cyclic_chain, smith_normal_form
 
 
 class StackyData(Value):
@@ -53,27 +56,20 @@ class StackyData(Value):
 
 
 class QuotientGroupDesc(Value):
-    """The group acting in the quotient construction, up to isomorphism.
+    """The group acting in the quotient construction, up to isomorphism."""
 
-    ``character_classes[k]`` is the class of the k-th standard coordinate
-    character in the cokernel presentation, written as its torsion residues
-    (one per invariant factor of ``finite_part``, in chain order) followed by
-    its free coordinates.
-    """
+    _fields = ("torus_rank", "finite_part")
 
-    _fields = ("torus_rank", "finite_part", "character_classes")
-
-    def __init__(self, torus_rank: int, finite_part: FgAbelianGroup,
-                 character_classes: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(torus_rank=torus_rank, finite_part=finite_part,
-                             character_classes=character_classes)
+    def __init__(self, torus_rank: int, finite_part: FgAbelianGroup):
+        self.__dict__.update(torus_rank=torus_rank, finite_part=finite_part)
 
 
 class StackyFan(Value):
     """Extended-group fan data: the fan together with lifted ray vectors.
 
-    Each lifted ray is the ray vector followed by the residues of its b-column
-    modulo the respective root orders.
+    The extended group is Z^d + Z/c_1 + ... + Z/c_k, with c the chain of
+    :func:`lattice.cyclic_chain`.  Each lifted ray is the ray vector followed
+    by its b-column pushed through that chain's isomorphism, entry j in [0, c_j).
     """
 
     _fields = ("extended_group", "fan", "lifted_rays")
@@ -125,20 +121,15 @@ def psi_exponents(data: StackyData) -> IntegerMatrix:
 
 
 def quotient_group(data: StackyData) -> QuotientGroupDesc:
-    """Rank and torsion of the acting group, with its coordinate characters.
+    """Rank and torsion of the acting group.
 
     The group is the character dual of the cokernel of the transposed exponent
-    matrix; only its isomorphism type (torus rank plus invariant factors) and
-    the classes of the standard characters are exposed.
+    matrix; only its isomorphism type (torus rank plus invariant factors) is
+    exposed, and that is the same for a datum and its canonical form.
     """
-    relations = psi_exponents(data).transpose()
-    group, project = cokernel_with_projection(relations)
-    ambient = data.ray_count + data.root_count
-    classes = tuple(project(tuple(1 if i == k else 0 for i in range(ambient)))
-                    for k in range(ambient))
+    group = cokernel(psi_exponents(data).transpose())
     return QuotientGroupDesc(torus_rank=group.free_rank,
-                             finite_part=FgAbelianGroup(0, group.invariant_factors),
-                             character_classes=classes)
+                             finite_part=FgAbelianGroup(0, group.invariant_factors))
 
 
 def stacky_fan(data: StackyData) -> StackyFan:
@@ -147,21 +138,20 @@ def stacky_fan(data: StackyData) -> StackyFan:
     Requires the rays to span the ambient lattice rationally; use
     :func:`split_nonspanning` first when they do not.
     """
-    spans, _ = rays_span(data.fan)
-    if not spans:
+    if not rays_span(data.fan):
         raise NonSpanningRaysError(
             "rays do not span the lattice; split off the torus factor first")
-    lifted = tuple(
-        data.fan.rays[k] + tuple(data.b[i, k] % data.r[i] for i in range(data.root_count))
-        for k in range(data.ray_count))
-    extended = FgAbelianGroup(free_rank=data.lattice_rank,
-                              invariant_factors=invariant_factor_chain(data.r))
+    chain, certificate = cyclic_chain(data.r)
+    twists = certificate @ data.b
+    lifted = tuple(data.fan.rays[k] + tuple(twists[j, k] % c for j, c in enumerate(chain))
+                   for k in range(data.ray_count))
+    extended = FgAbelianGroup(free_rank=data.lattice_rank, invariant_factors=chain)
     return StackyFan(extended_group=extended, fan=data.fan, lifted_rays=lifted)
 
 
 def generic_stabilizer(data: StackyData) -> FgAbelianGroup:
     """The automorphism group of a general point: the sum of Z/r_i."""
-    return FgAbelianGroup(free_rank=0, invariant_factors=invariant_factor_chain(data.r))
+    return FgAbelianGroup(free_rank=0, invariant_factors=cyclic_chain(data.r)[0])
 
 
 def point_stabilizer(data: StackyData, cone: Sequence[int] | frozenset[int]) -> FgAbelianGroup:

@@ -13,8 +13,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, documents,
-                     fans, lattice, morphisms, smith_normal_form)
+from toricdm import (IntegerMatrix, SimplicialFan, StackyData, close_under_faces, cokernel,
+                     documents, fans, lattice, morphisms, smith_normal_form)
 from toricdm.morphisms import DEFAULT_SAMPLE_BUDGET
 
 
@@ -98,6 +98,13 @@ def p1_root_data(k, r=2):
     """The projective line with one root of order r and twists (0, k)."""
     return StackyData(projective_line_fan(), r=(r,),
                       b=IntegerMatrix.from_rows([[0, k]]))
+
+
+def chain_by_smith_form(orders):
+    """Invariant factors of the sum of the Z/r_i from the Smith form of
+    diag(r): the reference for ``lattice.cyclic_chain``, which finds them
+    by gcds."""
+    return cokernel(IntegerMatrix.diagonal(orders)).invariant_factors
 
 
 def solve_linear(a: IntegerMatrix, b):

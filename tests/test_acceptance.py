@@ -15,7 +15,7 @@ from toricdm import (FgAbelianGroup, IntegerMatrix, MorphismData,
                      SparsePolynomial, StackyData, build_matrices, canonicalize,
                      check_condition_a, check_condition_b, check_two_isomorphic,
                      cli, cokernel_with_projection, documents, gerbe_class,
-                     generic_stabilizer, invariant_factor_chain,
+                     generic_stabilizer,
                      is_admissible_zero_pattern, is_isomorphic_banded,
                      morphisms, picard_group, point_stabilizer, quotient_group, rigidify,
                      smith_normal_form, split_nonspanning)
@@ -24,8 +24,8 @@ from toricdm.oracle import (det_cofactor, oracle_divisibility,
                             oracle_is_group_isomorphism, oracle_stabilizer_order,
                             oracle_verify_snf)
 
-from conftest import (affine_quotient_data, make_fan, p1_root_data,
-                      projective_line_fan, random_spanning_data, schema_errors,
+from conftest import (affine_quotient_data, chain_by_smith_form, make_fan,
+                      p1_root_data, projective_line_fan, random_spanning_data, schema_errors,
                       serialize_morphism_data, weighted_line_root_data)
 
 
@@ -117,7 +117,7 @@ def test_criterion_5_canonicalize_properties():
                 [[rng.randint(-9, 9) for _ in range(2)] for _ in range(big_r)], 2)
             data = StackyData(fan, r, b)
             canonical, certificate = canonicalize(data)
-            assert canonical.r == invariant_factor_chain(r)
+            assert canonical.r == chain_by_smith_form(r)
             assert oracle_element_order_census(r) == \
                 oracle_element_order_census(canonical.r)
             assert generic_stabilizer(canonical) == generic_stabilizer(data)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,11 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdm import cli, documents, lattice, morphisms
+from toricdm import (IntegerMatrix, StackyData, canonicalize, cli, documents, lattice,
+                     morphisms, point_stabilizer, quotient_group)
 from toricdm.errors import DocumentError
 
-from conftest import (EXPLODING_CONES, EXPLODING_RAYS, reference_parse, schema_errors,
+from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, chain_by_smith_form,
+                      line_fan, make_fan, product_fan, projective_line_fan,
+                      projective_plane_fan, reference_parse, schema_errors,
                       serialize_morphism_data, spy)
+from test_documents import STACKY_DOCS, mutated
 
 WPS_ROOT = {
     "schema_version": "1", "lattice_rank": 1,
@@ -177,8 +182,28 @@ class TestExitCodes:
         assert report["error"]["code"] == "document_error"
 
     def test_integer_literal_beyond_digit_limit_is_one(self, tmp_path):
+        # bare literals are read up to the digit limit, as digit strings are
         path = tmp_path / "big.json"
-        path.write_text('{"lattice_rank": ' + "9" * 5000 + "}")
+        limit = documents.MAX_INTEGER_DIGITS
+        for digits in (5000, limit, limit + 1):
+            path.write_text(json.dumps(P1_DOC).replace('"r": []', '"r": [' + "9" * digits + "]")
+                            .replace('"b": []', '"b": [[0, 0]]'))
+            assert run_checked(["validate", str(path)])[0] == (0 if digits <= limit else 1)
+            code, report = run_checked(["build", str(path)])
+            if digits <= limit:
+                assert code == 0 and report["generic_stabilizer"] == ["9" * digits]
+            else:
+                assert code == 1 and report["error"] == {
+                    "code": "too_large", "location": "/r/0",
+                    "message": f"an integer of {digits} digits exceeds {limit}"}
+        # a long literal is still a number, not a string
+        path.write_text(json.dumps(P1_DOC).replace('"1"', "1" * 700, 1))
+        code, report = run_checked(["validate", str(path)])
+        assert code == 1 and report["error"]["location"] == "/schema_version"
+
+    def test_deeply_nested_json_is_one(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
         code, report = run_checked(["validate", str(path)])
         assert code == 1
         assert report["error"]["code"] == "document_error"
@@ -558,6 +583,23 @@ class TestCommands:
         code, report = run_checked(["build", path])
         assert code == 0 and report["generic_stabilizer"] == [HUGE_PRODUCT]
 
+    def test_canonical_data_of_long_orders_reads_back(self, tmp_path):
+        # the 8,001-digit chain factor canonicalize writes is within the
+        # digit limit, so its data reads back to the same datum
+        doc = dict(P1_DOC, r=[str(10 ** 4000 + 1), str(10 ** 4000 + 3)], b=[[1, 0], [0, 1]])
+        code, report = run_checked(["canonicalize", write(tmp_path, "huge.json", doc)])
+        assert code == 0
+        path = write(tmp_path, "canonical.json", report["data"])
+        assert documents.parse_stacky_document(documents.read_json(path)) == \
+            canonicalize(documents.parse_stacky_document(doc))[0]
+        code, again = run_checked(["canonicalize", path])
+        assert code == 0 and again["data"] == report["data"]
+        code, validated = run_checked(["validate", path])
+        assert code == 0 and validated["valid"] is True
+        code, built = run_checked(["--verify", "build", path])
+        assert code == 0 and built["generic_stabilizer"] == [HUGE_PRODUCT]
+        assert built["verify"]["all_agree"] is True
+
     def test_ratios_beyond_the_digit_limit_are_written(self, tmp_path):
         # the tuples differ by the factor (10^4000 + 1)(10^4000 + 3)
         def doc(coefficient):
@@ -794,3 +836,109 @@ class TestArgumentGrammar:
             assert printed in (json.dumps(report, indent=2) + "\n",
                                cli._render_text(report) + "\n")
             assert (outcome == "usage") == (report.get("error", {}).get("code") == "usage")
+
+
+# ---------------------------------------------------------------------------
+# build and stabilizer read every root-dependent answer off the canonical form
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+ROOTED_FANS = [projective_line_fan(), line_fan(3, 2), projective_plane_fan(), affine_fan(2),
+               product_fan(projective_line_fan(), projective_line_fan()),
+               make_fan(2, [(1, 0), (1, 2), (-1, -1)], [[0, 1], [1, 2], [0, 2]])]
+# prime powers, repeated primes and 1s, next to orders drawn at random
+ORDERS = st.one_of(st.sampled_from((1, 2, 3, 4, 8, 9, 27, 5, 25, 6, 12, 36)),
+                   st.integers(1, 10 ** 4))
+
+
+@st.composite
+def rooted_data(draw):
+    fan = draw(st.sampled_from(ROOTED_FANS))
+    r = draw(st.lists(ORDERS, min_size=1, max_size=40))
+    row = st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=fan.ray_count,
+                   max_size=fan.ray_count)
+    b = draw(st.lists(row, min_size=len(r), max_size=len(r)))
+    return StackyData(fan, r, IntegerMatrix.from_rows(b, fan.ray_count))
+
+
+def odd_primes(count):
+    primes = []
+    candidate = 3
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 2
+    return primes
+
+
+class TestCanonicalForm:
+    @settings(max_examples=60, deadline=None)
+    @given(rooted_data())
+    def test_answers_agree_with_the_documents_own_presentation(self, folder, data):
+        # the direct (n+R) Smith forms of the library are the reference
+        canonical, _ = canonicalize(data)
+        assert canonical.r == chain_by_smith_form(data.r)
+        group = quotient_group(data)
+        assert quotient_group(canonical) == group
+        path = write(folder, "rooted.json", documents.serialize_stacky_data(data))
+        for cone in data.fan.cones:
+            stabilizer = point_stabilizer(data, cone)
+            assert point_stabilizer(canonical, cone) == stabilizer
+            code, report = cli.run(["stabilizer", path, "--cone", ",".join(map(str, cone))])
+            assert code == 0 and report["stabilizer"]["invariant_factors"] == [
+                documents.encode_int(f) for f in stabilizer.invariant_factors]
+        code, report = run_checked(["--verify", "build", path])
+        assert code == 0 and report["verify"]["all_agree"] is True
+        assert all("agrees" in check for check in report["verify"]["stabilizer_orders"])
+        assert report["quotient_group"] == {
+            "torus_rank": group.torus_rank,
+            "invariant_factors": [documents.encode_int(f)
+                                  for f in group.finite_part.invariant_factors]}
+        # lifted rays in chain coordinates: d + k entries, entry j in [0, c_j)
+        d = data.lattice_rank
+        for ray, lifted in zip(data.fan.rays, report["stacky_fan"]["lifted_rays"]):
+            assert tuple(lifted[:d]) == ray and len(lifted) == d + len(canonical.r)
+            assert all(0 <= int(x) < c for x, c in zip(lifted[d:], canonical.r))
+
+    def test_many_prime_roots_are_fast(self, tmp_path):
+        # P^1 with the first 500 odd primes as root orders: the chain has one
+        # factor, so each Smith form has n + 1 rows, not n + 500 (those took
+        # about 15 s per command)
+        primes = odd_primes(500)
+        path = write(tmp_path, "primes.json", dict(P1_DOC, r=primes, b=[[1, 0]] * 500))
+        order = documents.encode_int(prod(primes))
+        start = time.perf_counter()
+        code, report = cli.run(["stabilizer", path, "--cone", "0"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and report["stabilizer"] == {"invariant_factors": [order],
+                                                      "order": order}
+        start = time.perf_counter()
+        code, report = cli.run(["--verify", "build", path])
+        assert time.perf_counter() - start < 3.0
+        assert code == 0 and report["verify"]["all_agree"] is True
+        assert report["quotient_group"] == {"torus_rank": 1, "invariant_factors": []}
+        assert report["generic_stabilizer"] == [order]
+        assert report["stacky_fan"]["extended_group"]["invariant_factors"] == [order]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(mutated(STACKY_DOCS), rooted_data().map(documents.serialize_stacky_data)),
+           st.sampled_from(("", "0", "1", "0,1", "1,2", "7")))
+    def test_mutated_documents_get_an_exit_code_and_a_valid_report(self, folder, document,
+                                                                   cone):
+        path = write(folder, "mutated.json", document)
+        for argv in (["build", path], ["--verify", "--json", "build", path],
+                     ["stabilizer", path, "--cone", cone]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code, report = cli.run(argv)
+                with pytest.raises(SystemExit) as info:
+                    cli.main(argv)
+            assert info.value.code == code and code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert schema_errors(report, "report.schema.json") == []
+            assert out.getvalue() in (json.dumps(report, indent=2) + "\n",
+                                      cli._render_text(report) + "\n")

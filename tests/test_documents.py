@@ -41,10 +41,11 @@ KEYS = ["schema_version", "lattice_rank", "rays", "cones", "r", "b", "source", "
         "polynomials", "chi", "coefficient", "exponents"]
 
 # Strings int(s, 10) or Fraction(s) accept but the schema patterns do not,
-# and a few the patterns accept.
+# and a few the patterns accept, the last beyond the digit limit.
 STRING_FORMS = [" 7", "7 ", "+7", "1_000", "٣", "７", "1.5", "1e3", " 2", "2/",
                 "/2", "1/2/3", "1//2", "-1/-2", "", "-", "0x10", "seven",
-                "7", "-7", "007", "1/2", "-3/4", "1/0"]
+                "7", "-7", "007", "1/2", "-3/4", "1/0",
+                "9" * (documents.MAX_INTEGER_DIGITS + 1)]
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
                     st.floats(), st.sampled_from(STRING_FORMS), st.text(max_size=3))
@@ -140,7 +141,7 @@ def _assert_decoder_covers_schema(document, parse, schema_name):
         parse(document)
     except DocumentError:
         return
-    except TooLargeError:  # a conforming term or rank beyond the documents' bounds
+    except TooLargeError:  # a conforming term, rank or integer beyond the documents' bounds
         pass
     assert problems == [], f"accepted a document the schema rejects: {problems[0]}"
 
@@ -227,9 +228,17 @@ class TestDecoderErrors:
         assert info.value.location == "/rays/0/0"
 
     def test_integer_string_beyond_the_digit_limit(self):
+        limit = documents.MAX_INTEGER_DIGITS
+        for digits in (5000, limit):
+            data = documents.parse_stacky_document(dict(P1, r=["-" + "9" * digits], b=[[0, 0]]))
+            assert data.r == (1 - 10 ** digits,)
+        with pytest.raises(TooLargeError) as info:
+            documents.parse_stacky_document(dict(P1, r=["9" * (limit + 1)], b=[[0, 0]]))
+        assert info.value.location == "/r/0"
+        # a structural error anywhere wins over the digit limit
         with pytest.raises(DocumentError) as info:
-            documents.parse_stacky_document(dict(P1, lattice_rank="9" * 5000))
-        assert info.value.location == "/lattice_rank"
+            documents.parse_stacky_document(dict(P1, r=["9" * (limit + 1)], b=[[0, 0]], cones=7))
+        assert info.value.location == "/cones"
 
     @pytest.mark.parametrize("text", ["1.5", "1e3", " 2", "+1", "1/+2"])
     def test_coefficients_outside_the_pattern(self, text):

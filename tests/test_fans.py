@@ -431,21 +431,16 @@ class TestFanCaches:
 
 class TestRaysSpan:
     def test_projective_line(self):
-        spans, basis = rays_span(projective_line_fan())
-        assert spans and len(basis) == 1
+        assert rays_span(projective_line_fan())
 
     def test_single_ray_in_plane(self):
-        spans, basis = rays_span(make_fan(2, [(1, 0)], [[0]]))
-        assert not spans
-        assert basis == ((1, 0),)
+        assert not rays_span(make_fan(2, [(1, 0)], [[0]]))
 
     def test_saturation_of_multiple(self):
-        _, basis = rays_span(make_fan(2, [(2, 4)], [[0]]))
-        assert basis == ((1, 2),) or basis == ((-1, -2),)
+        assert not rays_span(make_fan(2, [(2, 4)], [[0]]))
 
     def test_scaled_axes_span(self):
-        spans, _ = rays_span(make_fan(2, [(2, 0), (0, 3)], [[0], [1]]))
-        assert spans
+        assert rays_span(make_fan(2, [(2, 0), (0, 3)], [[0], [1]]))
 
 
 class TestAdmissibleZeroPatterns:

@@ -2,14 +2,14 @@ import pytest
 
 from toricdm import (FgAbelianGroup, IntegerMatrix, MismatchedUnderlyingDataError,
                      NotInChainFormError, StackyData, canonicalize, gerbe_class,
-                     generic_stabilizer, invariant_factor_chain,
+                     generic_stabilizer,
                      is_isomorphic_banded, picard_group, rigidify)
 from toricdm.gerbes import twist_divisibility
 from toricdm.oracle import (oracle_banded_isomorphic, oracle_divisibility,
                             oracle_element_order_census, oracle_is_group_isomorphism)
 
-from conftest import (affine_fan, line_fan, make_fan, p1_root_data, product_fan,
-                      projective_fan, projective_line_fan, projective_plane_fan,
+from conftest import (affine_fan, chain_by_smith_form, line_fan, make_fan, p1_root_data,
+                      product_fan, projective_fan, projective_line_fan, projective_plane_fan,
                       solve_linear, weighted_line_root_data)
 
 # P^2 modulo Z/3: Pic is Z + Z/3
@@ -242,7 +242,7 @@ class TestCanonicalize:
                 [[rng.randint(-9, 9) for _ in range(2)] for _ in range(big_r)], 2)
             data = StackyData(fan, r, b)
             canonical, certificate = canonicalize(data)
-            assert canonical.r == invariant_factor_chain(r)
+            assert canonical.r == chain_by_smith_form(r)
             assert oracle_element_order_census(r) == \
                 oracle_element_order_census(canonical.r)
             assert generic_stabilizer(canonical) == generic_stabilizer(data)

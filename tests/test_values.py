@@ -39,7 +39,7 @@ KWARGS = {
     FgAbelianGroup: dict(free_rank=1, invariant_factors=(2, 4)),
     SimplicialFan: dict(lattice_rank=1, rays=((-1,), (1,)), cones=FAN.cones),
     StackyData: dict(fan=FAN, r=(2,), b=IntegerMatrix.from_rows([[0, 1]])),
-    QuotientGroupDesc: dict(torus_rank=1, finite_part=GROUP, character_classes=((0, 1),)),
+    QuotientGroupDesc: dict(torus_rank=1, finite_part=GROUP),
     StackyFan: dict(extended_group=GROUP, fan=FAN, lifted_rays=((-1, 0), (1, 1))),
     PicardPresentation: dict(n=PRESENTATION.n, relation_matrix=PRESENTATION.relation_matrix,
                              group=PRESENTATION.group, project=PRESENTATION.project),
