@@ -13,12 +13,13 @@ certified complete.  All eliminations and pivots run in integers, with
 fraction-free row steps.
 
 A fan hashes as its value, so :func:`validate_fan`, the certificate,
-:func:`rays_span`, :func:`maximal_cones`, the facet normals of the maximal
-cones and :func:`primitive_collections` keep their answers for the last
+:func:`ray_smith_form`, :func:`maximal_cones`, the facet normals of the
+maximal cones and :func:`primitive_collections` keep their answers for the last
 ``FAN_CACHE_SIZE`` fans, the most one command meets (two morphism documents,
 each with a source and a target): one command certifies each distinct fan
 once, eliminates each maximal cone's ray matrix once for both simpliciality
-and the certificate, and computes its primitive collections once.
+and the certificate, runs one Smith form of its ray matrix and computes its
+primitive collections once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationReport, Value, Violation
-from .lattice import IntegerMatrix, smith_normal_form
+from .lattice import IntegerMatrix, SnfDecomposition, smith_normal_form
 
 ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
 
@@ -199,6 +200,9 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
                     sorted(cone)),))
 
     maximal = maximal_cones(fan)
+    # before face closure is checked, ``maximal`` may hold non-maximal cones
+    # too; each lies in a truly maximal cone, also held, so one of them is
+    # dependent exactly when a truly maximal cone is
     if None in _maximal_normals(fan):
         for cone in cones:
             if _facet_normals(fan, cone) is None:
@@ -317,14 +321,12 @@ def _certifies_complete(fan: SimplicialFan) -> bool:
 def maximal_cones(fan: SimplicialFan) -> tuple[frozenset[int], ...]:
     """Cones not strictly contained in another listed cone, in sorted order.
 
-    Scanning from the largest cones down, a cone is maximal unless it lies in
-    a maximal cone already found.
+    The fan must be face-closed: then a cone is maximal exactly when it is
+    not a facet of a listed cone, so one pass over the facets finds them.
+    On a fan that is not face-closed the answer may keep non-maximal cones.
     """
-    maximal: list[frozenset[int]] = []
-    for cone in sorted(fan.cones, key=len, reverse=True):
-        if not any(cone < top for top in maximal):
-            maximal.append(cone)
-    return tuple(sorted(maximal, key=lambda c: (len(c), sorted(c))))
+    facets = {cone - {i} for cone in fan.cones for i in cone}
+    return tuple(sorted(fan.cones - facets, key=lambda c: (len(c), sorted(c))))
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -359,10 +361,16 @@ def is_complete(fan: SimplicialFan) -> bool:
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
+def ray_smith_form(fan: SimplicialFan) -> SnfDecomposition:
+    """The Smith form of the ray matrix, computed once per fan: its rank
+    answers :func:`rays_span`, and its row log carries the rays into the
+    span when they are split off."""
+    return smith_normal_form(fan.ray_matrix())
+
+
 def rays_span(fan: SimplicialFan) -> bool:
-    """Do the rays span the whole lattice rationally?  Only the rank of the
-    Smith diagonal of the ray matrix is read, so no transform is built."""
-    return smith_normal_form(fan.ray_matrix()).rank == fan.lattice_rank
+    """Do the rays span the whole lattice rationally?"""
+    return ray_smith_form(fan).rank == fan.lattice_rank
 
 
 def is_admissible_zero_pattern(fan: SimplicialFan, pattern: Iterable[int]) -> bool:

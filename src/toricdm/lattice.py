@@ -1,13 +1,12 @@
 """Exact integer linear algebra.
 
-Smith normal form with unimodular transforms and their inverses (the one
-normal-form engine), cokernels of integer matrices presented as finitely
-generated abelian groups with normalized coordinates, and the divisor chain
-of a sum of cyclic groups with an isomorphism onto it (the one chain
-algorithm, by gcds).  Everything runs on Python's arbitrary-precision
+Smith normal form as the log of the elementary operations that produce it
+(the one normal-form engine), cokernels of integer matrices presented as
+finitely generated abelian groups with normalized coordinates, and the
+divisor chain of a sum of cyclic groups with an isomorphism onto it (the one
+chain algorithm, by gcds).  Everything runs on Python's arbitrary-precision
 integers; no floating point is used anywhere.  All public values are
-immutable and safe to share between threads: a Smith form builds each
-transform on first read, and a concurrent first read builds the same value.
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -109,53 +108,27 @@ class IntegerMatrix(Value):
         grid = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
         return IntegerMatrix(self.rows, self.cols + other.cols, grid)
 
-    def is_diagonal(self) -> bool:
-        return all(self.entries[i][j] == 0
-                   for i in range(self.rows) for j in range(self.cols) if i != j)
-
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 
 
 class SnfDecomposition(Value):
-    """Smith normal form ``a = u @ d @ v`` with unimodular ``u`` and ``v``,
-    together with their inverses ``u_inv`` and ``v_inv``.
+    """Smith normal form of a matrix ``a``: the diagonal ``d`` and the log of
+    the elementary operations that turn ``a`` into it.
 
-    ``d`` is diagonal with nonnegative entries in a divisor chain
-    (each divides the next), zeros trailing.
-
-    A decomposition from :func:`smith_normal_form` holds ``d`` and the log
-    of the elementary operations that produced it.  Each transform is
-    replayed from that log the first time it is read and then kept, so a
-    caller that reads only the diagonal builds none of them.  The
-    five-argument constructor takes all four transforms ready made.
+    ``d`` has the shape of ``a``; its diagonal entries are nonnegative, form
+    a divisor chain (each divides the next) and have the zeros trailing.
+    ``row_ops`` and ``col_ops`` list, in order, the steps applied to the rows
+    and to the columns of ``a``: ``("add", src, dst, q)`` adds q times line
+    src to line dst, ``("swap", i, j)`` exchanges two lines and ``("neg", i)``
+    negates one.  Each step is unimodular, so ``a = U d V`` where U^-1 is the
+    row log applied to the identity and V^-1 the column log.
     """
 
-    _fields = ("u", "d", "v", "u_inv", "v_inv")
+    _fields = ("d", "row_ops", "col_ops")
 
-    def __init__(self, u: IntegerMatrix, d: IntegerMatrix, v: IntegerMatrix,
-                 u_inv: IntegerMatrix, v_inv: IntegerMatrix):
-        self.__dict__.update(u=u, d=d, v=v, u_inv=u_inv, v_inv=v_inv)
-
-    @classmethod
-    def _from_log(cls, d: IntegerMatrix, row_ops: tuple, col_ops: tuple) -> "SnfDecomposition":
-        snf = cls.__new__(cls)
-        snf.__dict__.update(d=d, _row_ops=row_ops, _col_ops=col_ops)
-        return snf
-
-    def __getattr__(self, name):
-        # Python calls this only for names missing from __dict__, so a
-        # transform is replayed once; a concurrent first read replays the
-        # same value, which keeps the instance safe to share between threads.
-        if name not in _TRANSFORMS:
-            raise AttributeError(name)
-        from_rows, inverse, transposed = _TRANSFORMS[name]
-        size = self.d.rows if from_rows else self.d.cols
-        grid = _replay(size, self._row_ops if from_rows else self._col_ops, inverse)
-        value = IntegerMatrix(size, size, tuple(zip(*grid)) if transposed and grid
-                              else tuple(tuple(row) for row in grid))
-        self.__dict__[name] = value
-        return value
+    def __init__(self, d: IntegerMatrix, row_ops: tuple, col_ops: tuple):
+        self.__dict__.update(d=d, row_ops=row_ops, col_ops=col_ops)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal_entries()
@@ -163,6 +136,22 @@ class SnfDecomposition(Value):
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
+
+    def apply_row_ops(self, vector: Sequence[int]) -> tuple[int, ...]:
+        """U^-1 · vector: the logged row operations applied to it in order."""
+        if len(vector) != self.d.rows:
+            raise ValueError(f"vector length {len(vector)} != {self.d.rows} rows")
+        v = list(vector)
+        for op in self.row_ops:
+            if op[0] == "add":
+                _, src, dst, q = op
+                v[dst] += q * v[src]
+            elif op[0] == "swap":
+                _, i, j = op
+                v[i], v[j] = v[j], v[i]
+            else:
+                v[op[1]] = -v[op[1]]
+        return tuple(v)
 
 
 class FgAbelianGroup(Value):
@@ -225,45 +214,6 @@ class FgAbelianGroup(Value):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def _identity_grid(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-# How each transform is replayed from a log: (from the row log, by the
-# inverse rule, transposed).  The row operations turn ``a`` into ``d`` from
-# the left, so applying them in order to the identity gives ``u_inv``; their
-# inverses act on the columns of ``u``, that is on the rows of its
-# transpose.  Column operations act on the columns of ``v_inv`` and their
-# inverses on the rows of ``v``.
-_TRANSFORMS = {"u_inv": (True, False, False), "u": (True, True, True),
-               "v_inv": (False, False, True), "v": (False, True, False)}
-
-
-def _replay(n: int, ops: Sequence[tuple], inverse: bool) -> list[list[int]]:
-    """Apply logged operations, in order, to the rows of the n x n identity.
-
-    ``("add", src, dst, q)`` adds q times row src to row dst; by the inverse
-    rule it subtracts q times row dst from row src instead.  Swaps and
-    negations are their own inverses.
-    """
-    grid = _identity_grid(n)
-    columns = range(n)
-    for op in ops:
-        if op[0] == "add":
-            _, src, dst, q = op
-            if inverse:
-                src, dst, q = dst, src, -q
-            target, source = grid[dst], grid[src]
-            for k in columns:
-                target[k] += q * source[k]
-        elif op[0] == "swap":
-            _, i, j = op
-            grid[i], grid[j] = grid[j], grid[i]
-        else:
-            grid[op[1]] = [-x for x in grid[op[1]]]
-    return grid
-
-
 def _find_pivot(d: list[list[int]], t: int, m: int, n: int) -> Optional[tuple[int, int]]:
     """First minimal-absolute-value nonzero entry of the block d[t:, t:]."""
     best = None
@@ -279,16 +229,13 @@ def _find_pivot(d: list[list[int]], t: int, m: int, n: int) -> Optional[tuple[in
 
 
 def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
-    """Smith normal form of an integer matrix, with transforms and inverses.
-
-    Returns unimodular ``u``, ``v`` and a diagonal ``d`` with ``a = u @ d @ v``
-    where the diagonal entries are nonnegative, form a divisor chain and the
-    zeros trail, plus ``u_inv`` and ``v_inv``.  Empty matrices are handled and
-    yield empty diagonals.
+    """Smith normal form of an integer matrix, as its diagonal and the log of
+    the row and column operations that produce it (see
+    :class:`SnfDecomposition`).  Empty matrices are handled and yield empty
+    diagonals.
 
     Eliminates on ``d`` alone by elementary row and column operations and
-    logs them; the transforms are built from the log when first read (see
-    :class:`SnfDecomposition`).  Pivots are chosen with minimal absolute
+    logs them; no transform is built.  Pivots are chosen with minimal absolute
     value to keep intermediate entries small.  Once pivot t is placed, rows
     and columns before t are zero outside the diagonal, so the operations
     of step t touch only the block ``d[t:, t:]``.
@@ -359,32 +306,21 @@ def smith_normal_form(a: IntegerMatrix) -> SnfDecomposition:
             row_ops.append(("neg", t))
         t += 1
 
-    return SnfDecomposition._from_log(IntegerMatrix(m, n, tuple(tuple(row) for row in d)),
-                                      tuple(row_ops), tuple(col_ops))
+    return SnfDecomposition(IntegerMatrix(m, n, tuple(tuple(row) for row in d)),
+                            tuple(row_ops), tuple(col_ops))
 
 
 # ---------------------------------------------------------------------------
 # Cokernels and finitely generated abelian groups
 # ---------------------------------------------------------------------------
 
-def _cokernel_layout(relations: IntegerMatrix, diag: Sequence[int]
-                     ) -> tuple[FgAbelianGroup, list[int], list[int]]:
-    """The cokernel read off a Smith diagonal of ``relations``, with the
-    positions of its torsion rows and of its free rows."""
-    torsion_pos = [i for i, x in enumerate(diag) if x >= 2]
-    free_pos = [i for i in range(relations.rows) if i >= len(diag) or diag[i] == 0]
-    group = FgAbelianGroup(free_rank=len(free_pos),
-                           invariant_factors=tuple(diag[i] for i in torsion_pos))
-    return group, torsion_pos, free_pos
-
-
 def cokernel(relations: IntegerMatrix) -> FgAbelianGroup:
     """The quotient of Z^n by the column span of ``relations`` (n rows).
 
     A matrix with no columns means "no relations" and yields a free group.
-    Only the Smith diagonal is read, so no transform is built.
+    Only the Smith diagonal is read: the projection is never called.
     """
-    return _cokernel_layout(relations, smith_normal_form(relations).diagonal())[0]
+    return cokernel_with_projection(relations)[0]
 
 
 def cokernel_with_projection(relations: IntegerMatrix
@@ -395,27 +331,23 @@ def cokernel_with_projection(relations: IntegerMatrix
     (one per invariant factor, in chain order) followed by its free
     coordinates.  Two vectors land on the same tuple exactly when they agree
     modulo the column span of ``relations``: the coordinates of v are those
-    of ``u_inv v`` in Z/d_1 + ... + Z/d_k + Z^f (Cohen, *A Course in
-    Computational Algebraic Number Theory*, 1993, section 2.4).  Only
-    ``u_inv`` is read.  A torsion row j of it matters only modulo its factor
-    c_j, so it is kept reduced into [0, c_j); rows whose factor is 1 are
-    dropped.
+    of U^-1 v in Z/d_1 + ... + Z/d_k + Z^f (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 1993, section 2.4).  The
+    projection applies the logged row operations of the Smith form to v and
+    reduces each torsion entry modulo its factor c_j at the end; entries
+    whose factor is 1 are dropped.  No transform is built, so a presentation
+    that projects nothing pays only for the Smith form.
     """
     snf = smith_normal_form(relations)
     diag = snf.diagonal()
-    group, torsion_pos, free_pos = _cokernel_layout(relations, diag)
-    u_inv = snf.u_inv
-    torsion_rows = tuple((tuple(x % diag[i] for x in u_inv.row(i)), diag[i])
-                         for i in torsion_pos)
-    free_rows = tuple(u_inv.row(i) for i in free_pos)
-    n = relations.rows
+    torsion_pos = [i for i, x in enumerate(diag) if x >= 2]
+    free_pos = [i for i in range(relations.rows) if i >= len(diag) or diag[i] == 0]
+    group = FgAbelianGroup(free_rank=len(free_pos),
+                           invariant_factors=tuple(diag[i] for i in torsion_pos))
 
     def project(vector: Sequence[int]) -> tuple[int, ...]:
-        if len(vector) != n:
-            raise ValueError(f"vector length {len(vector)} != {n} rows")
-        residues = tuple(sum(a * x for a, x in zip(row, vector)) % c for row, c in torsion_rows)
-        free = tuple(sum(a * x for a, x in zip(row, vector)) for row in free_rows)
-        return residues + free
+        image = snf.apply_row_ops(vector)
+        return tuple(image[i] % diag[i] for i in torsion_pos) + tuple(image[i] for i in free_pos)
 
     return group, project
 

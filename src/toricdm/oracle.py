@@ -176,14 +176,16 @@ def _verify_table(elements, table) -> None:
             raise AssertionError("associativity failed in enumerated table")
 
 
-def oracle_quotient_enumerate(relations: IntegerMatrix,
-                              bound: int = ENUMERATION_BOUND) -> FiniteGroupTable:
-    """Enumerate Z^n modulo the column span of ``relations`` as a group table.
+def _quotient_closure(relations: IntegerMatrix, bound: int
+                      ) -> tuple[set[tuple[int, ...]], list[list[int]]]:
+    """Canonical representatives of Z^n modulo the column span of
+    ``relations``, with the echelon basis that reduces them.
 
     Finiteness is decided first from the echelon basis (the product of its
     leading entries is the quotient order); raises :class:`TooLargeError`
     when the quotient is infinite or larger than ``bound``.  Representatives
-    are then collected by breadth-first closure from zero.
+    are then collected by breadth-first closure from zero, and their count
+    must equal that order.
     """
     n = relations.rows
     columns = [relations.column(j) for j in range(relations.cols)]
@@ -211,7 +213,15 @@ def oracle_quotient_enumerate(relations: IntegerMatrix,
         frontier = nxt
     if len(seen) != order:
         raise AssertionError("closure size disagrees with echelon determinant")
+    return seen, basis
 
+
+def oracle_quotient_enumerate(relations: IntegerMatrix,
+                              bound: int = ENUMERATION_BOUND) -> FiniteGroupTable:
+    """Enumerate Z^n modulo the column span of ``relations`` as a group table
+    over the elements of :func:`_quotient_closure`, with its axioms checked."""
+    n = relations.rows
+    seen, basis = _quotient_closure(relations, bound)
     elements = tuple(sorted(seen))
     index = {e: i for i, e in enumerate(elements)}
     table = tuple(
@@ -225,31 +235,47 @@ def oracle_quotient_enumerate(relations: IntegerMatrix,
 # The individual verifiers
 # ---------------------------------------------------------------------------
 
-def oracle_verify_snf(a: IntegerMatrix, decomposition: SnfDecomposition) -> bool:
-    """Re-derive every Smith-form guarantee from scratch.
+def _replay_log(lines: list[list[int]], ops: Sequence[tuple]) -> bool:
+    """Apply logged steps, in order, to ``lines`` in place; False at the
+    first step that is not ``("add", src, dst, q)`` with src != dst,
+    ``("swap", i, j)`` or ``("neg", i)`` on lines in range, each unimodular."""
+    for op in ops:
+        kind, *args = op if isinstance(op, tuple) and op else ("",)
+        if any(type(x) is not int for x in args) or any(not 0 <= i < len(lines) for i in args[:2]):
+            return False
+        if kind == "add" and len(args) == 3 and args[0] != args[1]:
+            src, dst, q = args
+            lines[dst] = [x + q * y for x, y in zip(lines[dst], lines[src])]
+        elif kind == "swap" and len(args) == 2:
+            lines[args[0]], lines[args[1]] = lines[args[1]], lines[args[0]]
+        elif kind == "neg" and len(args) == 1:
+            lines[args[0]] = [-x for x in lines[args[0]]]
+        else:
+            return False
+    return True
 
-    Re-multiplies u d v, checks unimodularity of the transforms by cofactor
-    determinant and checks that the diagonal is nonnegative, divisor-chained
-    and has its zeros trailing.
+
+def oracle_verify_snf(a: IntegerMatrix, decomposition: SnfDecomposition) -> bool:
+    """Re-check a Smith form from its log, by a replay of its own.
+
+    Every logged step must be well formed, and so unimodular; the row steps
+    applied to the rows of ``a`` and the column steps applied to its
+    columns must give ``d``; and the diagonal of ``d`` must be nonnegative,
+    divisor-chained and have its zeros trailing.
     """
-    u, d, v = decomposition.u, decomposition.d, decomposition.v
-    if u.rows != u.cols or v.rows != v.cols:
+    d, rows = decomposition.d, a.to_rows()
+    if (d.rows, d.cols) != (a.rows, a.cols) or not _replay_log(rows, decomposition.row_ops):
         return False
-    if (u.rows, v.rows) != (a.rows, a.cols) or (d.rows, d.cols) != (a.rows, a.cols):
-        return False
-    if u @ d @ v != a:
-        return False
-    if abs(det_cofactor(u)) != 1 or abs(det_cofactor(v)) != 1:
-        return False
-    if not d.is_diagonal():
+    columns = [[row[j] for row in rows] for j in range(a.cols)]
+    if not _replay_log(columns, decomposition.col_ops):
         return False
     diag = d.diagonal_entries()
-    if any(x < 0 for x in diag):
+    diagonal = [[diag[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)]
+    if d.to_rows() != diagonal or [[c[i] for c in columns] for i in range(a.rows)] != diagonal:
         return False
     nonzero = [x for x in diag if x]
-    if tuple(nonzero) != diag[:len(nonzero)]:
-        return False
-    return all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1))
+    return tuple(nonzero) == diag[:len(nonzero)] and all(x > 0 for x in nonzero) \
+        and all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
 
 
 def oracle_divisibility(v: Sequence[int], r: int, relations: IntegerMatrix,
@@ -415,8 +441,9 @@ def oracle_stabilizer_order(data, cone: frozenset[int] | Sequence[int],
     """Order of the isotropy group at a cone, off the main computation path.
 
     Full-dimensional cones use |det of their ray vectors| times the product
-    of the root orders; all other cones fall back to enumerating the isotropy
-    presentation.  The presentation matrix is rebuilt here from the raw data
+    of the root orders; all other cones fall back to counting the elements
+    of the isotropy presentation by breadth-first closure, with no group
+    table.  The presentation matrix is rebuilt here from the raw data
     rather than taken from the main code path.
     """
     cone = frozenset(int(i) for i in cone)
@@ -440,7 +467,7 @@ def oracle_stabilizer_order(data, cone: frozenset[int] | Sequence[int],
         if k not in cone:
             columns.append(tuple(1 if pos == k else 0 for pos in range(n + len(data.r))))
     relations = IntegerMatrix.column_stack(columns, n + len(data.r))
-    return oracle_quotient_enumerate(relations, bound=bound).order
+    return len(_quotient_closure(relations, bound)[0])
 
 
 def _prime_powers(r: int) -> dict[int, int]:

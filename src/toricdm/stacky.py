@@ -18,8 +18,8 @@ from typing import Sequence
 
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
                      Value, Violation)
-from .fans import SimplicialFan, rays_span, validate_fan
-from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, cyclic_chain, smith_normal_form
+from .fans import SimplicialFan, ray_smith_form, rays_span, validate_fan
+from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, cyclic_chain
 
 
 class StackyData(Value):
@@ -189,18 +189,14 @@ def split_nonspanning(data: StackyData) -> tuple[StackyData, int]:
     the rank of the complementary torus factor.  Data with spanning rays is
     returned unchanged with factor 0, which makes the operation idempotent.
     """
-    snf = smith_normal_form(data.fan.ray_matrix())
+    snf = ray_smith_form(data.fan)
     rank = snf.rank
     d = data.lattice_rank
     if rank == d:
         return data, 0
-    new_rays = []
-    for ray in data.fan.rays:
-        coords = snf.u_inv.apply(ray)
-        if any(coords[rank:]):
-            raise ArithmeticError("ray escaped the span of the ray matrix")
-        new_rays.append(coords[:rank])
-    new_fan = SimplicialFan(rank, tuple(new_rays), data.fan.cones)
+    # the row log takes the ray matrix to d V, whose rows past the rank vanish
+    new_rays = tuple(snf.apply_row_ops(ray)[:rank] for ray in data.fan.rays)
+    new_fan = SimplicialFan(rank, new_rays, data.fan.cones)
     return StackyData(fan=new_fan, r=data.r, b=data.b), d - rank
 
 

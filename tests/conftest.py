@@ -9,6 +9,7 @@ import random
 import sys
 from functools import lru_cache
 from importlib import resources
+from math import atan2, gcd
 
 import jsonschema
 import pytest
@@ -107,6 +108,45 @@ def chain_by_smith_form(orders):
     return cokernel(IntegerMatrix.diagonal(orders)).invariant_factors
 
 
+def _replay(n, ops, inverse):
+    """Apply logged Smith-form steps, in order, to the rows of the n x n
+    identity.  ``("add", src, dst, q)`` adds q times row src to row dst; by
+    the inverse rule it subtracts q times row dst from row src instead.
+    Swaps and negations are their own inverses."""
+    grid = [[int(i == j) for j in range(n)] for i in range(n)]
+    for op in ops:
+        if op[0] == "add":
+            _, src, dst, q = op
+            if inverse:
+                src, dst, q = dst, src, -q
+            grid[dst] = [x + q * y for x, y in zip(grid[dst], grid[src])]
+        elif op[0] == "swap":
+            _, i, j = op
+            grid[i], grid[j] = grid[j], grid[i]
+        else:
+            grid[op[1]] = [-x for x in grid[op[1]]]
+    return grid
+
+
+def dense_transforms(snf):
+    """``(u, v, u_inv, v_inv)`` with ``a = u d v``, replayed from the log of a
+    Smith form: the dense reference for ``SnfDecomposition.apply_row_ops``.
+
+    The row steps turn ``a`` into ``d`` from the left, so applied in order to
+    the identity they give ``u_inv``; their inverses act on the columns of
+    ``u``, that is on the rows of its transpose.  The column steps act on the
+    columns of ``v_inv`` and their inverses on the rows of ``v``.
+    """
+    def matrix(size, ops, inverse, transposed):
+        grid = _replay(size, ops, inverse)
+        return IntegerMatrix(size, size, tuple(zip(*grid)) if transposed and grid
+                             else tuple(tuple(row) for row in grid))
+
+    m, n = snf.d.rows, snf.d.cols
+    return (matrix(m, snf.row_ops, True, True), matrix(n, snf.col_ops, True, False),
+            matrix(m, snf.row_ops, False, False), matrix(n, snf.col_ops, False, True))
+
+
 def solve_linear(a: IntegerMatrix, b):
     """Solve a x = b over the integers.
 
@@ -119,10 +159,11 @@ def solve_linear(a: IntegerMatrix, b):
         raise ValueError(f"right-hand side has length {len(b)}, expected {a.rows}")
     snf = smith_normal_form(a)
     diag = snf.diagonal()
-    c = snf.u_inv.apply(b)
+    _, _, u_inv, v_inv = dense_transforms(snf)
+    c = u_inv.apply(b)
 
     kernel_cols = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
-    kernel = tuple(snf.v_inv.column(j) for j in kernel_cols)
+    kernel = tuple(v_inv.column(j) for j in kernel_cols)
 
     y = [0] * a.cols
     for i in range(a.rows):
@@ -134,7 +175,22 @@ def solve_linear(a: IntegerMatrix, b):
             if c[i] % di:
                 return None, kernel
             y[i] = c[i] // di
-    return snf.v_inv.apply(y), kernel
+    return v_inv.apply(y), kernel
+
+
+def polygon_document(count):
+    """A complete fan in Z^2 as a rigid document: the ``count`` primitive
+    vectors nearest the origin (ties by angle), in angle order, with each
+    pair of neighbours as a maximal cone.  The four axis vectors are among
+    them, so neighbours are less than a half-turn apart."""
+    n = 1
+    while (2 * n + 1) ** 2 < 4 * count:
+        n *= 2
+    vectors = [(x, y) for x in range(-n, n + 1) for y in range(-n, n + 1) if gcd(x, y) == 1]
+    vectors.sort(key=lambda v: (v[0] ** 2 + v[1] ** 2, atan2(v[1], v[0])))
+    rays = sorted(vectors[:count], key=lambda v: atan2(v[1], v[0]))
+    return {"schema_version": "1", "lattice_rank": 2, "rays": [list(ray) for ray in rays],
+            "cones": [[i, (i + 1) % count] for i in range(count)], "r": [], "b": []}
 
 
 def serialize_morphism_data(md) -> dict:
@@ -166,7 +222,6 @@ def random_spanning_data(rng: random.Random) -> StackyData:
                 break
         prims = set()
         ok = True
-        from math import gcd
         for ray in rays:
             g = 0
             for x in ray:
@@ -196,7 +251,7 @@ def random_spanning_data(rng: random.Random) -> StackyData:
 def fresh_fan_caches():
     """Empty the per-fan caches before each test, so that a test counting
     work or patching a helper does not depend on which fans ran before."""
-    for cached in (fans.validate_fan, fans._certifies_complete, fans.rays_span,
+    for cached in (fans.validate_fan, fans._certifies_complete, fans.ray_smith_form,
                    fans.maximal_cones, fans._maximal_normals, fans.primitive_collections,
                    morphisms._source_presentation):
         cached.cache_clear()
@@ -235,6 +290,16 @@ def snf_calls(monkeypatch):
     calls = []
     spy(monkeypatch, lattice.smith_normal_form, lambda a: calls.append((a.rows, a.cols)))
     return calls
+
+
+@pytest.fixture
+def row_log_vectors(monkeypatch):
+    """The vectors handed to ``SnfDecomposition.apply_row_ops``, in order."""
+    vectors = []
+    original = lattice.SnfDecomposition.apply_row_ops
+    monkeypatch.setattr(lattice.SnfDecomposition, "apply_row_ops",
+                        lambda snf, vector: vectors.append(vector) or original(snf, vector))
+    return vectors
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from toricdm.errors import DocumentError
 from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, chain_by_smith_form,
                       line_fan, make_fan, product_fan, projective_line_fan,
                       projective_plane_fan, reference_parse, schema_errors,
-                      serialize_morphism_data, spy)
+                      polygon_document, serialize_morphism_data, spy)
 from test_documents import STACKY_DOCS, mutated
 
 WPS_ROOT = {
@@ -450,8 +450,19 @@ class TestCommands:
         snf_calls.clear()
         code, report = run_checked(["build", write(tmp_path, "n.json", NONSPAN)])
         assert code == 0 and report["rays_span"] is False
-        # only data whose rays do not span is split, with a Smith form of its own
-        assert snf_calls == [(1, 2), (2, 1), (2, 1)]
+        # only data whose rays do not span is split, by the row log of the
+        # same one Smith form of the 2 x 1 ray matrix
+        assert snf_calls == [(1, 2), (2, 1)]
+
+    def test_stabilizer_verify_counts_without_a_group_table(self, tmp_path):
+        # the oracle counts the 9,000 elements of the zero cone's isotropy
+        # group; building and checking their 9,000 x 9,000 addition table
+        # took seconds already at order 740
+        path = write(tmp_path, "p1.json", dict(P1_DOC, r=[9000], b=[[0, 0]]))
+        start = time.perf_counter()
+        code, report = cli.run(["--verify", "stabilizer", path, "--cone", ""])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and report["verify"] == {"oracle_order": 9000, "agrees": True}
 
     def test_build_affine_quotient(self, tmp_path):
         code, report = run_checked(["build", write(tmp_path, "a.json", A1_MU3)])
@@ -942,3 +953,28 @@ class TestCanonicalForm:
             assert schema_errors(report, "report.schema.json") == []
             assert out.getvalue() in (json.dumps(report, indent=2) + "\n",
                                       cli._render_text(report) + "\n")
+
+
+class TestRayCount:
+    """A complete polygon fan with 6,004 rays: the Picard presentation
+    projects no vector, so no transform of its 6,004 x 2 relation matrix is
+    built (that took about 9 s and 875 MB), and its maximal cones come from
+    one pass over the facets."""
+
+    @pytest.fixture(scope="class")
+    def polygon(self, tmp_path_factory):
+        return write(tmp_path_factory.mktemp("polygon"), "polygon.json", polygon_document(6004))
+
+    def test_pic_applies_the_log_to_no_vector(self, polygon, row_log_vectors):
+        start = time.perf_counter()
+        code, report = cli.run(["--json", "pic", polygon])
+        assert time.perf_counter() - start < 2.0
+        assert code == 0 and row_log_vectors == []
+        assert report["picard"]["free_rank"] == 6002
+        assert report["picard"]["invariant_factors"] == []
+
+    def test_validate_is_fast(self, polygon):
+        start = time.perf_counter()
+        code, report = cli.run(["--json", "validate", polygon])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and report["valid"] is True

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from toricdm import (SimplicialFan, close_under_faces,
                      is_admissible_zero_pattern, is_complete, maximal_cones, rays_span,
                      validate_fan)
-from toricdm import cli, fans
+from toricdm import Violation, cli, fans
 from toricdm.documents import parse_stacky_document
 from toricdm.fans import _certifies_complete, _cone_pair_violation
 from toricdm.oracle import oracle_cones_meet_along_common_face
@@ -47,6 +47,14 @@ class TestValidateFan:
         cones.remove(frozenset({0}))
         fan = SimplicialFan(2, ((1, 0), (0, 1)), frozenset(cones))
         assert validate_fan(fan).first().code == "not_face_closed"
+
+    def test_dependent_cone_of_an_unclosed_fan(self):
+        # {0} is no facet of a listed cone, so it is read as maximal too;
+        # the dependent cone is still found first, before the missing faces
+        cones = frozenset(map(frozenset, ([], [0], [0, 1, 2])))
+        fan = SimplicialFan(2, ((1, 0), (0, 1), (-1, -1)), cones)
+        assert validate_fan(fan).first() == Violation(
+            "dependent_cone", "rays of cone [0, 1, 2] are linearly dependent", [0, 1, 2])
 
     def test_overlapping_cones(self):
         # the diagonal ray lies inside the first-quadrant cone
@@ -334,6 +342,13 @@ class TestMaximalCones:
 
     def test_equal_fans_share_one_answer(self):
         assert maximal_cones(projective_plane_fan()) is maximal_cones(projective_plane_fan())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 6), max_size=4), max_size=8))
+    def test_agrees_with_inclusion_on_face_closed_fans(self, tops):
+        fan = SimplicialFan(1, [(1,)] * 7, close_under_faces(tops))
+        expected = [c for c in fan.cones if not any(c < other for other in fan.cones)]
+        assert maximal_cones(fan) == tuple(sorted(expected, key=lambda c: (len(c), sorted(c))))
 
 
 class TestPrimitiveCollections:

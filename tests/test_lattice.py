@@ -1,18 +1,15 @@
-import sys
-import threading
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdm import (FgAbelianGroup, IntegerMatrix, SnfDecomposition, cokernel,
-                     cokernel_with_projection, cyclic_chain, lattice,
-                     smith_normal_form)
+from toricdm import (FgAbelianGroup, IntegerMatrix, cokernel, cokernel_with_projection,
+                     cyclic_chain, smith_normal_form)
 from toricdm.oracle import (oracle_divisibility, oracle_element_order_census,
                             oracle_verify_snf)
 
-from conftest import solve_linear
+from conftest import dense_transforms, solve_linear
 
 
 def mat(rows):
@@ -47,7 +44,8 @@ class TestSmithNormalForm:
         for rows, cols in ((0, 0), (0, 3), (3, 0)):
             a = IntegerMatrix.zeros(rows, cols)
             dec = smith_normal_form(a)
-            assert dec.u @ dec.d @ dec.v == a
+            u, v, _, _ = dense_transforms(dec)
+            assert u @ dec.d @ v == a
             assert oracle_verify_snf(a, dec)
 
     def test_random_matrices_verify(self, rng):
@@ -56,9 +54,6 @@ class TestSmithNormalForm:
             a = IntegerMatrix.from_rows(
                 [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)], n)
             assert oracle_verify_snf(a, smith_normal_form(a))
-
-
-TRANSFORMS = {"u", "v", "u_inv", "v_inv"}
 
 
 @st.composite
@@ -73,14 +68,38 @@ def small_matrices(draw):
     return IntegerMatrix.from_rows(rows, n)
 
 
+def dense_projection(relations, vector):
+    """Normalized coordinates of ``vector`` read off the dense rows of
+    ``u_inv``: the reference for the projection by the log."""
+    snf = smith_normal_form(relations)
+    diag = snf.diagonal()
+    image = dense_transforms(snf)[2].apply(vector)
+    torsion = tuple(image[i] % c for i, c in enumerate(diag) if c >= 2)
+    return torsion + tuple(x for i, x in enumerate(image) if i >= len(diag) or diag[i] == 0)
+
+
 class TestEngineProperties:
     @settings(max_examples=300, deadline=None)
     @given(small_matrices())
     def test_transforms_from_the_log(self, a):
         dec = smith_normal_form(a)
         assert oracle_verify_snf(a, dec)
-        assert dec.u_inv @ dec.u == IntegerMatrix.identity(a.rows)
-        assert dec.v @ dec.v_inv == IntegerMatrix.identity(a.cols)
+        u, v, u_inv, v_inv = dense_transforms(dec)
+        assert u @ dec.d @ v == a
+        assert u_inv @ u == IntegerMatrix.identity(a.rows)
+        assert v @ v_inv == IntegerMatrix.identity(a.cols)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_matrices(), st.lists(st.integers(-50, 50), min_size=5, max_size=5))
+    def test_row_log_applies_u_inv(self, a, vector):
+        dec = smith_normal_form(a)
+        assert dec.apply_row_ops(vector[:a.rows]) == dense_transforms(dec)[2].apply(vector[:a.rows])
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_matrices(), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=5, max_size=5))
+    def test_projection_by_log_equals_dense_rows(self, a, vector):
+        _, project = cokernel_with_projection(a)
+        assert project(vector[:a.rows]) == dense_projection(a, vector[:a.rows])
 
     @settings(max_examples=300, deadline=None)
     @given(small_matrices(), st.lists(st.integers(-50, 50), min_size=5, max_size=5))
@@ -93,46 +112,14 @@ class TestEngineProperties:
         assert len(coordinates) == len(group.invariant_factors) + group.free_rank
         assert all(0 <= x < c for x, c in zip(coordinates, group.invariant_factors))
 
-    def test_transforms_are_built_when_read(self, monkeypatch):
-        made = []
-
-        def recording(a):
-            made.append(smith_normal_form(a))
-            return made[-1]
-
-        monkeypatch.setattr(lattice, "smith_normal_form", recording)
+    def test_log_is_applied_only_to_projected_vectors(self, row_log_vectors):
         a = mat([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-        assert lattice.cokernel(a) == FgAbelianGroup(0, (2, 6, 12))
-        assert not TRANSFORMS & vars(made[-1]).keys()
-        lattice.cokernel_with_projection(a)
-        assert TRANSFORMS & vars(made[-1]).keys() == {"u_inv"}
-        dec = made[-1]
-        assert SnfDecomposition(dec.u, dec.d, dec.v, dec.u_inv, dec.v_inv) == dec
-        assert TRANSFORMS <= vars(dec).keys()
-
-    def test_concurrent_first_reads_agree(self, rng):
-        a = IntegerMatrix.from_rows([[rng.randint(-20, 20) for _ in range(12)]
-                                     for _ in range(12)])
-        fresh = smith_normal_form(a)
-        expected = {name: getattr(fresh, name) for name in TRANSFORMS}
-        shared = smith_normal_form(a)
-        seen = []
-
-        def read_all():
-            seen.append({name: getattr(shared, name) for name in TRANSFORMS})
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=read_all) for _ in range(6)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert seen == [expected] * len(workers)
+        group, project = cokernel_with_projection(a)
+        assert group == FgAbelianGroup(0, (2, 6, 12)) and row_log_vectors == []
+        assert project((1, 0, 0)) == dense_projection(a, (1, 0, 0))
+        assert row_log_vectors == [(1, 0, 0)]
+        with pytest.raises(ValueError):
+            project((1, 0))
 
 
 class TestCokernel:

@@ -21,23 +21,45 @@ class TestVerifySnf:
     def test_rejects_swapped_diagonal(self):
         a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
         good = smith_normal_form(a)
-        bad = SnfDecomposition(good.u, IntegerMatrix.diagonal([6, 1]), good.v,
-                               good.u_inv, good.v_inv)
+        bad = SnfDecomposition(IntegerMatrix.diagonal([6, 1]), good.row_ops, good.col_ops)
         assert not oracle_verify_snf(a, bad)
 
     def test_rejects_tampered_transform(self):
         a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
         good = smith_normal_form(a)
-        shear = IntegerMatrix.from_rows([[1, 1], [0, 1]])
-        bad = SnfDecomposition(shear @ good.u, good.d, good.v, good.u_inv, good.v_inv)
-        assert not oracle_verify_snf(a, bad)
+        for field in ("row_ops", "col_ops"):
+            ops = getattr(good, field)
+            k = next(k for k, op in enumerate(ops) if op[0] == "add")
+            kind, src, dst, q = ops[k]
+            tampered = dict(d=good.d, row_ops=good.row_ops, col_ops=good.col_ops)
+            tampered[field] = ops[:k] + ((kind, src, dst, q + 1),) + ops[k + 1:]
+            assert not oracle_verify_snf(a, SnfDecomposition(**tampered))
 
     def test_rejects_nonunimodular_transform(self):
-        a = IntegerMatrix.from_rows([[4]])
+        # adding row 0 to itself doubles it, a step of determinant 2 that
+        # takes [[1]] to [[2]]
+        a = IntegerMatrix.from_rows([[1]])
+        assert not oracle_verify_snf(
+            a, SnfDecomposition(IntegerMatrix.from_rows([[2]]), (("add", 0, 0, 1),), ()))
+        assert oracle_verify_snf(
+            a, SnfDecomposition(IntegerMatrix.from_rows([[1]]), (("neg", 0), ("neg", 0)), ()))
+
+    @pytest.mark.parametrize("step", [("swap", 0, 2), ("neg", -1), ("add", 0, 2, 1),
+                                      ("scale", 0, 2), ("add", 0, 1), ("neg", 0.0), ()])
+    def test_rejects_a_malformed_step(self, step):
+        a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
         good = smith_normal_form(a)
-        assert not oracle_verify_snf(a, SnfDecomposition(
-            u=IntegerMatrix.from_rows([[2]]), d=IntegerMatrix.from_rows([[2]]),
-            v=IntegerMatrix.from_rows([[1]]), u_inv=good.u_inv, v_inv=good.v_inv))
+        assert not oracle_verify_snf(a, SnfDecomposition(good.d, good.row_ops + (step,),
+                                                         good.col_ops))
+        assert not oracle_verify_snf(a, SnfDecomposition(good.d, good.row_ops,
+                                                         (step,) + good.col_ops))
+
+    def test_rejects_a_d_that_is_not_diagonal_or_of_the_wrong_shape(self):
+        a = IntegerMatrix.from_rows([[4]])
+        assert not oracle_verify_snf(a, SnfDecomposition(IntegerMatrix.diagonal([4, 0]), (), ()))
+        # the empty log takes a to itself, which is not diagonal
+        a = IntegerMatrix.from_rows([[1, 1], [0, 1]])
+        assert not oracle_verify_snf(a, SnfDecomposition(a, (), ()))
 
 
 class TestQuotientEnumeration:

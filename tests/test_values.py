@@ -33,9 +33,7 @@ KWARGS = {
     Violation: dict(code="c", message="m", witness=(1, 2)),
     ValidationReport: dict(violations=(Violation("c", "m"),)),
     IntegerMatrix: dict(rows=1, cols=2, entries=((1, 2),)),
-    SnfDecomposition: dict(u=IntegerMatrix.identity(1), d=IntegerMatrix.diagonal([3]),
-                           v=IntegerMatrix.identity(1), u_inv=IntegerMatrix.identity(1),
-                           v_inv=IntegerMatrix.identity(1)),
+    SnfDecomposition: dict(d=IntegerMatrix.diagonal([3]), row_ops=(("neg", 0),), col_ops=()),
     FgAbelianGroup: dict(free_rank=1, invariant_factors=(2, 4)),
     SimplicialFan: dict(lattice_rank=1, rays=((-1,), (1,)), cones=FAN.cones),
     StackyData: dict(fan=FAN, r=(2,), b=IntegerMatrix.from_rows([[0, 1]])),
