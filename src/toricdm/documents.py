@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import re
+from math import lcm
 from typing import Any
 
 try:  # the bare SHA-256 extension module; ``hashlib`` loads the OpenSSL binding
@@ -224,16 +225,15 @@ def serialize_stacky_data(data: StackyData) -> dict:
 # Morphism documents
 # ---------------------------------------------------------------------------
 
-def _parse_fraction(text, where: str):
-    from fractions import Fraction  # loaded by morphism documents only
-
+def _parse_fraction(text, where: str) -> tuple[int, int]:
+    """A ``p`` or ``p/q`` coefficient string as the pair (p, q), q > 0."""
     if type(text) is not str or not _COEFFICIENT.fullmatch(text):
         raise DocumentError(f"coefficients must be p or p/q strings, got {text!r}", where)
     numerator, _, denominator = text.partition("/")
-    try:
-        return Fraction(decode_int(numerator, where), decode_int(denominator or "1", where))
-    except ZeroDivisionError as exc:
-        raise DocumentError(f"bad coefficient {text!r}: {exc}", where) from None
+    numerator, denominator = decode_int(numerator, where), decode_int(denominator or "1", where)
+    if not denominator:
+        raise DocumentError(f"bad coefficient {text!r}: zero denominator", where)
+    return numerator, denominator
 
 
 def _decode_term(term, where: str) -> list:
@@ -257,8 +257,10 @@ def parse_morphism_document(document: Any) -> MorphismData:
 
     polys = []
     for p_idx, terms in enumerate(polynomials):
+        common = lcm(*(q for (_, q), _ in terms))
         try:  # exponent vectors of the wrong length or with a negative entry
-            poly = SparsePolynomial(n_source, tuple(terms))
+            poly = SparsePolynomial(n_source, [(p * (common // q), exponents)
+                                               for (p, q), exponents in terms], common)
         except ValueError as exc:
             raise DocumentError(f"{exc}; the source has {n_source} rays",
                                 f"/polynomials/{p_idx}") from None

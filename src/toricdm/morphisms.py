@@ -17,9 +17,11 @@ polynomials of a primitive collection of the target fan vanish together.
 So the condition holds exactly when 1 lies in every ideal those polynomials
 generate on every slice, which Buchberger's algorithm decides.
 
-Coefficients are exact rationals.  The functions that build them import
-``fractions`` themselves, so commands without a morphism document never
-load it.
+A polynomial is integer terms over one positive denominator, and every
+verdict is computed in integers: a zero set does not change when the
+polynomial is multiplied by a nonzero constant.  ``fractions`` is imported
+only to return a rational answer, a witness point or the ratios of a ``yes``
+(and by ``SparsePolynomial.evaluate``, which no verdict calls).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .fans import (FAN_CACHE_SIZE, is_admissible_zero_pattern, is_complete, maxi
 from .gerbes import PicardPresentation, PicClass, picard_group
 from .stacky import StackyData
 
-# Any values ``fractions.Fraction`` accepts; the refutation search samples them.
+# Values the refutation search samples, as ``sample_witness`` reads them.
 DEFAULT_SAMPLE_VALUES = ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2")
 DEFAULT_SAMPLE_BUDGET = 2000
 # Units the chart check of one tuple may spend (see ``_Work``), and apart from
@@ -48,28 +50,43 @@ CHART_WORK_LIMIT = 50_000
 
 
 class SparsePolynomial(Value):
-    """A polynomial with exact rational coefficients in sparse form.
+    """A polynomial with exact rational coefficients in sparse form: integer
+    ``terms``, (coefficient, exponent vector) pairs with nonnegative
+    exponents, over a positive integer ``denominator``, with value
+    ``sum(c * x**e) / denominator``.
 
-    Terms are (coefficient, exponent vector) pairs with nonnegative exponents;
-    construction merges duplicate exponent vectors, drops zero coefficients
-    and sorts, so equal polynomials compare equal.
+    A coefficient passed in is an int or carries ``numerator`` and
+    ``denominator`` (a ``Fraction``); ``denominator`` is a positive int.
+    Construction brings the terms to one denominator, merges duplicate
+    exponent vectors, drops zero coefficients, sorts, and divides by the gcd
+    of the coefficients and the denominator (the zero polynomial has
+    denominator 1), so equal polynomials compare and hash equal.
     """
 
-    _fields = ("num_vars", "terms")
+    _fields = ("num_vars", "terms", "denominator")
 
-    def __init__(self, num_vars: int, terms: Iterable[tuple[Fraction, Sequence[int]]]):
-        from fractions import Fraction
-
-        merged: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, num_vars: int, terms: Iterable[tuple[int, Sequence[int]]],
+                 denominator: int = 1):
+        if denominator < 1:
+            raise ValueError(f"denominator {denominator} is not positive")
+        rational = []
         for coeff, exponents in terms:
             exponents = tuple(int(e) for e in exponents)
             if len(exponents) != num_vars:
                 raise ValueError(f"exponent vector {exponents} has wrong length")
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
-            merged[exponents] = merged.get(exponents, Fraction(0)) + Fraction(coeff)
-        cleaned = tuple(sorted(((c, e) for e, c in merged.items() if c), key=lambda t: t[1]))
-        self.__dict__.update(num_vars=num_vars, terms=cleaned)
+            rational.append((coeff.numerator, coeff.denominator, exponents))
+        common = lcm(*(q for _, q, _ in rational))
+        merged: dict[tuple[int, ...], int] = {}
+        for p, q, exponents in rational:
+            merged[exponents] = merged.get(exponents, 0) + p * (common // q)
+        denominator *= common
+        content = gcd(denominator, *merged.values())
+        cleaned = tuple(sorted(((c // content, e) for e, c in merged.items() if c),
+                               key=lambda t: t[1]))
+        self.__dict__.update(num_vars=num_vars, terms=cleaned,
+                             denominator=denominator // content)
 
     @classmethod
     def zero(cls, num_vars: int) -> "SparsePolynomial":
@@ -88,28 +105,29 @@ class SparsePolynomial(Value):
         return frozenset(k for _, exps in self.terms for k, e in enumerate(exps) if e)
 
     def evaluate(self, values: Sequence[Fraction]) -> Fraction:
+        """The value at ``values`` (ints or ``Fraction``s), as a ``Fraction``."""
         from fractions import Fraction
 
-        total = Fraction(0)
+        total = 0
         for coeff, exps in self.terms:
             term = coeff
             for v, e in zip(values, exps):
                 if e:
                     term *= v ** e
             total += term
-        return total
+        return Fraction(total, self.denominator)
 
     def scale(self, factor) -> "SparsePolynomial":
-        from fractions import Fraction
-
-        factor = Fraction(factor)
+        """``factor`` times the polynomial; ``factor`` is an int or a ``Fraction``."""
         return SparsePolynomial(self.num_vars,
-                                tuple((factor * c, e) for c, e in self.terms))
+                                tuple((factor.numerator * c, e) for c, e in self.terms),
+                                self.denominator * factor.denominator)
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         terms = [(ca * cb, tuple(x + y for x, y in zip(ea, eb)))
                  for ca, ea in self.terms for cb, eb in other.terms]
-        return SparsePolynomial(self.num_vars, tuple(terms))
+        return SparsePolynomial(self.num_vars, tuple(terms),
+                                self.denominator * other.denominator)
 
 
 class MorphismData(Value):
@@ -324,8 +342,10 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
     and each primitive collection of the target fan, the coordinates off the
     cone are set to 1 in the collection's polynomials, and Buchberger's
     algorithm decides whether 1 lies in the ideal they generate (see the
-    module docstring).  Proven when it does for every pair; refuted with the
-    first cone where it does not; unknown when the ideals, taken in that
+    module docstring); the ideal of a chart of one variable (a source of
+    lattice rank 1) is first tried by :func:`_coprime_mod_p`, which may
+    prove that it holds 1.  Proven when 1 lies in every ideal; refuted with
+    the first cone where it does not; unknown when the ideals, taken in that
     order, spend ``CHART_WORK_LIMIT`` units of work (see :class:`_Work`)
     before one of them misses 1.  The data are expected to have passed
     :func:`validate_morphism_data`.
@@ -334,15 +354,16 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
     for p in md.polys:
         if not p.is_zero:
             degree(p, md.source, presentation)
-    compiled = [_integer_terms(p, 1) for p in md.polys]
     collections = primitive_collections(md.target.fan)
     work = _Work(CHART_WORK_LIMIT)
     try:
         for cone in maximal_cones(md.source.fan):
             chart = sorted(cone)
-            restricted = [_dehomogenize(terms, chart) for terms in compiled]
+            restricted = [_dehomogenize(p.terms, chart) for p in md.polys]
             for collection in collections:
                 generators = [restricted[k] for k in collection if restricted[k]]
+                if len(chart) == 1 and _coprime_mod_p(generators, work):
+                    continue
                 if not _contains_one(generators, work):
                     return ConditionBVerdict.refuted_pattern(cone)
     except _OutOfWork:
@@ -357,22 +378,23 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
     target locus: refuted with that point, or unknown.
 
     For every admissible source zero pattern, smallest first, the free
-    coordinates run over the nonzero ``sample_values`` (anything
-    ``fractions.Fraction`` accepts): all combinations when they fit in what
-    is left of ``sample_budget``, otherwise the rest of the budget as samples
-    drawn one coordinate at a time by ``random.Random(seed).choice``.  The
-    first sample whose image pattern is inadmissible is returned as a point
-    of ``Fraction`` coordinates.
+    coordinates run over the nonzero ``sample_values``, each an int, an
+    object with ``numerator`` and ``denominator`` (a ``Fraction``), or a
+    ``p`` or ``p/q`` string: all combinations when they fit in what is left
+    of ``sample_budget``, otherwise the rest of the budget as samples drawn
+    one coordinate at a time by ``random.Random(seed).choice``.  The first
+    sample whose image pattern is inadmissible is returned as a point of
+    ``Fraction`` coordinates.
 
     The samples are evaluated in integers.  With ``D`` the lcm of the sample
     denominators, each value ``v`` becomes the integer ``v * D``, and each
-    polynomial is compiled once per call to integer coefficients: it is
-    multiplied by the lcm of its coefficient denominators, and a term of
-    total degree ``deg`` by ``D**(top - deg)``, ``top`` the polynomial's
-    largest total degree.  At the scaled point the compiled polynomial is the
-    original value times a nonzero integer, so every zero test, and with it
-    every witness, is the one exact rational evaluation gives.  The tuple
-    need not be homogeneous and the data are not validated here.
+    polynomial's integer terms are compiled once per call: a term of total
+    degree ``deg`` is multiplied by ``D**(top - deg)``, ``top`` the
+    polynomial's largest total degree.  At the scaled point the compiled
+    polynomial is the original value times a nonzero integer, so every zero
+    test, and with it every witness, is the one exact rational evaluation
+    gives.  The tuple need not be homogeneous and the data are not validated
+    here.
 
     The search pays each sample from a :class:`_Work` of ``CHART_WORK_LIMIT``
     units of its own: one unit per term evaluated, plus the multiplications
@@ -380,14 +402,12 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
     largest term value's bit length.  Running out of work ends the search as
     an exhausted ``sample_budget`` does.
     """
-    from fractions import Fraction
-
     target_fan = md.target.fan
     # Free coordinates take nonzero values only: the zero set of a sample must
     # be a source cone, and every cone is searched as a pattern of its own.
-    sample_values = [v for v in map(Fraction, sample_values) if v]
-    denominator = lcm(*(v.denominator for v in sample_values))
-    scaled_values = [v.numerator * (denominator // v.denominator) for v in sample_values]
+    sample_values = [(p, q) for p, q in map(_ratio, sample_values) if p]
+    denominator = lcm(*(q for _, q in sample_values))
+    scaled_values = [p * (denominator // q) for p, q in sample_values]
     compiled = [_integer_terms(p, denominator) for p in md.polys]
     value_bits = max((v.bit_length() for v in scaled_values), default=0)
     rng = random.Random(seed)
@@ -423,6 +443,8 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
                     k for k, terms in enumerate(restricted)
                     if not _integer_value(terms, assignment))
                 if not is_admissible_zero_pattern(target_fan, image_pattern):
+                    from fractions import Fraction
+
                     point = [Fraction(0)] * n_source
                     for k, value in zip(free, assignment):
                         point[k] = Fraction(value, denominator)
@@ -432,15 +454,28 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
     return ConditionBVerdict.unknown()
 
 
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as a reduced pair (p, q) of ints with q > 0: an int, an
+    object with ``numerator`` and ``denominator``, or a ``p`` or ``p/q``
+    string."""
+    if isinstance(value, str):
+        numerator, _, denominator = value.partition("/")
+        p, q = int(numerator), int(denominator or 1)
+    else:
+        p, q = value.numerator, value.denominator
+    if q < 1:
+        raise ValueError(f"sample value {value!r} has no positive denominator")
+    k = gcd(p, q)
+    return p // k, q // k
+
+
 def _integer_terms(p: SparsePolynomial, denominator: int) -> list:
     """``p`` as (integer coefficient, exponents) terms whose value at ``V`` is
-    ``scale * denominator**top * p(V / denominator)``, ``scale`` the lcm of
-    the coefficient denominators and ``top`` the largest total degree."""
-    scale = lcm(*(c.denominator for c, _ in p.terms))
+    ``p.denominator * denominator**top * p(V / denominator)``, ``top`` the
+    largest total degree."""
     degrees = [sum(exps) for _, exps in p.terms]
     top = max(degrees, default=0)
-    return [(c.numerator * (scale // c.denominator) * denominator ** (top - deg), exps)
-            for (c, exps), deg in zip(p.terms, degrees)]
+    return [(c * denominator ** (top - deg), exps) for (c, exps), deg in zip(p.terms, degrees)]
 
 
 def _integer_value(terms, values) -> int:
@@ -564,6 +599,90 @@ def _contains_one(generators: Sequence[dict], work: _Work) -> bool:
     return False
 
 
+# The modular gcd test of univariate charts: the Mersenne prime p = 2**61 - 1,
+# the bits of one coefficient slot of a polynomial packed into one int, and
+# the largest degree the slots have room for (see ``_coprime_mod_p``).
+_PRIME = (1 << 61) - 1
+_SLOT = 144
+_SLOT_MASK = (1 << _SLOT) - 1
+_MAX_DEGREE = 1 << 20
+# What one step of the modular gcd costs in units of ``_Work``: a base, and
+# one more unit per ``_SLOTS_PER_UNIT`` slots it touches.  Fitted to the
+# time of Buchberger units in the same process, on the two charts of random
+# 5-term binary forms of degree 300 (1,150 steps over 116,018 slots, 5,316
+# units' time) and 1,000 (4,098 steps over 1,406,546 slots, 37,749 units).
+_STEP_UNITS = 3
+_SLOTS_PER_UNIT = 48
+
+
+def _coprime_mod_p(generators: Sequence[dict], work: _Work) -> bool:
+    """Is the gcd over Q of these nonzero univariate integer polynomials 1,
+    as shown modulo p = 2**61 - 1?
+
+    True when p divides no leading coefficient and the gcd of the images
+    modulo p is a nonzero constant: a common factor over Q of positive
+    degree has a primitive integer form whose leading coefficient divides
+    every leading coefficient (Gauss's lemma), so its image keeps its degree
+    and divides every image (Collins, "The calculation of multivariate
+    polynomial resultants", 1971).  False proves nothing.
+
+    Euclid's algorithm runs on polynomials packed into one int, coefficient
+    ``k`` in slot ``k`` of ``_SLOT`` bits, so that one elimination step is
+    a few big-integer operations.  Slots hold nonnegative representatives:
+    a step adds ``(-q) mod p`` times the divisor, whose slots are below
+    2**62, so a remainder's slots stay below 2**62 + n * 2**123 < 2**144
+    for degree n < 2**20, and no slot carries into the next.  Each remainder
+    is then folded back below 2**62 with 2**61 = 1 (mod p).  Each step is
+    paid from ``work`` by the slots it touches.
+    """
+    if not generators:
+        return False
+    size = 1 + max(max(poly)[0] for poly in generators)
+    if size > _MAX_DEGREE or any(poly[max(poly)] % _PRIME == 0 for poly in generators):
+        return False
+    ones = int.from_bytes((b"\1" + bytes(_SLOT // 8 - 1)) * size, "little")
+    low, high = ones * _PRIME, ones * ((1 << (_SLOT - 61)) - 1)
+
+    def slot(a: int, k: int) -> int:
+        return (a >> (_SLOT * k) & _SLOT_MASK) % _PRIME
+
+    def degree(a: int, top: int) -> int:
+        """The largest k <= top whose slot of ``a`` is nonzero mod p, or -1."""
+        while top >= 0 and not slot(a, top):
+            top -= 1
+        return top
+
+    gcd_poly, gcd_degree = 0, -1
+    for poly in generators:
+        a, da = _pack(poly), max(poly)[0]
+        b, db = gcd_poly, gcd_degree
+        if da < db:
+            a, da, b, db = b, db, a, da
+        while db >= 0:
+            minus_inverse = _PRIME - pow(slot(b, db), -1, _PRIME)
+            while da >= db:
+                work.spend(_STEP_UNITS + db // _SLOTS_PER_UNIT)
+                a += (slot(a, da) * minus_inverse % _PRIME * b) << (_SLOT * (da - db))
+                da = degree(a, da - 1)
+            work.spend(_STEP_UNITS + da // _SLOTS_PER_UNIT)
+            a &= (1 << (_SLOT * (da + 1))) - 1
+            for _ in range(2):  # below 2**144, then 2**84 and 2**62
+                a = (a & low) + (a >> 61 & high)
+            a, da, b, db = b, db, a, da
+        gcd_poly, gcd_degree = a, da
+        if gcd_degree == 0:
+            return True
+    return False
+
+
+def _pack(poly: dict) -> int:
+    """A univariate ``{(e,): c}`` polynomial as one int, ``c mod p`` in slot ``e``."""
+    slots = [0] * (1 + max(poly)[0])
+    for (e,), c in poly.items():
+        slots[e] = c % _PRIME
+    return int.from_bytes(b"".join(c.to_bytes(_SLOT // 8, "little") for c in slots), "little")
+
+
 def _divides(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(small, big))
 
@@ -643,21 +762,22 @@ def _reduce(poly: dict, basis: Sequence[tuple], work: _Work) -> dict:
     return {e: c // content for e, c in remainder.items()}
 
 
-def _scalar_ratio(new: SparsePolynomial, old: SparsePolynomial) -> Optional[Fraction]:
-    """The constant lambda with new = lambda * old, or None."""
-    from fractions import Fraction
-
+def _scalar_ratio(new: SparsePolynomial, old: SparsePolynomial) -> Optional[tuple[int, int]]:
+    """The constant lambda with new = lambda * old, as a reduced pair (p, q)
+    of ints with q > 0, or None; decided by cross-multiplication."""
     if new.is_zero and old.is_zero:
-        return Fraction(1)
+        return 1, 1
     if len(new.terms) != len(old.terms):
         return None
     if any(en != eo for (_, en), (_, eo) in zip(new.terms, old.terms)):
         return None
-    ratio = new.terms[0][0] / old.terms[0][0]
-    for (cn, _), (co, _) in zip(new.terms[1:], old.terms[1:]):
-        if cn / co != ratio:
-            return None
-    return ratio
+    first_new, first_old = new.terms[0][0], old.terms[0][0]
+    if any(cn * first_old != co * first_new
+           for (cn, _), (co, _) in zip(new.terms[1:], old.terms[1:])):
+        return None
+    p, q = first_new * old.denominator, first_old * new.denominator
+    k = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // k, q // k
 
 
 def check_two_isomorphic(md1: MorphismData, md2: MorphismData) -> TwoIsoVerdict:
@@ -667,7 +787,11 @@ def check_two_isomorphic(md1: MorphismData, md2: MorphismData) -> TwoIsoVerdict:
     satisfy, for every lattice coordinate of the target, the multiplicative
     relation given by the target ray exponents.  The root components of a
     witness always exist over the complex numbers, so only these relations
-    decide.  All checks are exact over the rationals.
+    decide.  All checks are exact, in integers: with lambda_k = p_k / q_k,
+    the product of lambda_k ** a_k is 1 exactly when the product of
+    p_k ** a_k and q_k ** -a_k over a_k > 0 and a_k < 0 in turn equals the
+    same product with p and q swapped.  The ratios of a ``yes`` are
+    ``Fraction``s.
     """
     if md1.source != md2.source or md1.target != md2.target or md1.chi != md2.chi:
         raise MismatchedSourceTargetError(
@@ -680,11 +804,17 @@ def check_two_isomorphic(md1: MorphismData, md2: MorphismData) -> TwoIsoVerdict:
             return TwoIsoVerdict.no()
         ratios.append(ratio)
     for l in range(md1.target.lattice_rank):
-        product = 1
-        for k, ratio in enumerate(ratios):
+        left = right = 1
+        for k, (p, q) in enumerate(ratios):
             exponent = md1.target.fan.rays[k][l]
-            if exponent:
-                product *= ratio ** exponent
-        if product != 1:
+            if exponent > 0:
+                left *= p ** exponent
+                right *= q ** exponent
+            elif exponent < 0:
+                left *= q ** -exponent
+                right *= p ** -exponent
+        if left != right:
             return TwoIsoVerdict.no()
-    return TwoIsoVerdict.yes(ratios)
+    from fractions import Fraction
+
+    return TwoIsoVerdict.yes([Fraction(p, q) for p, q in ratios])

@@ -200,7 +200,8 @@ def serialize_morphism_data(md) -> dict:
         "source": documents.serialize_stacky_data(md.source),
         "target": documents.serialize_stacky_data(md.target),
         "polynomials": [
-            [{"coefficient": str(coeff), "exponents": [documents.encode_int(e) for e in exps]}
+            [{"coefficient": str(coeff) if poly.denominator == 1 else f"{coeff}/{poly.denominator}",
+              "exponents": [documents.encode_int(e) for e in exps]}
              for coeff, exps in poly.terms]
             for poly in md.polys
         ],

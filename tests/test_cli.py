@@ -21,7 +21,7 @@ from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, chain_by_smit
                       line_fan, make_fan, product_fan, projective_line_fan,
                       projective_plane_fan, reference_parse, schema_errors,
                       polygon_document, serialize_morphism_data, spy)
-from test_documents import STACKY_DOCS, mutated
+from test_documents import MORPHISM_DOCS, STACKY_DOCS, mutated
 
 WPS_ROOT = {
     "schema_version": "1", "lattice_rank": 1,
@@ -84,6 +84,22 @@ def binary_forms_doc(last_term):
     return {"schema_version": "1", "source": P1_DOC, "target": P1_DOC, "chi": [],
             "polynomials": [[{"coefficient": c, "exponents": [e, 1000 - e]} for c, e in form]
                             for form in forms]}
+
+
+def common_factor_doc():
+    """A self-map of the projective line by two binary forms of degree 1,000
+    whose gcd is x-^2 - 2 x+^2: they vanish together only where
+    x- / x+ = +-sqrt(2), so no rational sample refutes them."""
+    forms = []
+    for base in ([(1, 998), (2, 580), (3, 0)], [(1, 998), (3, 665), (-3, 0)]):
+        terms = {}
+        for coefficient, exponent in base:
+            terms[exponent + 2] = terms.get(exponent + 2, 0) + coefficient
+            terms[exponent] = terms.get(exponent, 0) - 2 * coefficient
+        forms.append([{"coefficient": str(c), "exponents": [e, 1000 - e]}
+                      for e, c in sorted(terms.items()) if c])
+    return {"schema_version": "1", "source": P1_DOC, "target": P1_DOC, "chi": [],
+            "polynomials": forms}
 
 
 # (10^4000 + 1)(10^4000 + 3), beyond the interpreter's 4,300-digit limit on str
@@ -302,12 +318,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("last_term, code, status", [
         (("3", 1), 2, "refuted"),    # both forms vanish at x- = 0: a sample refutes
-        (("-3", 0), 3, "unknown"),   # coprime forms: the charts' proof runs out of work
+        (("-3", 0), 0, "proven"),    # coprime forms: a gcd modulo a prime proves them
+        (None, 3, "unknown"),        # an irrational common zero: the charts run out of work
     ])
     def test_high_degree_forms_are_bounded(self, tmp_path, capsys, last_term, code, status):
         # unbounded, the chart check of these two binary forms of degree
         # 1,000 runs about 1,000 S-pairs with growing coefficients: seconds
-        path = write(tmp_path, "m.json", binary_forms_doc(last_term))
+        doc = binary_forms_doc(last_term) if last_term else common_factor_doc()
+        path = write(tmp_path, "m.json", doc)
         assert os.path.getsize(path) < 1000
         start = time.perf_counter()
         with pytest.raises(SystemExit) as info:
@@ -381,7 +399,7 @@ class TestProcess:
         assert out == json.dumps(cli.run(argv)[1], indent=2) + "\n"
 
     def test_exit_codes(self, tmp_path):
-        unknown = binary_forms_doc(("-3", 0))
+        unknown = common_factor_doc()
         cases = [
             (0, ["validate", write(tmp_path, "ok.json", WPS_ROOT)]),
             (1, ["validate", write(tmp_path, "bad.json", dict(WPS_ROOT, r=[0]))]),
@@ -943,6 +961,27 @@ class TestCanonicalForm:
         path = write(folder, "mutated.json", document)
         for argv in (["build", path], ["--verify", "--json", "build", path],
                      ["stabilizer", path, "--cone", cone]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code, report = cli.run(argv)
+                with pytest.raises(SystemExit) as info:
+                    cli.main(argv)
+            assert info.value.code == code and code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            assert schema_errors(report, "report.schema.json") == []
+            assert out.getvalue() in (json.dumps(report, indent=2) + "\n",
+                                      cli._render_text(report) + "\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated(MORPHISM_DOCS), st.sampled_from(MORPHISM_DOCS))
+    def test_mutated_morphism_documents_get_an_exit_code_and_a_valid_report(self, folder,
+                                                                            document, base):
+        path = write(folder, "mutated.json", document)
+        other = write(folder, "base.json", base)
+        budget = ["--sample-budget", "50"]
+        for argv in (["--verify", "--json", "morphism", "check", path, *budget],
+                     ["--verify", "morphism", "iso", path, path, *budget],
+                     ["--json", "morphism", "iso", other, path, *budget]):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code, report = cli.run(argv)

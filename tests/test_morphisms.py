@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +15,7 @@ from toricdm import (MismatchedSourceTargetError, MorphismData,
                      check_two_isomorphic, degree, is_admissible_zero_pattern,
                      maximal_cones, picard_group)
 from toricdm import morphisms
-from toricdm.morphisms import (DEFAULT_SAMPLE_BUDGET, DEFAULT_SAMPLE_VALUES,
+from toricdm.morphisms import (CHART_WORK_LIMIT, DEFAULT_SAMPLE_BUDGET, DEFAULT_SAMPLE_VALUES,
                                ConditionBVerdict, chart_verdict, sample_witness)
 
 from conftest import (affine_fan, line_fan, make_fan, product_fan, projective_fan,
@@ -40,6 +41,18 @@ class TestSparsePolynomial:
         p = SparsePolynomial(2, ((Fraction(1), (1, 0)), (Fraction(2), (1, 0)),
                                  (Fraction(0), (0, 1))))
         assert p.terms == ((Fraction(3), (1, 0)),)
+        assert p.denominator == 1
+
+    def test_integer_terms_over_one_denominator(self):
+        p = SparsePolynomial(2, ((Fraction(1, 2), (1, 0)), (Fraction(-2, 3), (0, 1))))
+        assert p.terms == ((-4, (0, 1)), (3, (1, 0))) and p.denominator == 6
+        assert all(type(c) is int for c, _ in p.terms)
+        assert p == SparsePolynomial(2, ((6, (1, 0)), (-8, (0, 1))), 12)
+        assert p.scale(Fraction(-3, 2)) == SparsePolynomial(2, ((-3, (1, 0)), (4, (0, 1))), 4)
+        cancelled = SparsePolynomial(2, ((Fraction(1, 2), (1, 0)), (Fraction(-1, 2), (1, 0))), 5)
+        assert cancelled == SparsePolynomial.zero(2) and cancelled.denominator == 1
+        with pytest.raises(ValueError):
+            SparsePolynomial(2, (), 0)
 
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
@@ -301,11 +314,39 @@ def binomial_line():
     return SparsePolynomial(2, ((Fraction(1), (1, 0)), (Fraction(1), (0, 1))))
 
 
-def fraction_condition_b(md, sample_values, sample_budget, seed):
+def fraction_reference(terms):
+    """The coefficients of (coefficient, exponents) terms merged as
+    ``Fraction``s by exponent vector, zeros dropped: what a
+    :class:`SparsePolynomial` of those terms means."""
+    merged = {}
+    for coeff, exps in terms:
+        merged[tuple(exps)] = merged.get(tuple(exps), Fraction(0)) + Fraction(coeff)
+    return {exps: c for exps, c in merged.items() if c}
+
+
+def reference_of(p):
+    """The ``Fraction`` coefficients of ``p`` by exponent vector."""
+    return {exps: Fraction(c, p.denominator) for c, exps in p.terms}
+
+
+def fraction_value(reference, point):
+    """The value of a ``Fraction`` reference polynomial at ``point``."""
+    total = Fraction(0)
+    for exps, c in reference.items():
+        for v, e in zip(point, exps):
+            c *= Fraction(v) ** e
+        total += c
+    return total
+
+
+def fraction_condition_b(md, sample_values, sample_budget, seed, references=None):
     """The general-tuple sampler evaluated with ``Fraction`` arithmetic, as
     it was written before samples were evaluated in integers: the reference
-    for the integer path.  Zero values are dropped, so that every sample lies
-    on the source locus."""
+    for the integer path.  It evaluates ``references``, the ``Fraction``
+    reference of each polynomial (by default read off ``md``).  Zero values
+    are dropped, so that every sample lies on the source locus."""
+    if references is None:
+        references = [reference_of(p) for p in md.polys]
     sample_values = [v for v in map(Fraction, sample_values) if v]
     rng = random.Random(seed)
     remaining = sample_budget
@@ -328,7 +369,7 @@ def fraction_condition_b(md, sample_values, sample_budget, seed):
             for k, value in zip(free, assignment):
                 point[k] = value
             image_pattern = frozenset(
-                k for k, p in enumerate(md.polys) if p.evaluate(point) == 0)
+                k for k, ref in enumerate(references) if fraction_value(ref, point) == 0)
             if not is_admissible_zero_pattern(md.target.fan, image_pattern):
                 return ConditionBVerdict.refuted_point(point)
     return ConditionBVerdict.unknown()
@@ -625,6 +666,225 @@ class TestExactConditionB:
                 for _ in range(target.ray_count))
             md = MorphismData(source, target, polys, ())
             assert chart_verdict(md) == check_condition_b(md)
+
+
+def binary_form(rng, d, terms=5):
+    """A random binary form of degree ``d`` with ``terms`` terms (or all
+    d + 1), among them x-^d and x+^d, coefficients in +-1..5."""
+    exponents = {0, d}
+    while len(exponents) < min(terms, d + 1):
+        exponents.add(rng.randint(1, d - 1))
+    return SparsePolynomial(2, [(rng.choice((1, -1, 2, -2, 3, -3, 4, -4, 5, -5)), (e, d - e))
+                                for e in sorted(exponents)])
+
+
+def charts(md):
+    """The generators of each chart ideal of a tuple on the projective line."""
+    return [[morphisms._dehomogenize(p.terms, chart) for p in md.polys if not p.is_zero]
+            for chart in ([0], [1])]
+
+
+def coprime_mod_p(generators):
+    return morphisms._coprime_mod_p(generators, morphisms._Work(10 ** 9))
+
+
+def as_coefficients(poly):
+    """A univariate ``{(e,): c}`` polynomial as a coefficient list, lowest first."""
+    coefficients = [Fraction(0)] * (1 + max(poly)[0])
+    for (e,), c in poly.items():
+        coefficients[e] = Fraction(c)
+    return coefficients
+
+
+class TestRankOneCharts:
+    """On a source of lattice rank 1 every chart ideal is univariate, and a
+    gcd modulo 2**61 - 1 proves a chart whose generators are coprime."""
+
+    @pytest.mark.parametrize("d", [3, 40, 300])
+    def test_planted_coprime_pairs_are_proven(self, d):
+        rng = random.Random(d)
+        for _ in range(3):
+            f = binary_form(rng, d)
+            g = SparsePolynomial(2, f.terms + ((rng.choice((1, -2, 3)), (0, d)),))
+            md = MorphismData(P1, P1, (f, g), ())
+            assert all(coprime_mod_p(generators) for generators in charts(md))
+            assert chart_verdict(md) == ConditionBVerdict.proven()
+
+    @pytest.mark.parametrize("d", [3, 12])
+    def test_planted_common_factors_are_not_proven(self, d):
+        rng = random.Random(d)
+        h = SparsePolynomial(2, ((1, (1, 0)), (-2, (0, 1))))
+        for _ in range(3):
+            md = MorphismData(P1, P1, (binary_form(rng, d) * h, binary_form(rng, d) * h), ())
+            assert not any(coprime_mod_p(generators) for generators in charts(md))
+            assert chart_verdict(md).is_refuted
+            assert check_condition_b(md).is_refuted
+
+    def test_a_leading_coefficient_divisible_by_p_falls_through(self):
+        # coprime, but the modular image of the first form loses its degree
+        p = morphisms._PRIME
+        md = MorphismData(P1, P1, (SparsePolynomial(2, ((p, (2, 0)), (1, (0, 2)))),
+                                   SparsePolynomial(2, ((1, (2, 0)), (1, (1, 1))))), ())
+        assert not coprime_mod_p(charts(md)[0])
+        assert chart_verdict(md) == ConditionBVerdict.proven()
+
+    @pytest.mark.parametrize("d", [300, 1000])
+    def test_random_binary_forms_are_proven_within_the_work_limit(self, d, monkeypatch):
+        # the Buchberger path ran out of work on both before the modular gcd;
+        # the gcd leaves a tenth of the limit unspent
+        rng = random.Random(d)
+        md = MorphismData(P1, P1, (binary_form(rng, d), binary_form(rng, d)), ())
+        monkeypatch.setattr(morphisms, "CHART_WORK_LIMIT", CHART_WORK_LIMIT * 9 // 10)
+        start = time.perf_counter()
+        assert check_condition_b(md).is_proven
+        assert time.perf_counter() - start < 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(st.integers(-5, 5), min_size=1, max_size=6), min_size=1, max_size=3),
+           st.sampled_from(([1], [-1, 1], [2, 0, 1], [1, 1, 1])))
+    def test_agrees_with_the_gcd_over_q(self, coefficient_lists, factor):
+        # small coefficients keep every resultant below p, so the modular gcd
+        # has the degree of the rational one
+        generators = []
+        for coefficients in coefficient_lists:
+            product = [0] * (len(coefficients) + len(factor) - 1)
+            for i, a in enumerate(coefficients):
+                for j, b in enumerate(factor):
+                    product[i + j] += a * b
+            poly = {(e,): c for e, c in enumerate(product) if c}
+            if poly:
+                generators.append(poly)
+        common = []
+        for poly in generators:
+            common = polynomial_gcd(common, as_coefficients(poly))
+        assert coprime_mod_p(generators) == (len(common) == 1)
+
+
+RATIONALS = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6),
+                                                    st.integers(1, 6)))
+NONZERO_RATIONALS = st.builds(Fraction, st.integers(1, 3) | st.integers(-3, -1),
+                              st.integers(1, 3))
+
+
+@st.composite
+def rational_terms(draw):
+    """A variable count and rational (coefficient, exponents) terms, with
+    repeated exponent vectors and cancellations."""
+    n = draw(st.integers(1, 3))
+    return n, draw(st.lists(st.tuples(RATIONALS, st.tuples(*[st.integers(0, 2)] * n)),
+                            max_size=6))
+
+
+@st.composite
+def rational_tuples(draw):
+    """A homogeneous tuple with rational coefficients, often a zero
+    polynomial among them, and the ``Fraction`` reference of each
+    polynomial, merged from the drawn terms."""
+    source = draw(st.sampled_from(EXACT_SPACES))
+    target = draw(st.sampled_from(EXACT_SPACES))
+    groups = monomials_by_class(source)
+
+    def form():
+        monomials = draw(st.lists(st.sampled_from(draw(st.sampled_from(groups))),
+                                  min_size=1, max_size=3))
+        return [(draw(RATIONALS), e) for e in monomials]
+
+    shared = form()
+    raw = []
+    for _ in range(target.ray_count):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            raw.append([])
+        elif kind == 1:
+            raw.append([(a * b, tuple(x + y for x, y in zip(e, f)))
+                        for a, e in form() for b, f in shared])
+        else:
+            raw.append(form())
+    polys = tuple(SparsePolynomial(source.ray_count, terms) for terms in raw)
+    return MorphismData(source, target, polys, ()), [fraction_reference(t) for t in raw]
+
+
+def fraction_two_isomorphic(md, first, second):
+    """The status and ratios of :func:`check_two_isomorphic`, from the
+    ``Fraction`` references of the two tuples."""
+    ratios = []
+    for old, new in zip(first, second):
+        if old.keys() != new.keys():
+            return "no", None
+        found = {new[e] / old[e] for e in old} or {Fraction(1)}
+        if len(found) > 1:
+            return "no", None
+        ratios.append(found.pop())
+    for l in range(md.target.lattice_rank):
+        product = Fraction(1)
+        for k, ratio in enumerate(ratios):
+            product *= ratio ** md.target.fan.rays[k][l]
+        if product != 1:
+            return "no", None
+    return "yes", tuple(ratios)
+
+
+class TestFractionReference:
+    """Integer terms over one denominator against ``Fraction`` coefficients."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_terms(), st.integers(1, 12), st.randoms(use_true_random=False))
+    def test_normal_form_equality_and_hash(self, case, k, rnd):
+        n, terms = case
+        p = SparsePolynomial(n, terms)
+        reference = fraction_reference(terms)
+        assert reference_of(p) == reference
+        assert [e for _, e in p.terms] == sorted(reference)
+        assert p.denominator >= 1 and gcd(p.denominator, *(c for c, _ in p.terms)) == 1
+        assert reference or p.denominator == 1
+        # the same polynomial with halved, shuffled terms over the denominator k
+        halves = [(Fraction(c) * k / 2, e) for c, e in terms for _ in range(2)]
+        rnd.shuffle(halves)
+        other = SparsePolynomial(n, halves, k)
+        assert other == p and hash(other) == hash(p)
+        more = terms + [(Fraction(1, k), (1,) * n)]
+        assert (SparsePolynomial(n, more) == p) == (fraction_reference(more) == reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_tuples(), st.lists(NONZERO_RATIONALS, min_size=6, max_size=6),
+           st.integers(0, 2 ** 16))
+    def test_condition_b_verdict_and_witness(self, case, factors, seed):
+        md, references = case
+        verdict = check_condition_b(md, sample_budget=300, seed=seed)
+        assert verdict.status in ("proven", "refuted")
+        sampled = fraction_condition_b(md, DEFAULT_SAMPLE_VALUES, 300, seed, references)
+        if any(len(p.terms) > 1 for p in md.polys):
+            # the sampler runs unless the charts prove, and then cannot refute
+            assert (verdict.witness_point is not None) == sampled.is_refuted
+        assert not (verdict.is_proven and sampled.is_refuted)
+        if verdict.witness_point is not None:
+            assert verdict == sampled
+            assert all(type(x) is Fraction for x in verdict.witness_point)
+        # a nonzero factor per polynomial changes no zero set
+        scaled = MorphismData(md.source, md.target, tuple(
+            SparsePolynomial(md.source.ray_count, [(c * factor, e) for e, c in ref.items()])
+            for ref, factor in zip(references, factors)), ())
+        assert check_condition_b(scaled, sample_budget=300, seed=seed) == verdict
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_tuples(), st.lists(NONZERO_RATIONALS, min_size=6, max_size=6),
+           st.booleans(), st.integers(0, 5))
+    def test_two_isomorphic_status_and_ratios(self, case, ratios, uniform, changed):
+        md, first = case
+        if uniform:  # the same ratio on every coordinate satisfies the relations
+            ratios = [ratios[0]] * len(ratios)
+        second = [{e: c * ratio for e, c in ref.items()} for ref, ratio in zip(first, ratios)]
+        if changed < len(second):  # one more term, or 1 added to a coefficient
+            exps = next(iter(first[changed]), (0,) * md.source.ray_count)
+            second[changed] = fraction_reference(
+                [(c, e) for e, c in second[changed].items()] + [(1, exps)])
+        md2 = MorphismData(md.source, md.target, tuple(
+            SparsePolynomial(md.source.ray_count, [(c, e) for e, c in ref.items()])
+            for ref in second), ())
+        verdict = check_two_isomorphic(md, md2)
+        assert (verdict.status, verdict.ratios) == fraction_two_isomorphic(md, first, second)
+        if verdict.ratios is not None:
+            assert all(type(x) is Fraction for x in verdict.ratios)
 
 
 class TestTwoIsomorphic:

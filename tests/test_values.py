@@ -42,7 +42,7 @@ KWARGS = {
     PicardPresentation: dict(n=PRESENTATION.n, relation_matrix=PRESENTATION.relation_matrix,
                              group=PRESENTATION.group, project=PRESENTATION.project),
     PicClass: dict(representative=(1, 0), presentation=PRESENTATION),
-    SparsePolynomial: dict(num_vars=2, terms=LINE.terms),
+    SparsePolynomial: dict(num_vars=2, terms=LINE.terms, denominator=LINE.denominator),
     MorphismData: dict(source=P1, target=P1, polys=(LINE, LINE), chi=()),
     ConditionBVerdict: dict(status="refuted", witness_pattern=frozenset({0}),
                             witness_point=None),
@@ -127,3 +127,27 @@ def test_validate_run_leaves_fractions_unloaded(tmp_path):
     loaded = _modules_after(code, str(path))
     assert "toricdm.fans" in loaded
     assert {"hashlib", "fractions", "argparse", "gettext", "locale"} & loaded == set()
+
+
+def test_morphism_runs_leave_fractions_unloaded(tmp_path):
+    # rational coefficients, a check the charts prove and an iso "no": no
+    # answer is a non-integer rational, so ``fractions`` never loads
+    p1 = {"schema_version": "1", "lattice_rank": 1, "rays": [[-1], [1]],
+          "cones": [[0], [1]], "r": [], "b": []}
+
+    def document(scale):
+        return {"schema_version": "1", "source": p1, "target": p1, "chi": [], "polynomials": [
+            [{"coefficient": "1/2", "exponents": [1, 0]},
+             {"coefficient": "-2/3", "exponents": [0, 1]}],
+            [{"coefficient": f"-2/{3 * scale}", "exponents": [0, 1]}]]}
+
+    paths = []
+    for scale in (1, 2):
+        paths.append(tmp_path / f"m{scale}.json")
+        paths[-1].write_text(json.dumps(document(scale)))
+    code = ("import sys, toricdm.cli as c\n"
+            "assert c.run(['morphism', 'check', sys.argv[1]])[0] == 0\n"
+            "assert c.run(['morphism', 'iso', sys.argv[1], sys.argv[2]])[0] == 2")
+    loaded = _modules_after(code, *map(str, paths))
+    assert "toricdm.morphisms" in loaded
+    assert {"fractions", "decimal", "numbers"} & loaded == set()
