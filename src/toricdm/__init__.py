@@ -14,8 +14,8 @@ from .errors import (ConeNotInFanError, DocumentError,
                      SourceNotRigidError, TargetRaysNotSpanningError,
                      TooLargeError, ToricError, ValidationReport, Value,
                      Violation, ZeroPolynomialError)
-from .fans import (SimplicialFan, ZeroPattern, close_under_faces, is_admissible_zero_pattern,
-                   is_complete, maximal_cones, rays_span, validate_fan)
+from .fans import (SimplicialFan, ZeroPattern, is_admissible_zero_pattern, is_complete,
+                   rays_span, validate_fan)
 from .gerbes import (PicardPresentation, PicClass, canonicalize, gerbe_class,
                      is_isomorphic_banded, picard_group)
 from .lattice import (FgAbelianGroup, IntegerMatrix, SnfDecomposition,

@@ -22,11 +22,10 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import NoReturn
 
 from . import documents
 from .errors import (DocumentError, TooLargeError, ToricError)
-from .fans import maximal_cones, rays_span
+from .fans import rays_span
 from .gerbes import canonicalize, picard_group, twist_divisibility
 from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
                         check_condition_b, check_two_isomorphic)
@@ -155,7 +154,7 @@ def _cmd_build(args, inputs):
 def _verify_build(data, canonical):
     # the oracle reads the document's own presentation, independent of canonicalize
     checks = []
-    for cone in maximal_cones(data.fan):
+    for cone in data.fan.cones:
         if len(cone) != data.lattice_rank:
             continue
         main_order = point_stabilizer(canonical, cone).order()

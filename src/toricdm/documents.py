@@ -7,10 +7,10 @@ values and rejects whatever those schemas reject, with a :class:`DocumentError`
 located by a JSON pointer (``/`` is the whole document).  Integers beyond the
 53-bit range safe for double-based JSON readers are written as decimal
 strings, of any length; both forms are read up to ``MAX_INTEGER_DIGITS``
-digits.  Cone lists may name only the maximal cones; the loader closes them
-under faces before anything else sees the fan.  The whole document is
-decoded before any size bound is reported, so ``too_large`` always means a
-well-formed document beyond a bound.
+digits.  A cone list may name any cones that generate the fan, the maximal
+ones alone or with faces and repeats; the fan keeps the maximal ones.  The
+whole document is decoded before any size bound is reported, so
+``too_large`` always means a well-formed document beyond a bound.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import re
 from math import lcm
-from typing import Any
 
 try:  # the bare SHA-256 extension module; ``hashlib`` loads the OpenSSL binding
     from _sha256 import sha256
@@ -29,7 +28,7 @@ except ImportError:  # Python 3.12 on
         from hashlib import sha256
 
 from .errors import DocumentError, TooLargeError
-from .fans import SimplicialFan, close_under_faces, maximal_cones
+from .fans import SimplicialFan
 from .gerbes import PicClass, picard_group
 from .lattice import IntegerMatrix
 from .morphisms import MorphismData, SparsePolynomial
@@ -205,7 +204,7 @@ def _stacky_data(fields: list, where: str) -> StackyData:
         for idx in idx_list:
             if not 0 <= idx < len(rays):
                 raise DocumentError(f"cone uses unknown ray index {idx}", f"{where}/cones/{i}")
-    fan = SimplicialFan(rank, rays, close_under_faces(cones))
+    fan = SimplicialFan(rank, rays, cones)
     return StackyData(fan=fan, r=r, b=IntegerMatrix.from_rows(b, len(rays)))
 
 
@@ -215,7 +214,7 @@ def serialize_stacky_data(data: StackyData) -> dict:
         "schema_version": SCHEMA_VERSION,
         "lattice_rank": encode_int(data.lattice_rank),
         "rays": [[encode_int(x) for x in ray] for ray in data.fan.rays],
-        "cones": [sorted(cone) for cone in maximal_cones(data.fan)],
+        "cones": [sorted(cone) for cone in data.fan.cones],
         "r": [encode_int(x) for x in data.r],
         "b": encode_grid(data.b),
     }

@@ -1,20 +1,23 @@
 """Simplicial fan combinatorics over the rationals, exactly.
 
-A fan is given by its ray vectors and an explicit list of cones (as sets of
-ray indices) that must already contain every face.  Validation covers
-simpliciality, face closure, duplicate ray directions and the intersection
-condition.  When every maximal cone is full-dimensional the intersection
-condition is first certified in near-linear time by facet pairing (each
-facet in exactly two maximal cones, on opposite sides of its hyperplane)
-plus one generic vector covered exactly once; fans that certificate does not
-accept are decided pair by pair by exact cone-membership tests, phase one of
-the simplex method, with no size limit.  :func:`is_complete` means valid and
-certified complete.  All eliminations and pivots run in integers, with
-fraction-free row steps.
+A fan is given by its ray vectors and a list of cones (as sets of ray
+indices) that generates it: every face of a listed cone is a cone.  Only the
+maximal cones are stored, with an index from each ray to the maximal cones
+that contain it, so a set of rays is a cone exactly when one maximal cone
+holds them all, and the faces are generated only when they are walked.
+Validation covers simpliciality, duplicate ray directions and the
+intersection condition.  When every maximal cone is full-dimensional the
+intersection condition is first certified in near-linear time by facet
+pairing (each facet in exactly two maximal cones, on opposite sides of its
+hyperplane) plus one generic vector covered exactly once; fans that
+certificate does not accept are decided pair by pair by exact cone-membership
+tests, phase one of the simplex method, with no size limit.
+:func:`is_complete` means valid and certified complete.  All eliminations
+and pivots run in integers, with fraction-free row steps.
 
 A fan hashes as its value, so :func:`validate_fan`, the certificate,
-:func:`ray_smith_form`, :func:`maximal_cones`, the facet normals of the
-maximal cones and :func:`primitive_collections` keep their answers for the last
+:func:`ray_smith_form`, the facet normals of the maximal cones and
+:func:`primitive_collections` keep their answers for the last
 ``FAN_CACHE_SIZE`` fans, the most one command meets (two morphism documents,
 each with a source and a target): one command certifies each distinct fan
 once, eliminates each maximal cone's ray matrix once for both simpliciality
@@ -25,8 +28,8 @@ primitive collections once.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import gcd
-from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationReport, Value, Violation
 from .lattice import IntegerMatrix, SnfDecomposition, smith_normal_form
@@ -37,10 +40,12 @@ FAN_CACHE_SIZE = 4  # distinct fans one command validates, at most
 
 
 class SimplicialFan(Value):
-    """A simplicial fan: ray vectors in Z^d plus a face-closed cone list.
+    """A simplicial fan: ray vectors in Z^d plus its maximal cones.
 
-    Cones are sets of ray indices; the empty set is the zero cone and must be
-    listed.  Construction only normalizes the container types; run
+    ``cones`` may list any cones that generate the fan: the maximal ones,
+    all faces, or a mix with repeats.  Construction keeps the maximal ones,
+    ordered by size and then by their sorted rays, and indexes them by ray;
+    a fan with no nonempty cone keeps the zero cone alone.  Run
     :func:`validate_fan` to check the geometric invariants.
     """
 
@@ -49,32 +54,45 @@ class SimplicialFan(Value):
     def __init__(self, lattice_rank: int, rays: Iterable[Iterable[int]],
                  cones: Iterable[Iterable[int]]):
         rays = tuple(tuple(int(x) for x in ray) for ray in rays)
-        cones = frozenset(frozenset(int(i) for i in cone) for cone in cones)
-        self.__dict__.update(lattice_rank=lattice_rank, rays=rays, cones=cones)
+        self.__dict__.update(lattice_rank=lattice_rank, rays=rays, _containing={})
+        maximal = []
+        # largest first: a listed set in no cone kept so far is maximal
+        for cone in sorted({frozenset(int(i) for i in c) for c in cones}, key=len, reverse=True):
+            if cone and not self.cones_containing(cone):
+                maximal.append(cone)
+                for i in cone:
+                    self._containing.setdefault(i, []).append(cone)
+        self.__dict__["cones"] = (tuple(sorted(maximal, key=lambda c: (len(c), sorted(c))))
+                                  or (frozenset(),))
 
     @property
     def ray_count(self) -> int:
         return len(self.rays)
 
-    def sorted_cones(self) -> list[frozenset[int]]:
-        return sorted(self.cones, key=lambda c: (len(c), sorted(c)))
+    def cones_containing(self, rays: frozenset[int]) -> list[frozenset[int]]:
+        """The maximal cones that hold every ray of ``rays``, found among
+        those of its ray with the fewest; all of them for the empty set."""
+        if not rays:
+            return list(self.cones)
+        fewest = min((self._containing.get(i, ()) for i in rays), key=len)
+        return [cone for cone in fewest if rays <= cone]
+
+    def is_cone(self, rays: frozenset[int]) -> bool:
+        """Do the rays lie together in one maximal cone?  The empty set is
+        the zero cone; a ray index no cone lists lies in no cone."""
+        return bool(self.cones_containing(rays))
+
+    def faces(self) -> Iterator[frozenset[int]]:
+        """Every cone, by size and then by its sorted rays, the zero cone
+        first; the faces of one size are listed when they are reached."""
+        tops = [sorted(cone) for cone in self.cones]
+        for size in range(len(tops[-1]) + 1):
+            for face in sorted({face for top in tops for face in combinations(top, size)}):
+                yield frozenset(face)
 
     def ray_matrix(self) -> IntegerMatrix:
         """The d x n matrix whose columns are the ray vectors."""
         return IntegerMatrix.column_stack(self.rays, self.lattice_rank)
-
-
-def close_under_faces(cones: Iterable[Iterable[int]]) -> frozenset[frozenset[int]]:
-    """All faces of the given cones, including the empty cone.  A face already
-    collected has all its faces in, so the work is linear in the output."""
-    closed: set[frozenset[int]] = {frozenset()}
-    pending = sorted({frozenset(cone) for cone in cones}, key=len)
-    while pending:
-        face = pending.pop()
-        if face not in closed:
-            closed.add(face)
-            pending.extend(face - {i} for i in face)
-    return frozenset(closed)
 
 
 def primitive(vector: Sequence[int]) -> tuple[int, ...]:
@@ -154,17 +172,15 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
     """Check every fan invariant, reporting the first violation with a witness.
 
     The checks run in dependency order: ray sanity, duplicate directions, cone
-    index ranges, simpliciality, face closure, and finally intersection
-    compatibility of the maximal cones (which implies it for all faces once
-    closure and simpliciality hold).
+    index ranges, simpliciality, and finally intersection compatibility of
+    the maximal cones, which implies it for all their faces.
 
     Simpliciality is checked on the maximal cones only, since a face of an
-    independent set is independent; the faces are scanned only to name the
-    first dependent cone once a maximal cone fails.  When every maximal cone
-    is full-dimensional the completeness certificate of
-    :func:`_certifies_complete` is tried first; it can only accept.  Fans it
-    does not certify, complete or not, get the pairwise check of
-    :func:`_cone_pair_violation`, which also supplies the
+    independent set is independent; the witness is the first dependent
+    maximal cone.  When every maximal cone is full-dimensional the
+    completeness certificate of :func:`_certifies_complete` is tried first;
+    it can only accept.  Fans it does not certify, complete or not, get the
+    pairwise check of :func:`_cone_pair_violation`, which also supplies the
     ``bad_intersection`` witness.  Every fan gets a verdict.
     """
     d = fan.lattice_rank
@@ -187,36 +203,20 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
                 (directions[prim], idx)),))
         directions[prim] = idx
 
-    if frozenset() not in fan.cones:
-        return ValidationReport((Violation("missing_zero_cone", "the empty cone is not listed", None),))
-
-    cones = fan.sorted_cones()
+    maximal = fan.cones
     n = fan.ray_count
-    for cone in cones:
+    for cone in maximal:
         for i in cone:
             if not 0 <= i < n:
                 return ValidationReport((Violation(
                     "cone_index_out_of_range", f"cone {sorted(cone)} uses unknown ray {i}",
                     sorted(cone)),))
 
-    maximal = maximal_cones(fan)
-    # before face closure is checked, ``maximal`` may hold non-maximal cones
-    # too; each lies in a truly maximal cone, also held, so one of them is
-    # dependent exactly when a truly maximal cone is
-    if None in _maximal_normals(fan):
-        for cone in cones:
-            if _facet_normals(fan, cone) is None:
-                return ValidationReport((Violation(
-                    "dependent_cone", f"rays of cone {sorted(cone)} are linearly dependent",
-                    sorted(cone)),))
-
-    for cone in cones:
-        for i in cone:
-            if cone - {i} not in fan.cones:
-                return ValidationReport((Violation(
-                    "not_face_closed",
-                    f"face {sorted(cone - {i})} of cone {sorted(cone)} is missing",
-                    (sorted(cone), sorted(cone - {i}))),))
+    for cone, normals in zip(maximal, _maximal_normals(fan)):
+        if normals is None:
+            return ValidationReport((Violation(
+                "dependent_cone", f"rays of cone {sorted(cone)} are linearly dependent",
+                sorted(cone)),))
 
     if _certifies_complete(fan):
         return ValidationReport()
@@ -276,9 +276,8 @@ def _facet_normals(fan: SimplicialFan, cone: frozenset[int]) -> Optional[dict[in
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def _maximal_normals(fan: SimplicialFan) -> tuple[Optional[dict[int, tuple[int, ...]]], ...]:
-    """:func:`_facet_normals` of each maximal cone, in
-    :func:`maximal_cones` order."""
-    return tuple(_facet_normals(fan, cone) for cone in maximal_cones(fan))
+    """:func:`_facet_normals` of each maximal cone, in ``fan.cones`` order."""
+    return tuple(_facet_normals(fan, cone) for cone in fan.cones)
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -287,8 +286,8 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def _certifies_complete(fan: SimplicialFan) -> bool:
-    """Certificate that independent, face-closed maximal cones with distinct
-    ray directions form a complete fan; False when a maximal cone is not
+    """Certificate that independent maximal cones with distinct ray
+    directions form a complete fan; False when a maximal cone is not
     full-dimensional.
 
     The cone form of the triangulation criterion in De Loera, Rambau and
@@ -301,7 +300,7 @@ def _certifies_complete(fan: SimplicialFan) -> bool:
     the Cauchy root bound no facet normal vanishes on it.  False means only
     "not certified", never "invalid".
     """
-    maximal = maximal_cones(fan)
+    maximal = fan.cones
     if any(len(cone) != fan.lattice_rank for cone in maximal):
         return False
     owners = _facet_owners(maximal)
@@ -318,35 +317,29 @@ def _certifies_complete(fan: SimplicialFan) -> bool:
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
-def maximal_cones(fan: SimplicialFan) -> tuple[frozenset[int], ...]:
-    """Cones not strictly contained in another listed cone, in sorted order.
-
-    The fan must be face-closed: then a cone is maximal exactly when it is
-    not a facet of a listed cone, so one pass over the facets finds them.
-    On a fan that is not face-closed the answer may keep non-maximal cones.
-    """
-    facets = {cone - {i} for cone in fan.cones for i in cone}
-    return tuple(sorted(fan.cones - facets, key=lambda c: (len(c), sorted(c))))
-
-
-@lru_cache(maxsize=FAN_CACHE_SIZE)
 def primitive_collections(fan: SimplicialFan) -> tuple[frozenset[int], ...]:
     """The minimal sets of rays that lie in no cone, in sorted order.
 
-    For a face-closed fan a zero pattern is admissible exactly when it
-    contains none of them.  Every proper subset of a primitive collection is
-    a cone, so each one is a cone plus one ray whose other facets are cones
-    too; those candidates are all that is scanned.
+    A zero pattern is admissible exactly when it contains none of them.
+    Every proper subset of a primitive collection is a cone, so each one is
+    a face F plus a ray i above the rays of F that is off the star of F (the
+    rays of the maximal cones that contain F) and on the star of every facet
+    of F.  The faces are walked by size, keeping the stars of the size
+    below, and the collections come out in sorted order.
     """
-    found = set()
-    for cone in fan.cones:
-        for i in range(fan.ray_count):
-            if i in cone:
-                continue
-            candidate = cone | {i}
-            if candidate not in fan.cones and all(candidate - {j} in fan.cones for j in cone):
-                found.add(candidate)
-    return tuple(sorted(found, key=lambda c: (len(c), sorted(c))))
+    found = []
+    size, stars, below = 0, {}, {}
+    everything = frozenset(range(fan.ray_count))
+    for face in fan.faces():
+        if len(face) > size:
+            size, below, stars = len(face), stars, {}
+        star = stars[face] = frozenset().union(*fan.cones_containing(face))
+        outside = everything - star
+        if outside:  # then the rays on the stars of all facets
+            outside = outside.intersection(*(below[face - {j}] for j in face))
+            top = max(face, default=-1)
+            found += [face | {i} for i in sorted(outside) if i > top]
+    return tuple(found)
 
 
 def is_complete(fan: SimplicialFan) -> bool:
@@ -376,12 +369,12 @@ def rays_span(fan: SimplicialFan) -> bool:
 def is_admissible_zero_pattern(fan: SimplicialFan, pattern: Iterable[int]) -> bool:
     """May the coordinates indexed by ``pattern`` vanish simultaneously?
 
-    True exactly when some maximal cone contains every ray in the pattern;
-    such patterns are the ones realized on the quotient-construction locus.
-    A validated fan is face-closed, so these are exactly its listed cones.
+    True exactly when some maximal cone contains every ray in the pattern,
+    that is when the pattern is a cone of the fan; such patterns are the
+    ones realized on the quotient-construction locus.
     """
     pattern = frozenset(int(i) for i in pattern)
     for i in pattern:
         if not 0 <= i < fan.ray_count:
             raise ValueError(f"ray index {i} out of range")
-    return pattern in fan.cones
+    return fan.is_cone(pattern)

@@ -10,8 +10,6 @@ the twists pushed through its isomorphism.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from .errors import MismatchedUnderlyingDataError, NotInChainFormError, Value
 from .lattice import FgAbelianGroup, IntegerMatrix, cokernel_with_projection, cyclic_chain
 from .stacky import StackyData, rigidify

@@ -12,7 +12,6 @@ immutable and safe to share between threads.
 from __future__ import annotations
 
 from math import gcd, prod
-from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import Value
 

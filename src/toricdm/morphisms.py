@@ -27,15 +27,13 @@ only to return a rational answer, a witness point or the ratios of a ``yes``
 from __future__ import annotations
 
 import itertools
-import random
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
                      SourceNotCompleteError, SourceNotRigidError,
                      TargetRaysNotSpanningError, Value, ZeroPolynomialError)
-from .fans import (FAN_CACHE_SIZE, is_admissible_zero_pattern, is_complete, maximal_cones,
+from .fans import (FAN_CACHE_SIZE, is_admissible_zero_pattern, is_complete,
                    primitive_collections, rays_span)
 from .gerbes import PicardPresentation, PicClass, picard_group
 from .stacky import StackyData
@@ -317,7 +315,7 @@ def check_condition_b(md: MorphismData,
     """
     validate_morphism_data(md)
     if all(len(p.terms) <= 1 for p in md.polys):
-        for cone in maximal_cones(md.source.fan):
+        for cone in md.source.fan.cones:
             image_pattern = frozenset(
                 k for k, p in enumerate(md.polys)
                 if p.is_zero or (p.support_vars() & cone))
@@ -338,7 +336,7 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
     The tuple must be homogeneous in the source grading, graded as in
     :func:`check_condition_a`; :class:`NotHomogeneousError` is raised
     otherwise, since only then is its zero set stable under the group.  For
-    each maximal source cone, in :func:`~toricdm.fans.maximal_cones` order,
+    each maximal source cone, in ``fan.cones`` order,
     and each primitive collection of the target fan, the coordinates off the
     cone are set to 1 in the collection's polynomials, and Buchberger's
     algorithm decides whether 1 lies in the ideal they generate (see the
@@ -357,7 +355,7 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
     collections = primitive_collections(md.target.fan)
     work = _Work(CHART_WORK_LIMIT)
     try:
-        for cone in maximal_cones(md.source.fan):
+        for cone in md.source.fan.cones:
             chart = sorted(cone)
             restricted = [_dehomogenize(p.terms, chart) for p in md.polys]
             for collection in collections:
@@ -410,12 +408,13 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
     scaled_values = [p * (denominator // q) for p, q in sample_values]
     compiled = [_integer_terms(p, denominator) for p in md.polys]
     value_bits = max((v.bit_length() for v in scaled_values), default=0)
+    import random  # only the sampler draws
     rng = random.Random(seed)
     remaining = sample_budget
     work = _Work(CHART_WORK_LIMIT)
     n_source = md.source.ray_count
     try:
-        for pattern in md.source.fan.sorted_cones():
+        for pattern in md.source.fan.faces():
             if remaining <= 0:
                 break
             free = [k for k in range(n_source) if k not in pattern]

@@ -12,9 +12,7 @@ package.
 from __future__ import annotations
 
 import itertools
-import random
 from math import gcd, lcm
-from typing import Sequence
 
 from .errors import TooLargeError, Value
 from .lattice import IntegerMatrix, SnfDecomposition
@@ -168,6 +166,7 @@ def _verify_table(elements, table) -> None:
     if order <= _FULL_ASSOCIATIVITY_LIMIT:
         triples = ((a, b, c) for a in range(order) for b in range(order) for c in range(order))
     else:
+        import random  # only large tables are sampled
         rng = random.Random(1)
         triples = ((rng.randrange(order), rng.randrange(order), rng.randrange(order))
                    for _ in range(_ASSOCIATIVITY_SAMPLES))

@@ -14,8 +14,6 @@ canonical chain form (``gerbes.canonicalize``) gives them from n + k rows.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
                      Value, Violation)
 from .fans import SimplicialFan, ray_smith_form, rays_span, validate_fan
@@ -162,7 +160,7 @@ def point_stabilizer(data: StackyData, cone: Sequence[int] | frozenset[int]) -> 
     result is always finite for cones of the fan.
     """
     cone = frozenset(int(i) for i in cone)
-    if cone not in data.fan.cones:
+    if not data.fan.is_cone(cone):
         raise ConeNotInFanError(f"cone {sorted(cone)} is not in the fan")
     n, big_r = data.ray_count, data.root_count
     exponents = psi_exponents(data)

@@ -85,7 +85,7 @@ def test_criterion_3_stabilizer_order_formula():
             r_product = 1
             for r in data.r:
                 r_product *= r
-            for cone in data.fan.sorted_cones():
+            for cone in data.fan.faces():
                 if len(cone) != d:
                     continue
                 square = IntegerMatrix.column_stack(

@@ -135,8 +135,8 @@ class TestDocuments:
         doc = {"schema_version": "1", "lattice_rank": 2,
                "rays": [[1, 0], [0, 1]], "cones": [[0, 1]], "r": [], "b": []}
         data = documents.parse_stacky_document(doc)
-        assert frozenset() in data.fan.cones
-        assert frozenset({0}) in data.fan.cones
+        assert data.fan.is_cone(frozenset())
+        assert data.fan.is_cone(frozenset({0}))
 
     def test_big_integers_round_trip(self):
         big = 2 ** 70
@@ -914,7 +914,7 @@ class TestCanonicalForm:
         group = quotient_group(data)
         assert quotient_group(canonical) == group
         path = write(folder, "rooted.json", documents.serialize_stacky_data(data))
-        for cone in data.fan.cones:
+        for cone in data.fan.faces():
             stabilizer = point_stabilizer(data, cone)
             assert point_stabilizer(canonical, cone) == stabilizer
             code, report = cli.run(["stabilizer", path, "--cone", ",".join(map(str, cone))])
@@ -997,8 +997,8 @@ class TestCanonicalForm:
 class TestRayCount:
     """A complete polygon fan with 6,004 rays: the Picard presentation
     projects no vector, so no transform of its 6,004 x 2 relation matrix is
-    built (that took about 9 s and 875 MB), and its maximal cones come from
-    one pass over the facets."""
+    built (that took about 9 s and 875 MB), and the fan holds only its
+    maximal cones."""
 
     @pytest.fixture(scope="class")
     def polygon(self, tmp_path_factory):
@@ -1017,3 +1017,61 @@ class TestRayCount:
         code, report = cli.run(["--json", "validate", polygon])
         assert time.perf_counter() - start < 1.0
         assert code == 0 and report["valid"] is True
+
+
+class TestLatticeRank:
+    """P^16: its fan has 2^17 faces, none of which any command lists."""
+
+    @pytest.fixture(scope="class")
+    def projective_16(self, tmp_path_factory):
+        rays = [[int(i == k) for i in range(16)] for k in range(16)] + [[-1] * 16]
+        cones = [[i for i in range(17) if i != skip] for skip in range(17)]
+        return write(tmp_path_factory.mktemp("rank"), "p16.json", {
+            "schema_version": "1", "lattice_rank": 16, "rays": rays, "cones": cones,
+            "r": [], "b": []})
+
+    @pytest.mark.parametrize("argv", [["validate"], ["build"], ["stabilizer", "--cone", "0"]])
+    def test_each_command_is_fast(self, projective_16, argv):
+        # the per-fan caches start empty for each command
+        start = time.perf_counter()
+        code, report = cli.run(["--json", argv[0], projective_16, *argv[1:]])
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and "error" not in report
+
+
+# The fan of P^2 written three ways: its maximal cones, all its faces, and a
+# shuffled mix of both with repeats.
+P2_LISTINGS = ([[0, 1], [1, 2], [0, 2]],
+               [[], [0], [1], [2], [0, 1], [0, 2], [1, 2]],
+               [[2, 1], [0], [1, 0], [], [0, 2], [2], [1, 0], [2, 1]])
+
+
+class TestConeListings:
+    def test_every_command_answers_alike(self, tmp_path):
+        answers = []
+        for k, cones in enumerate(P2_LISTINGS):
+            datum = {"schema_version": "1", "lattice_rank": 2,
+                     "rays": [[1, 0], [0, 1], [-1, -1]], "cones": cones,
+                     "r": [2, 4], "b": [[0, 1, 1], [1, 0, 3]]}
+            # (x0 + x1, x2) meets the target's primitive collection where
+            # x2 = 0 and x0 = -x1, so the sampler refutes it with a point
+            morphism = {"schema_version": "1", "source": dict(datum, r=[], b=[]),
+                        "target": P1_DOC, "chi": [], "polynomials": [
+                            [{"coefficient": "1", "exponents": [1, 0, 0]},
+                             {"coefficient": "1", "exponents": [0, 1, 0]}],
+                            [{"coefficient": "1", "exponents": [0, 0, 1]}]]}
+            path = write(tmp_path, f"datum{k}.json", datum)
+            check = write(tmp_path, f"morphism{k}.json", morphism)
+            reports = []
+            for argv in (["validate", path], ["--verify", "build", path], ["pic", path],
+                         ["stabilizer", path, "--cone", "0,1"],
+                         ["stabilizer", path, "--cone", "2"], ["split", path],
+                         ["canonicalize", path], ["rigidify", path],
+                         ["morphism", "check", check]):
+                code, report = run_checked(["--json", *argv])
+                del report["inputs"]
+                reports.append((code, report))
+            answers.append(reports)
+        assert answers[1] == answers[0] and answers[2] == answers[0]
+        verdict = answers[0][-1][1]["condition_b"]
+        assert verdict["status"] == "refuted" and verdict["witness_point"]

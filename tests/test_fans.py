@@ -6,19 +6,18 @@ from functools import cmp_to_key
 from math import gcd
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricdm import (SimplicialFan, close_under_faces,
-                     is_admissible_zero_pattern, is_complete, maximal_cones, rays_span,
+from toricdm import (SimplicialFan, is_admissible_zero_pattern, is_complete, rays_span,
                      validate_fan)
 from toricdm import Violation, cli, fans
 from toricdm.documents import parse_stacky_document
 from toricdm.fans import _certifies_complete, _cone_pair_violation
 from toricdm.oracle import oracle_cones_meet_along_common_face
 
-from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, make_fan, product_fan,
-                      projective_fan, projective_line_fan, projective_plane_fan,
+from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, close_under_faces, make_fan,
+                      product_fan, projective_fan, projective_line_fan, projective_plane_fan,
                       schema_errors)
 
 
@@ -43,14 +42,15 @@ class TestValidateFan:
         assert report.first().code == "dependent_cone"
 
     def test_missing_face(self):
+        # the listed cone [0, 1] implies its face [0]: the fan is the same
         cones = set(close_under_faces([[0, 1]]))
         cones.remove(frozenset({0}))
         fan = SimplicialFan(2, ((1, 0), (0, 1)), frozenset(cones))
-        assert validate_fan(fan).first().code == "not_face_closed"
+        assert fan == make_fan(2, ((1, 0), (0, 1)), [[0, 1]])
+        assert fan.is_cone(frozenset({0})) and validate_fan(fan).valid
 
     def test_dependent_cone_of_an_unclosed_fan(self):
-        # {0} is no facet of a listed cone, so it is read as maximal too;
-        # the dependent cone is still found first, before the missing faces
+        # the list is no closed fan; its one maximal cone is the witness
         cones = frozenset(map(frozenset, ([], [0], [0, 1, 2])))
         fan = SimplicialFan(2, ((1, 0), (0, 1), (-1, -1)), cones)
         assert validate_fan(fan).first() == Violation(
@@ -63,9 +63,23 @@ class TestValidateFan:
         witness = report.first().witness
         assert witness[2] in (0, 1, 2)
 
+    def test_dependent_face_of_a_maximal_cone(self):
+        # rays 0, 1 and 2 are dependent, a face of the dependent maximal cone
+        rays = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+        assert validate_fan(make_fan(3, rays, [[0, 1, 2, 3]])).first() == Violation(
+            "dependent_cone", "rays of cone [0, 1, 2, 3] are linearly dependent", [0, 1, 2, 3])
+
+    def test_cone_index_out_of_range(self):
+        # construction keeps the unknown index for validation to report
+        fan = SimplicialFan(1, ((1,),), [[0], [0, 3]])
+        assert validate_fan(fan).first() == Violation(
+            "cone_index_out_of_range", "cone [0, 3] uses unknown ray 3", [0, 3])
+
     def test_missing_zero_cone(self):
+        # every list generates the zero cone, listed or not
         fan = SimplicialFan(1, ((1,),), frozenset({frozenset({0})}))
-        assert validate_fan(fan).first().code == "missing_zero_cone"
+        assert fan.is_cone(frozenset()) and validate_fan(fan).valid
+        assert SimplicialFan(1, ((1,),), []).cones == (frozenset(),)
 
     def test_fixture_generators_pass(self):
         fixtures = [projective_fan(1), projective_fan(2), projective_fan(3),
@@ -80,12 +94,6 @@ class TestValidateFan:
                                                    projective_line_fan())):
             # adding the all-rays cone breaks simpliciality or the dimension
             cones = set(fan.cones) | {frozenset(range(len(fan.rays)))}
-            mutated = SimplicialFan(fan.lattice_rank, fan.rays, frozenset(cones))
-            assert not validate_fan(mutated).valid
-            # dropping a maximal cone's face breaks closure
-            top = sorted(maximal_cones(fan), key=sorted)[0]
-            face = frozenset(sorted(top)[:1])
-            cones = set(fan.cones) - {face}
             mutated = SimplicialFan(fan.lattice_rank, fan.rays, frozenset(cones))
             assert not validate_fan(mutated).valid
 
@@ -137,8 +145,7 @@ class TestIntersectionChecker:
             cone_a, cone_b = random_cone(), random_cone()
             if cone_a == cone_b:
                 continue
-            fan = SimplicialFan(d, tuple(rays),
-                                close_under_faces([sorted(cone_a), sorted(cone_b)]))
+            fan = SimplicialFan(d, tuple(rays), [sorted(cone_a), sorted(cone_b)])
             by_membership = _cone_pair_violation(fan, cone_a, cone_b) is None
             by_vertices = oracle_cones_meet_along_common_face(rays, d, cone_a, cone_b)
             assert by_membership == by_vertices, (rays, sorted(cone_a), sorted(cone_b))
@@ -211,7 +218,7 @@ def complete_patterns_in_rank3(draw):
 def _assert_agrees_with_all_pairs(fan):
     report = validate_fan(fan)
     assume(report.valid or report.first().code == "bad_intersection")
-    maximal = maximal_cones(fan)
+    maximal = fan.cones
     pairs = [(a, b) for k, a in enumerate(maximal) for b in maximal[k + 1:]]
     by_oracle = all(oracle_cones_meet_along_common_face(fan.rays, fan.lattice_rank, a, b)
                     for a, b in pairs)
@@ -253,7 +260,7 @@ class TestCompletenessCertificate:
         # owners on opposite sides, but a generic vector is covered twice
         rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
         fan = make_fan(2, rays, [[i, (i + 1) % 5] for i in range(5)])
-        maximal = maximal_cones(fan)
+        maximal = fan.cones
         owners = fans._facet_owners(maximal)
         assert all(len(pair) == 2 for pair in owners.values())
         normals = [fans._facet_normals(fan, cone) for cone in maximal]
@@ -277,7 +284,7 @@ class TestCompletenessCertificate:
 
     def test_incomplete_fans_fall_back(self):
         fan = _rank2_fan(31)
-        punctured = SimplicialFan(2, fan.rays, fan.cones - {frozenset({0, 1})})
+        punctured = SimplicialFan(2, fan.rays, fan.cones[1:])
         assert not _certifies_complete(punctured)
         assert validate_fan(punctured).valid
         assert not is_complete(punctured)
@@ -291,7 +298,7 @@ class TestConeMembership:
         assert time.perf_counter() - start < 0.1
         assert report.first().code == "bad_intersection"
         assert report.first().witness == ([1, 2, 3, 4], [2, 3, 4, 5], 1)
-        maximal = maximal_cones(fan)
+        maximal = fan.cones
         for k, a in enumerate(maximal):
             for b in maximal[k + 1:]:
                 assert ((_cone_pair_violation(fan, a, b) is None)
@@ -329,26 +336,79 @@ class TestCloseUnderFaces:
         assert close_under_faces(cones) == brute | {frozenset()}
 
 
+def _in_order(cones):
+    return sorted(cones, key=lambda c: (len(c), sorted(c)))
+
+
+@st.composite
+def generating_lists(draw):
+    """A ray count up to 7, a cone list on those rays and the cones it
+    generates.  The list holds the maximal cones alone, all faces, the
+    maximal cones and some faces shuffled with repeats, or nothing."""
+    n = draw(st.integers(1, 7))
+    tops = draw(st.lists(st.frozensets(st.integers(0, n - 1), max_size=4), max_size=6))
+    closed = close_under_faces(tops)
+    maximal = [c for c in closed if not any(c < other for other in closed)]
+    how = draw(st.sampled_from(("maximal", "faces", "shuffled", "empty")))
+    if how == "maximal":
+        listed = maximal
+    elif how == "faces":
+        listed = _in_order(closed)
+    elif how == "shuffled":
+        faces = draw(st.lists(st.sampled_from(_in_order(closed)), max_size=8))
+        listed = draw(st.permutations(maximal + faces + maximal[:1]))
+    else:
+        listed, closed = [], frozenset({frozenset()})
+    return n, [list(cone)[::-1] for cone in listed], closed
+
+
+def _case(fan):
+    """A fixture fan as :func:`generating_lists` draws one."""
+    return fan.ray_count, [sorted(cone) for cone in fan.cones], close_under_faces(fan.cones)
+
+
+class TestGeneratingLists:
+    @settings(max_examples=200, deadline=None)
+    @given(generating_lists())
+    def test_agrees_with_the_closure(self, case):
+        n, listed, closed = case
+        fan = SimplicialFan(1, [(1,)] * n, listed)
+        for size in range(n + 1):
+            for rays in itertools.combinations(range(n), size):
+                assert fan.is_cone(frozenset(rays)) == (frozenset(rays) in closed)
+        assert not fan.is_cone(frozenset({n}))
+        assert list(fan.faces()) == _in_order(closed)
+        # the maximal cones of a closed list are the cones that are no facet
+        facets = {cone - {i} for cone in closed for i in cone}
+        assert fan.cones == tuple(_in_order(closed - facets))
+        again = SimplicialFan(1, [(1,)] * n, closed)
+        assert fan == again and hash(fan) == hash(again)
+
+
 class TestMaximalCones:
     def test_projective_line(self):
-        assert maximal_cones(projective_line_fan()) == (frozenset({0}), frozenset({1}))
+        assert projective_line_fan().cones == (frozenset({0}), frozenset({1}))
 
     def test_half_line(self):
-        assert maximal_cones(affine_fan(1)) == (frozenset({0}),)
+        assert affine_fan(1).cones == (frozenset({0}),)
 
     def test_projective_plane(self):
-        tops = maximal_cones(projective_plane_fan())
+        tops = projective_plane_fan().cones
         assert sorted(sorted(c) for c in tops) == [[0, 1], [0, 2], [1, 2]]
 
     def test_equal_fans_share_one_answer(self):
-        assert maximal_cones(projective_plane_fan()) is maximal_cones(projective_plane_fan())
+        fan = projective_plane_fan()
+        closed = SimplicialFan(2, fan.rays, close_under_faces(fan.cones))
+        assert closed == fan and closed.cones == fan.cones
+        assert validate_fan(closed) is validate_fan(fan)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.frozensets(st.integers(0, 6), max_size=4), max_size=8))
     def test_agrees_with_inclusion_on_face_closed_fans(self, tops):
-        fan = SimplicialFan(1, [(1,)] * 7, close_under_faces(tops))
-        expected = [c for c in fan.cones if not any(c < other for other in fan.cones)]
-        assert maximal_cones(fan) == tuple(sorted(expected, key=lambda c: (len(c), sorted(c))))
+        closed = close_under_faces(tops)
+        fan = SimplicialFan(1, [(1,)] * 7, closed)
+        expected = [c for c in closed if not any(c < other for other in closed)]
+        assert fan.cones == tuple(_in_order(expected))
 
 
 class TestPrimitiveCollections:
@@ -360,22 +420,24 @@ class TestPrimitiveCollections:
         # a ray in no cone is a primitive collection on its own
         assert fans.primitive_collections(make_fan(1, [(1,), (-1,)], [[0]])) == (frozenset({1}),)
 
-    def test_minimal_non_faces_by_brute_force(self, rng):
-        spaces = [projective_fan(3), product_fan(projective_line_fan(), projective_plane_fan()),
-                  _rank2_fan(9), affine_fan(2)]
-        for fan in spaces:
-            rays = range(fan.ray_count)
-            non_faces = [frozenset(c) for size in range(1, fan.ray_count + 1)
-                         for c in itertools.combinations(rays, size)
-                         if frozenset(c) not in fan.cones]
-            minimal = {c for c in non_faces if not any(o < c for o in non_faces)}
-            found = fans.primitive_collections(fan)
-            assert set(found) == minimal and len(found) == len(minimal)
-            patterns = [frozenset(c) for size in range(fan.ray_count + 1)
-                        for c in itertools.combinations(rays, size)]
-            for pattern in rng.sample(patterns, min(len(patterns), 60)):
-                admissible = not any(c <= pattern for c in found)
-                assert admissible == is_admissible_zero_pattern(fan, pattern)
+    @settings(max_examples=150, deadline=None)
+    @given(generating_lists())
+    @example(_case(projective_fan(3)))
+    @example(_case(product_fan(projective_line_fan(), projective_plane_fan())))
+    @example(_case(_rank2_fan(9)))
+    @example(_case(affine_fan(2)))
+    def test_minimal_non_faces_by_brute_force(self, case):
+        n, listed, closed = case
+        fan = SimplicialFan(1, [(1,)] * n, listed)
+        patterns = [frozenset(c) for size in range(n + 1)
+                    for c in itertools.combinations(range(n), size)]
+        non_faces = [c for c in patterns if c not in closed]
+        minimal = [c for c in non_faces if not any(o < c for o in non_faces)]
+        found = fans.primitive_collections(fan)
+        assert found == tuple(_in_order(minimal))
+        for pattern in patterns:
+            admissible = not any(c <= pattern for c in found)
+            assert admissible == is_admissible_zero_pattern(fan, pattern)
 
     def test_equal_fans_share_one_answer(self):
         assert (fans.primitive_collections(projective_plane_fan())
@@ -407,14 +469,6 @@ class TestIsComplete:
         rays = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
         assert not is_complete(make_fan(2, rays, [[i, (i + 1) % 5] for i in range(5)]))
 
-    def test_a_fan_missing_a_face_is_not_complete(self):
-        # the three top cones still cover the plane once, but the ray cone
-        # {0} is not listed, so the fan is not face-closed
-        fan = projective_plane_fan()
-        unclosed = SimplicialFan(2, fan.rays, fan.cones - {frozenset({0})})
-        assert validate_fan(unclosed).first().code == "not_face_closed"
-        assert not is_complete(unclosed)
-
     def test_dependent_maximal_cone_is_not_complete(self):
         fan = make_fan(2, [(1, 0), (-1, 0), (0, 1), (0, -1)],
                        [[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -441,7 +495,7 @@ class TestFanCaches:
                               (affine_fan(2), False)):
             assert validate_fan(fan).valid
             assert is_complete(fan) == complete
-        assert certificates == [maximal_cones(projective_plane_fan()), (frozenset({0, 1}),)]
+        assert certificates == [projective_plane_fan().cones, (frozenset({0, 1}),)]
 
 
 class TestRaysSpan:
@@ -471,7 +525,7 @@ class TestAdmissibleZeroPatterns:
 
     def test_monotone(self, rng):
         fan = projective_fan(3)
-        patterns = [frozenset(c) for c in maximal_cones(fan)]
+        patterns = list(fan.cones)
         for pattern in patterns:
             for i in pattern:
                 smaller = pattern - {i}

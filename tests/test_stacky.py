@@ -5,7 +5,6 @@ from toricdm import (ConeNotInFanError, FgAbelianGroup, IntegerMatrix,
                      generic_stabilizer, point_stabilizer,
                      psi_exponents, quotient_group, rigidify, split_nonspanning,
                      stacky_fan, validate_data)
-from toricdm.fans import maximal_cones
 from toricdm.oracle import oracle_quotient_enumerate, oracle_stabilizer_order
 
 from conftest import (affine_quotient_data, chain_by_smith_form, make_fan,
@@ -141,7 +140,7 @@ class TestStabilizers:
     def test_face_order_divides(self, rng):
         for _ in range(20):
             data = random_spanning_data(rng)
-            for cone in data.fan.sorted_cones():
+            for cone in data.fan.faces():
                 order = point_stabilizer(data, cone).order()
                 for i in cone:
                     face_order = point_stabilizer(data, cone - {i}).order()
@@ -210,7 +209,7 @@ class TestOrderFormula:
             r_product = 1
             for r in data.r:
                 r_product *= r
-            for cone in maximal_cones(data.fan):
+            for cone in data.fan.cones:
                 if len(cone) != data.lattice_rank:
                     continue
                 order = point_stabilizer(data, cone).order()

@@ -21,6 +21,22 @@ def private_imports(path):
     return found
 
 
+def typing_imports(path):
+    """Line numbers of the file's imports of ``typing``: every module
+    postpones its annotations, so none needs it at run time."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.split(".")[0] == "typing" for module in modules):
+            found.append(node.lineno)
+    return found
+
+
 def test_no_private_imports_between_modules():
     offenders = {path.name: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
     assert len(offenders) >= 9
@@ -33,3 +49,18 @@ def test_detects_a_private_import(tmp_path):
                     "from toricdm.fans import _other\n"
                     "from os import _exit\n")
     assert private_imports(path) == [("lattice", "_hidden"), ("toricdm.fans", "_other")]
+
+
+def test_no_module_imports_typing():
+    offenders = {path.name: typing_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(offenders) >= 9
+    assert {name: lines for name, lines in offenders.items() if lines} == {}
+
+
+def test_detects_a_typing_import(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import os, typing\n"
+                    "from typing import Any\n"
+                    "import typing_extensions\n"
+                    "from .typing import local\n")
+    assert typing_imports(path) == [1, 2]

@@ -19,10 +19,9 @@ from toricdm import (ConditionBVerdict, FgAbelianGroup, FiniteGroupTable,
                      IntegerMatrix, MorphismData, PicardPresentation, PicClass,
                      QuotientGroupDesc, SimplicialFan, SnfDecomposition,
                      SparsePolynomial, StackyData, StackyFan, TwoIsoVerdict,
-                     ValidationReport, Value, Violation, close_under_faces,
-                     picard_group)
+                     ValidationReport, Value, Violation, picard_group)
 
-FAN = SimplicialFan(lattice_rank=1, rays=((-1,), (1,)), cones=close_under_faces([[0], [1]]))
+FAN = SimplicialFan(lattice_rank=1, rays=((-1,), (1,)), cones=[[0], [1]])
 GROUP = FgAbelianGroup(free_rank=1, invariant_factors=(2, 4))
 P1 = StackyData(fan=FAN)
 PRESENTATION = picard_group(P1)
@@ -127,6 +126,27 @@ def test_validate_run_leaves_fractions_unloaded(tmp_path):
     loaded = _modules_after(code, str(path))
     assert "toricdm.fans" in loaded
     assert {"hashlib", "fractions", "argparse", "gettext", "locale"} & loaded == set()
+
+
+def test_commands_leave_typing_and_random_unloaded(tmp_path):
+    # annotations are postponed, and only the sampler and the oracle's
+    # large group tables draw random numbers
+    p1 = {"schema_version": "1", "lattice_rank": 1, "rays": [[-1], [1]],
+          "cones": [[0], [1]], "r": [2], "b": [[0, 1]]}
+    target = dict(p1, r=[], b=[])
+    duple = {"schema_version": "1", "source": target, "target": target, "chi": [],
+             "polynomials": [[{"coefficient": "1", "exponents": [2, 0]}],
+                             [{"coefficient": "1", "exponents": [0, 2]}]]}
+    paths = [tmp_path / "p1.json", tmp_path / "duple.json"]
+    for path, doc in zip(paths, (p1, duple)):
+        path.write_text(json.dumps(doc))
+    code = ("import sys, toricdm.cli as c\n"
+            "assert c.run(['validate', sys.argv[1]])[0] == 0\n"
+            "assert c.run(['build', sys.argv[1]])[0] == 0\n"
+            "assert c.run(['morphism', 'check', sys.argv[2]])[0] == 0")
+    loaded = _modules_after(code, *map(str, paths))
+    assert {"toricdm.stacky", "toricdm.morphisms"} <= loaded
+    assert {"typing", "random"} & loaded == set()
 
 
 def test_morphism_runs_leave_fractions_unloaded(tmp_path):
