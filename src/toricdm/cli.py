@@ -17,21 +17,17 @@ the in-process API.
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import sys
-from types import SimpleNamespace
 
 from . import documents
-from .errors import (DocumentError, TooLargeError, ToricError)
+from .errors import DocumentError, TooLargeError, ToricError
 from .fans import rays_span
-from .gerbes import canonicalize, picard_group, twist_divisibility
-from .morphisms import (DEFAULT_SAMPLE_BUDGET, check_condition_a,
-                        check_condition_b, check_two_isomorphic)
-from .oracle import oracle_divisibility, oracle_stabilizer_order
 from .stacky import (build_matrices, dm_torus, point_stabilizer, quotient_group, rigidify,
                      split_nonspanning, stacky_fan, validate_data)
+
+# ``gerbes`` and ``morphisms`` are imported by the handlers that use them, and
+# ``oracle`` only under ``--verify``, so that a request loads what it runs.
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -117,8 +113,10 @@ def _cmd_validate(args, inputs):
 
 
 def _cmd_build(args, inputs):
+    from . import gerbes
+
     data = _load_valid(args.paths[0], inputs)
-    canonical, _ = canonicalize(data)
+    canonical, _ = gerbes.canonicalize(data)
     b_matrix, q_matrix = build_matrices(data)
     bq = b_matrix.hstack(q_matrix)
     group = quotient_group(canonical)
@@ -153,13 +151,15 @@ def _cmd_build(args, inputs):
 
 def _verify_build(data, canonical):
     # the oracle reads the document's own presentation, independent of canonicalize
+    from . import oracle
+
     checks = []
     for cone in data.fan.cones:
         if len(cone) != data.lattice_rank:
             continue
         main_order = point_stabilizer(canonical, cone).order()
         try:
-            oracle_order = oracle_stabilizer_order(data, cone)
+            oracle_order = oracle.oracle_stabilizer_order(data, cone)
         except TooLargeError:
             checks.append({"cone": sorted(cone), "skipped": "too large"})
             continue
@@ -171,8 +171,10 @@ def _verify_build(data, canonical):
 
 
 def _cmd_pic(args, inputs):
+    from . import gerbes
+
     data = _load_valid(args.paths[0], inputs)
-    presentation = picard_group(rigidify(data))
+    presentation = gerbes.picard_group(rigidify(data))
     payload = {
         "picard": {
             "free_rank": documents.encode_int(presentation.group.free_rank),
@@ -184,16 +186,20 @@ def _cmd_pic(args, inputs):
 
 
 def _cmd_stabilizer(args, inputs):
+    from . import gerbes
+
     data = _load_valid(args.paths[0], inputs)
-    group = point_stabilizer(canonicalize(data)[0], args.cone)
+    group = point_stabilizer(gerbes.canonicalize(data)[0], args.cone)
     payload = {
         "cone": sorted(args.cone),
         "stabilizer": {"invariant_factors": _group_payload(group),
                        "order": documents.encode_int(group.order())},
     }
     if args.verify:
+        from . import oracle
+
         try:
-            oracle_order = oracle_stabilizer_order(data, args.cone)
+            oracle_order = oracle.oracle_stabilizer_order(data, args.cone)
             payload["verify"] = {"oracle_order": documents.encode_int(oracle_order),
                                  "agrees": oracle_order == group.order()}
         except TooLargeError as exc:
@@ -217,8 +223,10 @@ def _cmd_split(args, inputs):
 
 
 def _cmd_canonicalize(args, inputs):
+    from . import gerbes
+
     data = _load_valid(args.paths[0], inputs)
-    canonical, certificate = canonicalize(data)
+    canonical, certificate = gerbes.canonicalize(data)
     return EXIT_OK, _report(
         "canonicalize", inputs,
         data=documents.serialize_stacky_data(canonical),
@@ -227,19 +235,23 @@ def _cmd_canonicalize(args, inputs):
 
 
 def _classify_pair(base, base_canonical, other, verify):
-    other_canonical, _ = canonicalize(other)
+    from . import gerbes
+
+    other_canonical, _ = gerbes.canonicalize(other)
     result = {"chains": [[documents.encode_int(x) for x in base_canonical.r],
                          [documents.encode_int(x) for x in other_canonical.r]]}
-    rows = twist_divisibility(base_canonical, other_canonical)
+    rows = gerbes.twist_divisibility(base_canonical, other_canonical)
     result["isomorphic"] = rows is not None and all(divisible for _, divisible in rows)
     if rows is not None:
         result["divisibility"] = [divisible for _, divisible in rows]
         if verify:
-            relation = picard_group(rigidify(base)).relation_matrix
+            from . import oracle
+
+            relation = gerbes.picard_group(rigidify(base)).relation_matrix
             agreement = []
             for (diff, divisible), r in zip(rows, base_canonical.r):
                 try:
-                    agreement.append(oracle_divisibility(diff, r, relation) == divisible)
+                    agreement.append(oracle.oracle_divisibility(diff, r, relation) == divisible)
                 except TooLargeError:
                     agreement.append(None)
             result["oracle_agrees"] = agreement
@@ -247,13 +259,15 @@ def _classify_pair(base, base_canonical, other, verify):
 
 
 def _cmd_classify(args, inputs):
+    from . import gerbes
+
     base = _load_valid(args.paths[0], inputs)
     others = [_load_valid(path, inputs) for path in args.paths[1:]]
     for other in others:
         if other.fan != base.fan:
             raise DocumentError("data sets do not share the same fan and rays",
                                 "mismatched_underlying_data")
-    base_canonical, _ = canonicalize(base)
+    base_canonical, _ = gerbes.canonicalize(base)
     results = [_classify_pair(base, base_canonical, other, args.verify) for other in others]
     everything = all(r["isomorphic"] for r in results)
     code = EXIT_OK if everything else EXIT_FALSE
@@ -261,10 +275,13 @@ def _cmd_classify(args, inputs):
 
 
 def _cmd_morphism(args, inputs):
+    from . import morphisms
+
     md = _load_valid_morphism(args.paths[0], inputs)
     if args.mode == "check":
-        condition_a = check_condition_a(md)
-        verdict = check_condition_b(md, sample_budget=args.sample_budget, seed=args.seed)
+        condition_a = morphisms.check_condition_a(md)
+        verdict = morphisms.check_condition_b(md, sample_budget=args.sample_budget,
+                                              seed=args.seed)
         payload = {"mode": "check", "condition_a": condition_a,
                    "condition_b": _condition_b_payload(verdict)}
         if not condition_a or verdict.is_refuted:
@@ -276,7 +293,7 @@ def _cmd_morphism(args, inputs):
         return code, _report("morphism", inputs, **payload)
 
     md2 = _load_valid_morphism(args.paths[1], inputs)
-    verdict = check_two_isomorphic(md, md2)
+    verdict = morphisms.check_two_isomorphic(md, md2)
     payload = {"mode": "iso", "iso": {"status": verdict.status}}
     if verdict.ratios is not None:
         payload["iso"]["ratios"] = [documents.encode_fraction(x) for x in verdict.ratios]
@@ -312,14 +329,14 @@ def _render_text(report):
         if isinstance(value, dict):
             for key, sub in value.items():
                 if _is_flat(sub) or not sub:
-                    lines.append(f"{pad}{key}: {json.dumps(sub)}")
+                    lines.append(f"{pad}{key}: {documents.dumps(sub)}")
                 else:
                     lines.append(f"{pad}{key}:")
                     walk(sub, indent + 1)
         elif isinstance(value, list):
             for sub in value:
                 if _is_flat(sub):
-                    lines.append(f"{pad}- {json.dumps(sub)}")
+                    lines.append(f"{pad}- {documents.dumps(sub)}")
                 else:
                     lines.append(f"{pad}-")
                     walk(sub, indent + 1)
@@ -351,7 +368,7 @@ def _cone(text):
 _HELP = dict.fromkeys(("-h", "--help"), ("help", None, False, None, ""))
 _GLOBAL_OPTIONS = {
     "--json": ("json", None, False, None, "emit the report as JSON"),
-    "--sample-budget": ("sample_budget", "N", DEFAULT_SAMPLE_BUDGET, _nonnegative_int,
+    "--sample-budget": ("sample_budget", "N", documents.DEFAULT_SAMPLE_BUDGET, _nonnegative_int,
                         "evaluation budget of the search for a rational witness"),
     "--seed": ("seed", "S", 0, int, "seed of the search for a rational witness"),
     "--verify": ("verify", None, False, None, "cross-check results with the oracles")}
@@ -400,7 +417,11 @@ def _option(arg, options, command):
         _fail(command, f"ambiguous option: {arg} could match {', '.join(o for o, _ in found)}")
     if found:
         return found[0]
-    return None if re.match(r"-\d+$|-\d*\.\d+$", arg) or " " in arg else (None, None)
+    if " " in arg:
+        return None
+    import re
+
+    return None if re.match(r"-\d+$|-\d*\.\d+$", arg) else (None, None)
 
 
 def _walk(argv, options, choices, args, command):
@@ -475,11 +496,16 @@ def _parse(argv, args):
         _fail(None, f"unrecognized arguments: {' '.join(extras + more)}")
 
 
-def _execute(argv) -> tuple[SimpleNamespace, int, dict]:
+class _Arguments:
+    """The parsed arguments, as attributes (``types.SimpleNamespace`` costs
+    an import)."""
+
+
+def _execute(argv) -> tuple[_Arguments, int, dict]:
     """Parse the arguments and run the command: (arguments, exit code,
     report).  A usage error exits 1 with no report unless the subcommand is
     known."""
-    args, inputs = SimpleNamespace(), []
+    args, inputs = _Arguments(), []
     try:
         _parse(sys.argv[1:] if argv is None else list(argv), args)
         return (args, *_COMMANDS[args.command][0](args, inputs))
@@ -508,7 +534,7 @@ def main(argv=None) -> NoReturn:
         args, code, report = _execute(argv)
     except SystemExit as exc:  # help, or a usage error of no known command
         _flush_and_exit(exc.code)
-    _flush_and_exit(code, json.dumps(report, indent=2) if args.json else _render_text(report))
+    _flush_and_exit(code, documents.dumps_indented(report) if args.json else _render_text(report))
 
 
 def _flush_and_exit(code: int, text: str | None = None) -> NoReturn:

@@ -1,7 +1,22 @@
-"""Exception hierarchy, validation-report containers and the base class of
-the immutable value types, shared across the package."""
+"""Exception hierarchy, validation-report containers, the base class of
+the immutable value types and the decimal form of an integer of any length,
+shared across the package."""
 
 from __future__ import annotations
+
+
+def decimal_str(value: int) -> str:
+    """The decimal digits of ``value``.  ``str`` refuses integers longer than
+    the interpreter's digit limit (4,300 digits by default, 640 at the
+    least), so a long one is split at a power of ten near half its length
+    and the halves are written one by one."""
+    if value < 0:
+        return "-" + decimal_str(-value)
+    if value.bit_length() <= 2000:  # at most 603 digits
+        return str(value)
+    half = value.bit_length() * 3 // 20  # log10(2) / 2 is about 3 / 20
+    high, low = divmod(value, 10 ** half)
+    return decimal_str(high) + decimal_str(low).zfill(half)
 
 
 class ToricError(Exception):

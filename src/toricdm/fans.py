@@ -27,7 +27,6 @@ primitive collections once.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -37,6 +36,29 @@ from .lattice import IntegerMatrix, SnfDecomposition, smith_normal_form
 ZeroPattern = frozenset  # subset of ray indices whose coordinates vanish
 
 FAN_CACHE_SIZE = 4  # distinct fans one command validates, at most
+
+
+def fan_cache(function):
+    """``function`` of one argument, with its answers for the last
+    ``FAN_CACHE_SIZE`` distinct arguments kept, least recently used first
+    out, as ``functools.lru_cache`` keeps them.  Importing ``functools``,
+    with the ``collections`` it loads, would cost a command about 3 ms."""
+    answers = {}
+
+    def cached(argument):
+        if argument in answers:
+            answers[argument] = answers.pop(argument)  # now the most recent
+        else:
+            value = function(argument)
+            if len(answers) == FAN_CACHE_SIZE:
+                del answers[next(iter(answers))]
+            answers[argument] = value
+        return answers[argument]
+
+    cached.__name__, cached.__qualname__ = function.__name__, function.__qualname__
+    cached.__doc__, cached.__wrapped__ = function.__doc__, function
+    cached.cache_clear = answers.clear
+    return cached
 
 
 class SimplicialFan(Value):
@@ -167,7 +189,7 @@ def _cone_pair_violation(fan: SimplicialFan, cone_a: frozenset[int], cone_b: fro
 # Validation
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
+@fan_cache
 def validate_fan(fan: SimplicialFan) -> ValidationReport:
     """Check every fan invariant, reporting the first violation with a witness.
 
@@ -274,7 +296,7 @@ def _facet_normals(fan: SimplicialFan, cone: frozenset[int]) -> Optional[dict[in
             for c in range(k)}
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
+@fan_cache
 def _maximal_normals(fan: SimplicialFan) -> tuple[Optional[dict[int, tuple[int, ...]]], ...]:
     """:func:`_facet_normals` of each maximal cone, in ``fan.cones`` order."""
     return tuple(_facet_normals(fan, cone) for cone in fan.cones)
@@ -284,7 +306,7 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
+@fan_cache
 def _certifies_complete(fan: SimplicialFan) -> bool:
     """Certificate that independent maximal cones with distinct ray
     directions form a complete fan; False when a maximal cone is not
@@ -316,7 +338,7 @@ def _certifies_complete(fan: SimplicialFan) -> bool:
     return covering == 1
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
+@fan_cache
 def primitive_collections(fan: SimplicialFan) -> tuple[frozenset[int], ...]:
     """The minimal sets of rays that lie in no cone, in sorted order.
 
@@ -353,7 +375,7 @@ def is_complete(fan: SimplicialFan) -> bool:
     return validate_fan(fan).valid and _certifies_complete(fan)
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
+@fan_cache
 def ray_smith_form(fan: SimplicialFan) -> SnfDecomposition:
     """The Smith form of the ray matrix, computed once per fan: its rank
     answers :func:`rays_span`, and its row log carries the rays into the

@@ -351,18 +351,18 @@ def cokernel_with_projection(relations: IntegerMatrix
     return group, project
 
 
-def _split_power(x: int, q: int) -> tuple[int, int]:
+def split_power(x: int, q: int) -> tuple[int, int]:
     """(e, x / q^e) for the largest e with q^e dividing x (q >= 2), by
     repeated squaring of q, so a high power costs few divisions."""
     if x % q:
         return 0, x
-    e, rest = _split_power(x // q, q * q)
+    e, rest = split_power(x // q, q * q)
     if rest % q:
         return 2 * e + 1, rest
     return 2 * e + 2, rest // q
 
 
-def _coprime_base(numbers: Sequence[int]) -> list[int]:
+def coprime_base(numbers: Sequence[int]) -> list[int]:
     """Pairwise coprime integers >= 2 of which each of ``numbers`` (all >= 1)
     is a product of powers: factor refinement by gcds, no factoring (Bach,
     Driscoll and Shallit, "Factor refinement", J. Algorithms 15, 1993).
@@ -381,7 +381,7 @@ def _coprime_base(numbers: Sequence[int]) -> list[int]:
         q = base.pop(next(k for k, q in enumerate(base) if gcd(q, x) > 1))
         g = gcd(q, x)
         product //= q
-        pending += [y for y in (q // g, g, _split_power(x, g)[1]) if y >= 2]
+        pending += [y for y in (q // g, g, split_power(x, g)[1]) if y >= 2]
     return base
 
 
@@ -401,8 +401,8 @@ def cyclic_chain(orders: Sequence[int]) -> tuple[tuple[int, ...], IntegerMatrix]
     # parts[j]: (index, its q-part q^e) for the parts glued into factor j;
     # the orders q divides take the last places, in the sorted order
     parts: list[list[tuple[int, int]]] = [[] for _ in r]
-    for q in _coprime_base(r):
-        powers = sorted((_split_power(x, q)[0], i) for i, x in enumerate(r) if x % q == 0)
+    for q in coprime_base(r):
+        powers = sorted((split_power(x, q)[0], i) for i, x in enumerate(r) if x % q == 0)
         for j, (e, i) in enumerate(powers, len(r) - len(powers)):
             parts[j].append((i, q ** e))
     chain, rows = [], []

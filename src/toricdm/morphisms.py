@@ -27,20 +27,20 @@ only to return a rational answer, a witness point or the ratios of a ``yes``
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
                      SourceNotCompleteError, SourceNotRigidError,
                      TargetRaysNotSpanningError, Value, ZeroPolynomialError)
-from .fans import (FAN_CACHE_SIZE, is_admissible_zero_pattern, is_complete,
+from .fans import (fan_cache, is_admissible_zero_pattern, is_complete,
                    primitive_collections, rays_span)
+from .documents import DEFAULT_SAMPLE_BUDGET
 from .gerbes import PicardPresentation, PicClass, picard_group
+from .lattice import coprime_base, split_power
 from .stacky import StackyData
 
 # Values the refutation search samples, as ``sample_witness`` reads them.
 DEFAULT_SAMPLE_VALUES = ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2")
-DEFAULT_SAMPLE_BUDGET = 2000
 # Units the chart check of one tuple may spend (see ``_Work``), and apart from
 # it the sampler: at most about 0.1-0.2 s each, where no tuple of the
 # benchmark's morphism workload needs 200 on the charts or 500 in the sampler.
@@ -287,7 +287,7 @@ def _grading(md: MorphismData) -> PicardPresentation:
     return md.chi[0].presentation if md.chi else _source_presentation(md.source)
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
+@fan_cache
 def _source_presentation(source: StackyData) -> PicardPresentation:
     return picard_group(source)
 
@@ -779,18 +779,33 @@ def _scalar_ratio(new: SparsePolynomial, old: SparsePolynomial) -> Optional[tupl
     return p // k, q // k
 
 
+def _relations_hold(ratios: Sequence[tuple[int, int]], rays, rank: int) -> bool:
+    """Is prod_k (p_k / q_k) ** rays[k][l] = 1 for every l < rank?  Decided
+    over a coprime base of the |p_k| and q_k, with no power taken."""
+    base = coprime_base([abs(p) for p, _ in ratios] + [q for _, q in ratios])
+    exponents = [[split_power(abs(p), b)[0] - split_power(q, b)[0] for p, q in ratios]
+                 for b in base]
+    for l in range(rank):
+        column = [ray[l] for ray in rays]
+        if sum(a for a, (p, _) in zip(column, ratios) if p < 0) % 2:
+            return False
+        if any(sum(a * e for a, e in zip(column, row)) for row in exponents):
+            return False
+    return True
+
+
 def check_two_isomorphic(md1: MorphismData, md2: MorphismData) -> TwoIsoVerdict:
     """Do two tuples define the same morphism up to the group action?
 
     The tuples must be proportional coordinatewise; the ratios must then
-    satisfy, for every lattice coordinate of the target, the multiplicative
-    relation given by the target ray exponents.  The root components of a
-    witness always exist over the complex numbers, so only these relations
-    decide.  All checks are exact, in integers: with lambda_k = p_k / q_k,
-    the product of lambda_k ** a_k is 1 exactly when the product of
-    p_k ** a_k and q_k ** -a_k over a_k > 0 and a_k < 0 in turn equals the
-    same product with p and q swapped.  The ratios of a ``yes`` are
-    ``Fraction``s.
+    satisfy, for every lattice coordinate l of the target, the multiplicative
+    relation prod_k lambda_k ** a_kl = 1 given by the target ray entries
+    a_kl.  The root components of a witness always exist over the complex
+    numbers, so only these relations decide.  No power is taken: every
+    |lambda_k| is a product of powers b ** e_kb of one coprime base b, so
+    the relation holds exactly when sum_k a_kl * e_kb = 0 for each b and
+    sum_k a_kl over the negative lambda_k is even.  The ratios of a ``yes``
+    are ``Fraction``s.
     """
     if md1.source != md2.source or md1.target != md2.target or md1.chi != md2.chi:
         raise MismatchedSourceTargetError(
@@ -802,18 +817,8 @@ def check_two_isomorphic(md1: MorphismData, md2: MorphismData) -> TwoIsoVerdict:
         if ratio is None:
             return TwoIsoVerdict.no()
         ratios.append(ratio)
-    for l in range(md1.target.lattice_rank):
-        left = right = 1
-        for k, (p, q) in enumerate(ratios):
-            exponent = md1.target.fan.rays[k][l]
-            if exponent > 0:
-                left *= p ** exponent
-                right *= q ** exponent
-            elif exponent < 0:
-                left *= q ** -exponent
-                right *= p ** -exponent
-        if left != right:
-            return TwoIsoVerdict.no()
+    if not _relations_hold(ratios, md1.target.fan.rays, md1.target.lattice_rank):
+        return TwoIsoVerdict.no()
     from fractions import Fraction
 
     return TwoIsoVerdict.yes([Fraction(p, q) for p, q in ratios])

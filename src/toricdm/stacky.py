@@ -15,7 +15,7 @@ canonical chain form (``gerbes.canonicalize``) gives them from n + k rows.
 from __future__ import annotations
 
 from .errors import (ConeNotInFanError, NonSpanningRaysError, ValidationReport,
-                     Value, Violation)
+                     Value, Violation, decimal_str)
 from .fans import SimplicialFan, ray_smith_form, rays_span, validate_fan
 from .lattice import FgAbelianGroup, IntegerMatrix, cokernel, cyclic_chain
 
@@ -85,7 +85,8 @@ def validate_data(data: StackyData) -> ValidationReport:
     for i, r in enumerate(data.r):
         if r < 1:
             return ValidationReport((Violation(
-                "nonpositive_root_order", f"root order r[{i}] = {r} must be at least 1", i),))
+                "nonpositive_root_order",
+                f"root order r[{i}] = {decimal_str(r)} must be at least 1", i),))
     if data.b.rows != data.root_count or data.b.cols != data.ray_count:
         return ValidationReport((Violation(
             "bad_b_shape",

@@ -4,12 +4,17 @@ and never another exception.  ``jsonschema`` is the oracle."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricdm import documents
+import toricdm
+from toricdm import cli, documents
 from toricdm.errors import DocumentError, TooLargeError
 
 from conftest import schema_errors
@@ -316,3 +321,172 @@ class TestDecoderErrors:
         with pytest.raises(TooLargeError) as info:
             documents.parse_morphism_document(doc)
         assert info.value.location == "/target/lattice_rank"
+
+
+# ---------------------------------------------------------------------------
+# JSON text: the reader and the writers against ``json``
+# ---------------------------------------------------------------------------
+
+def _parse_int(text):
+    return int(text) if len(text) <= 600 else documents._BareInteger(text)
+
+
+def _typed(value):
+    """``value`` with every type spelled out, so that 1, 1.0, True, a string
+    and a :class:`_BareInteger` of the same digits all differ, and NaN
+    equals NaN."""
+    if isinstance(value, dict):
+        return "dict", [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return "list", [_typed(v) for v in value]
+    return type(value).__name__, repr(value)
+
+
+def _outcome(call, *args, **kwargs):
+    """("ok", the result) or ("error", its exception's type and message)."""
+    try:
+        return "ok", call(*args, **kwargs)
+    except (ValueError, TypeError, RecursionError) as exc:
+        return "error", (type(exc), str(exc))
+
+
+long_integers = st.integers(10 ** 600, 10 ** 700).map(lambda n: n * (1 if n % 2 else -1))
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), long_integers,
+                         st.floats(), st.text(), st.sampled_from(STRING_FORMS[:-1]),
+                         st.from_regex(r"-?[0-9]{1,700}", fullmatch=True).map(
+                             documents._BareInteger))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=2).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+# what a mutation inserts: structure, literals' first letters, escapes, a BOM
+MUTATION_TEXT = st.sampled_from(list('[]{}",:. -+0123456789eEtfnNI\\u')
+                                + ["\ufeff", "\x00", "\n", "é", "\ud800"])
+
+
+@st.composite
+def json_texts(draw):
+    """The text of a drawn value in one of ``json``'s layouts, with up to three
+    characters inserted, deleted or replaced, or cut short."""
+    value = draw(json_values.filter(lambda v: not isinstance(v, documents._BareInteger)))
+    text = json.dumps(value, indent=draw(st.sampled_from((None, 0, 2, "\t"))),
+                      ensure_ascii=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(("insert", "delete", "replace", "cut")))
+        if how == "cut":
+            text = text[:at]
+        else:
+            new = draw(MUTATION_TEXT) if how != "delete" else ""
+            text = text[:at] + new + text[at + (how != "insert"):]
+    return text
+
+
+class TestJsonReference:
+    @settings(max_examples=500, deadline=None)
+    @given(json_texts())
+    def test_reader_reads_as_json_does(self, text):
+        ours = _outcome(documents.loads, text)
+        reference = _outcome(json.loads, text, parse_int=_parse_int)
+        if ours[0] == "ok" and reference[0] == "ok":
+            assert _typed(ours[1]) == _typed(reference[1])
+        else:
+            assert ours == reference
+
+    @pytest.mark.parametrize("text", ["", " ", "\ufeff[]", "[] x", "[1,]", "NaN", "-Infinity",
+                                      " [1] \n", "[" * 5000 + "]" * 5000, "9" * 5000,
+                                      '"\\ud800"', '{"a": 1, "a": 2}', "[1e999, -0.0]"],
+                             ids=lambda text: repr(text[:12]))
+    def test_edge_texts(self, text):
+        ours = _outcome(documents.loads, text)
+        reference = _outcome(json.loads, text, parse_int=_parse_int)
+        if ours[0] == "ok" and reference[0] == "ok":
+            assert _typed(ours[1]) == _typed(reference[1])
+        else:
+            assert ours == reference
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_values)
+    def test_writers_write_as_json_does(self, value):
+        assert _outcome(documents.dumps_indented, value) == _outcome(json.dumps, value, indent=2)
+        assert _outcome(documents.dumps, value) == _outcome(json.dumps, value)
+        assert _outcome(documents._canonical, value) == _outcome(
+            json.dumps, value, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("value", [{1: 2, "1": 3}, {(1,): 2}, {1: [], None: {}}, [set()],
+                                       [float("nan"), float("-inf")], [10 ** 5000],
+                                       {"b": 1, "a": {"d": [], "c": "é"}}])
+    def test_values_the_fast_writers_refuse(self, value):
+        assert _outcome(documents.dumps_indented, value) == _outcome(json.dumps, value, indent=2)
+        assert _outcome(documents.dumps, value) == _outcome(json.dumps, value)
+
+
+# Texts the reader rejects, or accepts and the decoder then rejects.  The
+# scanner of ``_json`` finds ``json``'s error class only once ``json`` is
+# loaded, so each runs in a fresh interpreter, with and without ``site``.
+P1_TEXT = json.dumps(P1)
+MORPHISM_TEXT = json.dumps(MORPHISM_DOCS[0], indent=2)
+FIVE_THOUSAND_DIGITS = "9" * 5000
+MALFORMED_TEXTS = {
+    "truncated": (P1_TEXT[:-7], MORPHISM_TEXT[:-30]),
+    "bom": ("\ufeff" + P1_TEXT, "\ufeff" + MORPHISM_TEXT),
+    "trailing": (P1_TEXT + " x", MORPHISM_TEXT + "\n\n{}"),
+    "nan": (P1_TEXT.replace('"lattice_rank": 1', '"lattice_rank": NaN'),
+            MORPHISM_TEXT.replace('"chi": []', '"chi": [], "x": NaN')),
+    "infinity": (P1_TEXT.replace("[-1]", "[-Infinity]"),
+                 MORPHISM_TEXT.replace('"chi": []', '"chi": [[Infinity, 0]]')),
+    "bare digits": (P1_TEXT.replace('"r": []', f'"r": [{FIVE_THOUSAND_DIGITS}]'),
+                    MORPHISM_TEXT.replace('"chi": []', f'"chi": [[{FIVE_THOUSAND_DIGITS}]]')),
+    "bare rank": (P1_TEXT.replace('"lattice_rank": 1', f'"lattice_rank": {FIVE_THOUSAND_DIGITS}'),
+                  MORPHISM_TEXT.replace('"3"', FIVE_THOUSAND_DIGITS)),
+    "deep": ("[" * 100_000 + "]" * 100_000,) * 2,
+    "not utf-8": (b'{"schema_version": "\xff\xfe"}',) * 2,
+}
+
+
+class TestMalformedTextInAFreshInterpreter:
+    @pytest.fixture(scope="class")
+    def cases(self, tmp_path_factory):
+        """(argv, the report ``cli.run`` gives in this process) for each text
+        through ``build`` and ``morphism check``."""
+        folder = tmp_path_factory.mktemp("malformed")
+        out = []
+        for name, texts in MALFORMED_TEXTS.items():
+            for command, text in zip((["build"], ["morphism", "check"]), texts):
+                path = folder / f"{name.replace(' ', '-')}-{command[0]}.json"
+                if isinstance(text, bytes):
+                    path.write_bytes(text)
+                else:
+                    path.write_text(text, encoding="utf-8")
+                argv = ["--json", *command, str(path)]
+                code, report = cli.run(argv)
+                assert code == 1 and "error" in report, (name, command, report)
+                out.append((argv, report))
+        return out
+
+    def test_json_errors_are_worded_by_json(self, cases):
+        for argv, report in cases:
+            path = Path(argv[-1])
+            try:
+                document = json.loads(path.read_text(encoding="utf-8"), parse_int=_parse_int)
+            except json.JSONDecodeError as exc:
+                assert report["error"] == {"code": "document_error",
+                                           "message": f"invalid JSON in {path}: {exc}",
+                                           "location": f"line {exc.lineno}"}
+            except (UnicodeDecodeError, RecursionError):
+                assert report["error"]["message"].startswith(f"invalid JSON in {path}: ")
+                assert "location" not in report["error"]
+            else:
+                assert report["inputs"][0]["hash"] == _reference_hash(document)
+
+    @pytest.mark.parametrize("site", [True, False], ids=["site", "no-site"])
+    def test_reports_match_in_process_and_no_traceback(self, cases, site):
+        src = str(Path(toricdm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        entry = "import sys; from toricdm.cli import main; main(sys.argv[1:])"
+        for argv, report in cases:
+            done = subprocess.run([sys.executable, *([] if site else ["-S"]), "-c", entry, *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stderr) == (1, ""), argv
+            assert done.stdout == json.dumps(report, indent=2) + "\n", argv

@@ -497,6 +497,24 @@ class TestFanCaches:
             assert is_complete(fan) == complete
         assert certificates == [projective_plane_fan().cones, (frozenset({0, 1}),)]
 
+    def test_the_last_answers_are_kept_least_recently_used_out_first(self):
+        computed = []
+
+        @fans.fan_cache
+        def square(x):
+            """The square of x."""
+            computed.append(x)
+            return x * x
+
+        assert fans.FAN_CACHE_SIZE == 4
+        assert [square(x) for x in (1, 2, 3, 4, 1, 5, 1, 2)] == [1, 4, 9, 16, 1, 25, 1, 4]
+        assert computed == [1, 2, 3, 4, 5, 2]  # 1 was used again, so 2 left first
+        square.cache_clear()
+        square(1)
+        assert computed[-1] == 1
+        assert (square.__name__, square.__doc__) == ("square", "The square of x.")
+        assert square.__wrapped__(3) == 9
+
 
 class TestRaysSpan:
     def test_projective_line(self):

@@ -927,6 +927,46 @@ class TestTwoIsomorphic:
         with pytest.raises(MismatchedSourceTargetError):
             check_two_isomorphic(duple_map(1), other_target)
 
+    # ratios built from a few shared primes, so that the coprime base splits them
+    SIGNED_RATIOS = st.tuples(st.sampled_from((1, -1)),
+                              st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(SIGNED_RATIOS, min_size=1, max_size=4), st.integers(0, 3), st.data())
+    def test_relations_without_powers(self, drawn, rank, data):
+        # the coprime-base test against the powers themselves
+        primes = (2, 3, 6, 35)  # 6 and 35 share factors with the others
+        ratios = []
+        for sign, exponents in drawn:
+            value = Fraction(sign)
+            for prime, e in zip(primes, exponents):
+                value *= Fraction(prime) ** e
+            ratios.append(value)
+        rays = [tuple(data.draw(st.integers(-4, 4)) for _ in range(rank)) for _ in ratios]
+        expected = all(prod_of_powers(ratios, [ray[l] for ray in rays]) == 1
+                       for l in range(rank))
+        pairs = [(r.numerator, r.denominator) for r in ratios]
+        assert morphisms._relations_hold(pairs, rays, rank) == expected
+
+    def test_target_entries_of_a_billion(self):
+        # the relation lambda_0 ** (-10^9) * lambda_1 = 1 is decided with no power
+        for entry in (-10 ** 8, -10 ** 9):
+            target = StackyData(fan=make_fan(1, [(entry,), (1,)], [[0], [1]]))
+            base = MorphismData(P1, target, (mono(2, 1, (1, 0)), mono(2, 1, (0, 1))), ())
+            scaled = MorphismData(P1, target, (mono(2, 2, (1, 0)), mono(2, 1, (0, 1))), ())
+            flipped = MorphismData(P1, target, (mono(2, -1, (1, 0)), mono(2, 1, (0, 1))), ())
+            start = time.perf_counter()
+            assert check_two_isomorphic(base, scaled).status == "no"
+            assert check_two_isomorphic(base, flipped).ratios == (Fraction(-1), Fraction(1))
+            assert time.perf_counter() - start < 0.1
+
+
+def prod_of_powers(ratios, exponents):
+    product = Fraction(1)
+    for ratio, e in zip(ratios, exponents):
+        product *= ratio ** e
+    return product
+
 
 class TestEquivarianceOfVerdicts:
     def test_group_scaling_preserves_checks(self):

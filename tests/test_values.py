@@ -147,6 +147,40 @@ def test_commands_leave_typing_and_random_unloaded(tmp_path):
     loaded = _modules_after(code, *map(str, paths))
     assert {"toricdm.stacky", "toricdm.morphisms"} <= loaded
     assert {"typing", "random"} & loaded == set()
+    # a request loads only what it runs: documents are read and reports
+    # written without ``json`` or ``re``, and the oracle only under --verify
+    written = ("\nfor text in (c.documents.dumps_indented(report), c._render_text(report)):"
+               "\n    assert text")
+    loaded = _modules_after("import sys, toricdm.cli as c\n"
+                            "code, report = c.run(['--json', 'validate', sys.argv[1]])\n"
+                            "assert code == 0" + written, str(paths[0]))
+    assert "toricdm.stacky" in loaded
+    assert {"json", "re", "toricdm.gerbes", "toricdm.morphisms", "toricdm.oracle"} & loaded == set()
+    assert {"functools", "collections", "types"} & loaded == set()  # the fan caches are dicts
+    loaded = _modules_after("import sys, toricdm.cli as c\n"
+                            "code, report = c.run(['--json', 'morphism', 'check', sys.argv[1]])\n"
+                            "assert code == 0" + written, str(paths[1]))
+    assert "toricdm.morphisms" in loaded
+    assert {"json", "toricdm.oracle"} & loaded == set()
+    loaded = _modules_after("import sys, toricdm.cli as c\n"
+                            "code, report = c.run(['--verify', 'stabilizer', '--cone', '0', "
+                            "sys.argv[1]])\n"
+                            "assert code == 0 and report['verify']['agrees'] is True" + written,
+                            str(paths[0]))
+    assert "toricdm.oracle" in loaded
+
+
+def test_public_names_load_on_first_use():
+    assert {m for m in _modules_after("import toricdm") if m.startswith("toricdm")} == {"toricdm"}
+    assert len(toricdm._MODULE_OF) == 67 and toricdm.__all__ == list(toricdm._MODULE_OF)
+    for name, module in toricdm._MODULE_OF.items():
+        home = getattr(toricdm, module)
+        assert home.__name__ == f"toricdm.{module}"
+        assert getattr(toricdm, name) is getattr(home, name)
+        assert getattr(home, name).__module__ in (home.__name__, "builtins")  # ZeroPattern = frozenset
+        assert name in dir(toricdm)
+    with pytest.raises(AttributeError):
+        toricdm.no_such_name
 
 
 def test_morphism_runs_leave_fractions_unloaded(tmp_path):
