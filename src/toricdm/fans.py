@@ -256,13 +256,16 @@ def validate_fan(fan: SimplicialFan) -> ValidationReport:
     return ValidationReport()
 
 
-def _facet_owners(maximal: Sequence[frozenset[int]]) -> dict[frozenset[int], list[tuple[int, int]]]:
-    """Each facet of a maximal cone, mapped to its owners: the pairs (index
-    into ``maximal``, ray opposite the facet)."""
-    owners: dict[frozenset[int], list[tuple[int, int]]] = {}
+def _facet_owners(maximal: Sequence[frozenset[int]]) -> dict[int, list[tuple[int, int]]]:
+    """Each facet of a maximal cone, keyed by the bitmask of its rays, mapped
+    to its owners: the pairs (index into ``maximal``, ray opposite the
+    facet).  An int key holds a facet of ``P^128`` in a few words, where a
+    ``frozenset`` of its 127 rays took kilobytes."""
+    owners: dict[int, list[tuple[int, int]]] = {}
     for index, cone in enumerate(maximal):
+        mask = sum(1 << i for i in cone)
         for i in cone:
-            owners.setdefault(cone - {i}, []).append((index, i))
+            owners.setdefault(mask ^ (1 << i), []).append((index, i))
     return owners
 
 

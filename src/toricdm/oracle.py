@@ -2,17 +2,18 @@
 
 Everything here deliberately avoids the Smith-normal-form machinery of the
 main code paths: quotients are enumerated through a column-echelon basis and
-breadth-first closure, determinants are expanded by cofactors, and group
-structure is checked element by element.  These verifiers are slow and meant
-for tests and for the ``--verify`` flag of the command line; they share only
-the :class:`~toricdm.lattice.IntegerMatrix` carrier type with the rest of the
-package.
+breadth-first closure, lattice indices are read off that basis, determinants
+are expanded by cofactors, and group structure is checked element by
+element.  These verifiers are slow and meant for tests and for the
+``--verify`` flag of the command line; from the rest of the package they
+import only the carrier types :class:`~toricdm.lattice.IntegerMatrix` and
+:class:`~toricdm.lattice.SnfDecomposition`, ``Value`` and ``TooLargeError``.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import TooLargeError, Value
 from .lattice import IntegerMatrix, SnfDecomposition
@@ -435,38 +436,21 @@ def oracle_cones_meet_along_common_face(rays: Sequence[Sequence[int]],
     return True
 
 
-def oracle_stabilizer_order(data, cone: frozenset[int] | Sequence[int],
-                            bound: int = ENUMERATION_BOUND) -> int:
+def oracle_stabilizer_order(data, cone: frozenset[int] | Sequence[int]) -> int:
     """Order of the isotropy group at a cone, off the main computation path.
 
-    Full-dimensional cones use |det of their ray vectors| times the product
-    of the root orders; all other cones fall back to counting the elements
-    of the isotropy presentation by breadth-first closure, with no group
-    table.  The presentation matrix is rebuilt here from the raw data
-    rather than taken from the main code path.
+    The group is an extension of the root band, of order the product of the
+    root orders, by Z^{|σ|} modulo the d coordinate vectors of the cone's
+    rays; the index of their span is the product of the leading entries of
+    its echelon basis, with no Smith form.  Raises :class:`TooLargeError`
+    when that quotient is infinite.
     """
-    cone = frozenset(int(i) for i in cone)
-    fan = data.fan
-    d = fan.lattice_rank
-    n = len(fan.rays)
-    r_product = 1
-    for r in data.r:
-        r_product *= r
-    if len(cone) == d:
-        square = IntegerMatrix.column_stack([fan.rays[i] for i in sorted(cone)], d)
-        return abs(det_cofactor(square)) * r_product
-
-    columns: list[tuple[int, ...]] = []
-    for l in range(d):
-        columns.append(tuple(fan.rays[k][l] for k in range(n)) + (0,) * len(data.r))
-    for i in range(len(data.r)):
-        row = tuple(data.b[i, k] for k in range(n))
-        columns.append(row + tuple(data.r[i] if j == i else 0 for j in range(len(data.r))))
-    for k in range(n):
-        if k not in cone:
-            columns.append(tuple(1 if pos == k else 0 for pos in range(n + len(data.r))))
-    relations = IntegerMatrix.column_stack(columns, n + len(data.r))
-    return len(_quotient_closure(relations, bound)[0])
+    rays = sorted({int(i) for i in cone})
+    coordinates = [[data.fan.rays[j][l] for j in rays] for l in range(data.fan.lattice_rank)]
+    index = _lattice_order(_echelon_columns(coordinates, len(rays)), len(rays))
+    if index is None:
+        raise TooLargeError("quotient is infinite")
+    return index * prod(data.r)
 
 
 def _prime_powers(r: int) -> dict[int, int]:

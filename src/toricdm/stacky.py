@@ -9,7 +9,9 @@ the associated stacky fan.
 
 None of these groups depends on how the torsion of the extended group is
 presented (Borisov, Chen and Smith, J. Amer. Math. Soc. 18, 2005), so the
-canonical chain form (``gerbes.canonicalize``) gives them from n + k rows.
+canonical chain form (``gerbes.canonicalize``) gives them from k root rows:
+the quotient group from n + k rows, and the isotropy group at a cone σ from
+|σ| + k rows of σ alone, however many rays the fan has.
 """
 
 from __future__ import annotations
@@ -156,21 +158,23 @@ def generic_stabilizer(data: StackyData) -> FgAbelianGroup:
 def point_stabilizer(data: StackyData, cone: Sequence[int] | frozenset[int]) -> FgAbelianGroup:
     """Isotropy group of a point whose coordinates vanish exactly on ``cone``.
 
-    Computed as the quotient of the character lattice modulo the exponent rows
-    together with the coordinate vectors of the rays outside the cone; the
-    result is always finite for cones of the fan.
+    The coordinates off the cone are units there, so with k roots the group
+    is Z^{|σ|+k} modulo the exponent rows restricted to the rays of σ and to
+    the roots (Borisov, Chen and Smith, J. Amer. Math. Soc. 18, 2005,
+    section 4): one relation per lattice coordinate (that coordinate of each
+    ray of σ, then k zeros) and one per root (its row of b on σ, then
+    r_i e_i).  The Smith form has |σ| + k rows however many rays the fan
+    has, and the group is finite for every cone of the fan, whose rays are
+    independent.
     """
     cone = frozenset(int(i) for i in cone)
     if not data.fan.is_cone(cone):
         raise ConeNotInFanError(f"cone {sorted(cone)} is not in the fan")
-    n, big_r = data.ray_count, data.root_count
-    exponents = psi_exponents(data)
-    columns = [exponents.row(i) for i in range(exponents.rows)]
-    for k in range(n):
-        if k not in cone:
-            columns.append(tuple(1 if pos == k else 0 for pos in range(n + big_r)))
-    relations = IntegerMatrix.column_stack(columns, n + big_r)
-    group = cokernel(relations)
+    big_r = data.root_count
+    rows = [data.fan.rays[j] + tuple(data.b[i, j] for i in range(big_r)) for j in sorted(cone)]
+    rows += [(0,) * data.lattice_rank + tuple(r if m == i else 0 for m in range(big_r))
+             for i, r in enumerate(data.r)]
+    group = cokernel(IntegerMatrix.from_rows(rows, data.lattice_rank + big_r))
     if group.free_rank:
         raise ArithmeticError("isotropy group came out infinite; invalid input data")
     return group

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from toricdm import (IntegerMatrix, SimplicialFan, StackyData, cokernel, documents, fans,
-                     lattice, morphisms, smith_normal_form)
+                     lattice, morphisms, psi_exponents, smith_normal_form)
 from toricdm.morphisms import DEFAULT_SAMPLE_BUDGET
 
 
@@ -119,6 +119,18 @@ def chain_by_smith_form(orders):
     diag(r): the reference for ``lattice.cyclic_chain``, which finds them
     by gcds."""
     return cokernel(IntegerMatrix.diagonal(orders)).invariant_factors
+
+
+def fan_wide_stabilizer(data, cone):
+    """The isotropy group at ``cone`` from the whole presentation: Z^{n+k}
+    modulo the rows of the exponent matrix and the coordinate vectors of the
+    rays off the cone.  The reference for ``stacky.point_stabilizer``, which
+    reads the same group off the cone's own |cone| + k coordinates."""
+    n, big_r = data.ray_count, data.root_count
+    exponents = psi_exponents(data)
+    columns = [exponents.row(i) for i in range(exponents.rows)]
+    columns += [tuple(int(pos == k) for pos in range(n + big_r)) for k in range(n) if k not in cone]
+    return cokernel(IntegerMatrix.column_stack(columns, n + big_r))
 
 
 def _replay(n, ops, inverse):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from toricdm import (IntegerMatrix, StackyData, canonicalize, cli, documents, la
 from toricdm.errors import DocumentError
 
 from conftest import (EXPLODING_CONES, EXPLODING_RAYS, affine_fan, chain_by_smith_form,
-                      line_fan, make_fan, product_fan, projective_line_fan,
+                      fan_wide_stabilizer, line_fan, make_fan, product_fan, projective_line_fan,
                       projective_plane_fan, reference_parse, schema_errors,
                       polygon_document, serialize_morphism_data, spy)
 from test_documents import MORPHISM_DOCS, STACKY_DOCS, mutated
@@ -908,7 +909,7 @@ class TestCanonicalForm:
     @settings(max_examples=60, deadline=None)
     @given(rooted_data())
     def test_answers_agree_with_the_documents_own_presentation(self, folder, data):
-        # the direct (n+R) Smith forms of the library are the reference
+        # the library's answers on the document's own (r; b) are the reference
         canonical, _ = canonicalize(data)
         assert canonical.r == chain_by_smith_form(data.r)
         group = quotient_group(data)
@@ -933,10 +934,19 @@ class TestCanonicalForm:
             assert tuple(lifted[:d]) == ray and len(lifted) == d + len(canonical.r)
             assert all(0 <= int(x) < c for x, c in zip(lifted[d:], canonical.r))
 
+    @settings(max_examples=100, deadline=None)
+    @given(rooted_data())
+    def test_point_stabilizer_matches_the_fan_wide_presentation(self, data):
+        canonical, _ = canonicalize(data)
+        for cone in data.fan.faces():
+            reference = fan_wide_stabilizer(data, cone)
+            assert point_stabilizer(data, cone) == reference
+            assert point_stabilizer(canonical, cone) == reference
+
     def test_many_prime_roots_are_fast(self, tmp_path):
         # P^1 with the first 500 odd primes as root orders: the chain has one
-        # factor, so each Smith form has n + 1 rows, not n + 500 (those took
-        # about 15 s per command)
+        # factor, so no Smith form has more than n + 1 rows, not n + 500 (those
+        # took about 15 s per command)
         primes = odd_primes(500)
         path = write(tmp_path, "primes.json", dict(P1_DOC, r=primes, b=[[1, 0]] * 500))
         order = documents.encode_int(prod(primes))
@@ -1017,6 +1027,67 @@ class TestRayCount:
         code, report = cli.run(["--json", "validate", polygon])
         assert time.perf_counter() - start < 1.0
         assert code == 0 and report["valid"] is True
+
+
+def rooted_polygon(tmp_path, count):
+    """``polygon_document(count)`` with roots of orders 6 and 10, twisted by
+    i mod 6 and i mod 10 on ray i."""
+    doc = dict(polygon_document(count), r=[6, 10],
+               b=[[i % 6 for i in range(count)], [i % 10 for i in range(count)]])
+    return write(tmp_path, f"polygon{count}.json", doc)
+
+
+class TestPerConeAnswers:
+    """A stabilizer is a Smith form of |cone| + k rows and its oracle the
+    echelon index of the cone's rays, whatever the fan around the cone.  The
+    fan-wide Smith forms they replace took about 20 s for one cone of the
+    1,000-ray polygon and 3 s for ``--verify build`` of the 100-ray one."""
+
+    def test_stabilizer_of_a_thousand_ray_polygon(self, tmp_path):
+        path = rooted_polygon(tmp_path, 1000)
+        start = time.perf_counter()
+        code, report = run_checked(["--verify", "--json", "stabilizer", path, "--cone", "0"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and report["stabilizer"] == {"invariant_factors": [2, 30], "order": 60}
+        assert report["verify"] == {"oracle_order": 60, "agrees": True}
+
+    def test_verify_build_of_a_hundred_ray_polygon(self, tmp_path):
+        path = rooted_polygon(tmp_path, 100)
+        start = time.perf_counter()
+        code, report = run_checked(["--verify", "--json", "build", path])
+        assert time.perf_counter() - start < 0.5
+        checks = report["verify"]["stabilizer_orders"]
+        assert code == 0 and report["verify"]["all_agree"] is True
+        assert [check["cone"] for check in checks] == sorted(sorted((i, (i + 1) % 100))
+                                                              for i in range(100))
+
+    def test_verify_build_of_a_dense_rank_16_cone(self, tmp_path):
+        # cofactor expansion, the oracle the echelon index replaced, grows like
+        # rank!: it took 1.7 s end to end on a dense rank-10 cone
+        rng = random.Random(16)
+        rays = [[rng.randint(-5, 5) for _ in range(16)] for _ in range(16)]
+        path = write(tmp_path, "dense.json", {
+            "schema_version": "1", "lattice_rank": 16, "rays": rays,
+            "cones": [list(range(16))], "r": [], "b": []})
+        start = time.perf_counter()
+        code, report = run_checked(["--verify", "--json", "build", path])
+        assert time.perf_counter() - start < 0.5
+        assert code == 0 and report["verify"] == {"all_agree": True, "stabilizer_orders": [
+            {"cone": list(range(16)), "order": 18453275696080, "agrees": True}]}
+
+    def test_zero_cone_with_large_band_is_verified(self, tmp_path):
+        # the band has order about 1.7 * 10^31: no enumeration could count it
+        r = list(range(395, 407))
+        path = write(tmp_path, "band.json", {
+            "schema_version": "1", "lattice_rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+            "cones": [[0, 1], [1, 2], [0, 2]], "r": r,
+            "b": [[i % 3, 2 * i % 5, i] for i in range(12)]})
+        start = time.perf_counter()
+        code, report = run_checked(["--verify", "--json", "stabilizer", path, "--cone", ""])
+        assert time.perf_counter() - start < 0.5
+        order = documents.encode_int(prod(r))
+        assert code == 0 and report["stabilizer"]["order"] == order
+        assert report["verify"] == {"oracle_order": order, "agrees": True}
 
 
 class TestLatticeRank:

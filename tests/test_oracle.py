@@ -1,13 +1,14 @@
 import pytest
 
-from toricdm import IntegerMatrix, SnfDecomposition, TooLargeError, smith_normal_form
+from toricdm import (IntegerMatrix, SnfDecomposition, StackyData, TooLargeError,
+                     smith_normal_form)
 from toricdm.oracle import (det_cofactor, oracle_divisibility,
                             oracle_element_order_census,
                             oracle_is_group_isomorphism,
                             oracle_quotient_enumerate, oracle_stabilizer_order,
                             oracle_verify_snf)
 
-from conftest import affine_quotient_data, weighted_line_root_data
+from conftest import affine_quotient_data, make_fan, weighted_line_root_data
 
 
 class TestVerifySnf:
@@ -131,9 +132,15 @@ class TestStabilizerOrder:
             assert oracle_stabilizer_order(affine_quotient_data(a), {0}) == a
 
     def test_nonfull_cone_path(self):
-        # the zero cone is never full-dimensional, forcing the enumeration path
+        # the zero cone has no rays: its index is 1, and the order is the band's
         data = weighted_line_root_data()
         assert oracle_stabilizer_order(data, frozenset()) == 2
+
+    def test_dependent_rays_give_an_infinite_quotient(self):
+        data = StackyData(make_fan(2, [(1, 0), (2, 0)], [[0, 1]]), r=(3,),
+                          b=IntegerMatrix.zeros(1, 2))
+        with pytest.raises(TooLargeError):
+            oracle_stabilizer_order(data, {0, 1})
 
 
 class TestDetCofactor:
