@@ -27,11 +27,11 @@ _EXPORTS = {
     "morphisms": """ConditionBVerdict MorphismData SparsePolynomial TwoIsoVerdict
         check_condition_a check_condition_b check_two_isomorphic degree
         validate_morphism_data""",
-    "oracle": """FiniteGroupTable det_cofactor oracle_banded_isomorphic
+    "oracle": """FiniteGroupTable oracle_banded_isomorphic
         oracle_cones_meet_along_common_face oracle_divisibility
         oracle_element_order_census oracle_is_group_isomorphism oracle_quotient_enumerate
         oracle_stabilizer_order oracle_verify_snf""",
-    "stacky": """QuotientGroupDesc StackyData StackyFan build_matrices dm_torus
+    "stacky": """QuotientGroupDesc StackyData StackyFan dm_torus
         generic_stabilizer point_stabilizer psi_exponents quotient_group rigidify
         split_nonspanning stacky_fan validate_data""",
 }

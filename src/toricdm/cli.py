@@ -23,7 +23,7 @@ import sys
 from . import documents
 from .errors import DocumentError, TooLargeError, ToricError
 from .fans import rays_span
-from .stacky import (build_matrices, dm_torus, point_stabilizer, quotient_group, rigidify,
+from .stacky import (dm_torus, point_stabilizer, psi_exponents, quotient_group, rigidify,
                      split_nonspanning, stacky_fan, validate_data)
 
 # ``gerbes`` and ``morphisms`` are imported by the handlers that use them, and
@@ -117,14 +117,12 @@ def _cmd_build(args, inputs):
 
     data = _load_valid(args.paths[0], inputs)
     canonical, _ = gerbes.canonicalize(data)
-    b_matrix, q_matrix = build_matrices(data)
-    bq = b_matrix.hstack(q_matrix)
+    # b and q are the first n and the last R columns of the exponent matrix bq
+    bq, n = documents.encode_grid(psi_exponents(data)), data.ray_count
     group = quotient_group(canonical)
     dim, band = dm_torus(canonical)
     payload = {
-        "matrices": {"b": documents.encode_grid(b_matrix),
-                     "q": documents.encode_grid(q_matrix),
-                     "bq": documents.encode_grid(bq)},
+        "matrices": {"b": [row[:n] for row in bq], "q": [row[n:] for row in bq], "bq": bq},
         "quotient_group": {"torus_rank": documents.encode_int(group.torus_rank),
                            "invariant_factors": _group_payload(group.finite_part)},
         "generic_stabilizer": _group_payload(band),

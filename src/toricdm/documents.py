@@ -328,14 +328,13 @@ def _decode_stacky(document: Any, where: str) -> list:
         "r": _decode_int_list, "b": _decode_int_grid}, where)
 
 
-def parse_stacky_document(document: Any, where: str = "") -> StackyData:
-    """Build a :class:`StackyData` from a parsed JSON object, the one at JSON
-    pointer ``where`` of an enclosing document.
+def parse_stacky_document(document: Any) -> StackyData:
+    """Build a :class:`StackyData` from a parsed JSON object.
 
     Structural problems raise :class:`DocumentError` with a location; the
     semantic invariants are left to :func:`toricdm.stacky.validate_data`.
     """
-    return _stacky_data(_decode_stacky(document, where), where)
+    return _stacky_data(_decode_stacky(document, ""), "")
 
 
 def _stacky_data(fields: list, where: str) -> StackyData:

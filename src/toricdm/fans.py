@@ -55,6 +55,7 @@ def fan_cache(function):
             answers[argument] = value
         return answers[argument]
 
+    cached.__module__ = function.__module__  # where the function is defined, not here
     cached.__name__, cached.__qualname__ = function.__name__, function.__qualname__
     cached.__doc__, cached.__wrapped__ = function.__doc__, function
     cached.cache_clear = answers.clear

@@ -11,6 +11,7 @@ the twists pushed through its isomorphism.
 from __future__ import annotations
 
 from .errors import MismatchedUnderlyingDataError, NotInChainFormError, Value
+from .fans import fan_cache
 from .lattice import FgAbelianGroup, IntegerMatrix, cokernel_with_projection, cyclic_chain
 from .stacky import StackyData, rigidify
 
@@ -94,11 +95,16 @@ class PicClass(Value):
         return f"PicClass({self.representative})"
 
 
+@fan_cache
 def picard_group(data: StackyData) -> PicardPresentation:
     """Picard presentation of a rigid datum (no root data allowed).
 
     When the rays span the lattice the relation columns are independent and
-    the free rank of the group is the ray count minus the lattice rank.
+    the free rank of the group is the ray count minus the lattice rank.  The
+    presentations of the last ``fans.FAN_CACHE_SIZE`` data are kept, so the
+    twist classes of a morphism document, both morphism conditions and
+    ``classify`` with its ``--verify`` rows read one presentation, from one
+    Smith form, per datum.
     """
     if not data.is_rigid:
         raise ValueError("picard_group expects rigid data; call rigidify first")

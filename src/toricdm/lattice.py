@@ -101,12 +101,6 @@ class IntegerMatrix(Value):
             raise ValueError(f"vector length {len(vector)} != {self.cols} columns")
         return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
 
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        grid = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        return IntegerMatrix(self.rows, self.cols + other.cols, grid)
-
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
 

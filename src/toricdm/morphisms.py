@@ -5,7 +5,10 @@ one per target ray, plus one source divisor class per target root index.
 Three verdicts are computed: the degree condition on the classes, the
 nondegeneracy condition on where the polynomials may vanish, and whether two
 tuples differ by the group action (a scalar per coordinate satisfying the
-exponent relations of the target rays).
+exponent relations of the target rays).  Every class lives on one source
+Picard presentation, ``gerbes.picard_group(source)``, which is cached per
+datum: the twist classes must share it, and the degrees of both conditions
+are read in it.
 
 The nondegeneracy condition (condition B) is decided exactly, chart by
 chart, as in Cox's description of morphisms by homogeneous polynomials
@@ -32,15 +35,17 @@ from math import gcd, lcm
 from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
                      SourceNotCompleteError, SourceNotRigidError,
                      TargetRaysNotSpanningError, Value, ZeroPolynomialError)
-from .fans import (fan_cache, is_admissible_zero_pattern, is_complete,
-                   primitive_collections, rays_span)
+from .fans import is_admissible_zero_pattern, is_complete, primitive_collections, rays_span
 from .documents import DEFAULT_SAMPLE_BUDGET
-from .gerbes import PicardPresentation, PicClass, picard_group
+from .gerbes import PicClass, picard_group
 from .lattice import coprime_base, split_power
 from .stacky import StackyData
 
-# Values the refutation search samples, as ``sample_witness`` reads them.
-DEFAULT_SAMPLE_VALUES = ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2")
+# The values the refutation search samples, 1, -1, 2, -2, 3, -3, 1/2 and
+# -1/2, each times their common denominator.  None is 0, so the zero set of
+# a sample is the pattern it was drawn for, a cone of the source.
+SAMPLE_DENOMINATOR = 2
+SAMPLE_VALUES = (2, -2, 4, -4, 6, -6, 1, -1)
 # Units the chart check of one tuple may spend (see ``_Work``), and apart from
 # it the sampler: at most about 0.1-0.2 s each, where no tuple of the
 # benchmark's morphism workload needs 200 on the charts or 500 in the sampler.
@@ -215,11 +220,8 @@ def validate_morphism_data(md: MorphismData) -> None:
     if any(p.num_vars != md.source.ray_count for p in md.polys):
         raise MismatchedSourceTargetError("polynomial variable count differs from source rays")
     if md.chi:
-        # A presentation is fixed by its relation matrix, whose rows are the
-        # source rays; comparing those needs no second Smith form.
-        relations = md.source.fan.ray_matrix().transpose()
-        if any(cls.presentation.n != md.source.ray_count
-               or cls.presentation.relation_matrix != relations for cls in md.chi):
+        presentation = picard_group(md.source)
+        if any(cls.presentation != presentation for cls in md.chi):
             raise MismatchedSourceTargetError(
                 "twist classes do not live on the source Picard presentation")
     if not is_complete(md.source.fan):
@@ -228,21 +230,19 @@ def validate_morphism_data(md: MorphismData) -> None:
         raise TargetRaysNotSpanningError("the target rays must span the target lattice")
 
 
-def degree(p: SparsePolynomial, source: StackyData,
-           presentation: Optional[PicardPresentation] = None) -> PicClass:
+def degree(p: SparsePolynomial, source: StackyData) -> PicClass:
     """The common divisor class of all terms of ``p`` in the source grading.
 
-    A monomial's class is the class of its exponent vector.  Raises when the
-    polynomial is zero or mixes classes.  ``presentation`` defaults to
-    ``picard_group(source)``; pass it to grade several polynomials against
-    one presentation.
+    A monomial's class is the class of its exponent vector in
+    ``picard_group(source)``, which is cached per datum, so grading several
+    polynomials of one source takes one Smith form.  Raises when the
+    polynomial is zero or mixes classes.
     """
     if not source.is_rigid:
         raise SourceNotRigidError("grading is defined for rigid data only")
     if p.is_zero:
         raise ZeroPolynomialError("the zero polynomial has no degree")
-    if presentation is None:
-        presentation = picard_group(source)
+    presentation = picard_group(source)
     first = presentation.class_of(p.terms[0][1])
     for _, exponents in p.terms[1:]:
         if presentation.class_of(exponents) != first:
@@ -257,15 +257,15 @@ def check_condition_a(md: MorphismData) -> bool:
     Writing chi_rho for the class of the polynomial at target ray rho, this
     checks that the sum of a_rho-weighted classes vanishes coordinatewise and
     that for each root index i the b-weighted class sum plus r_i times the
-    chosen twist class vanishes.  Every class lives on one source Picard
-    presentation: the twist classes' own, or the source's, built once per
-    source value.  The data go through :func:`validate_morphism_data` first;
+    chosen twist class vanishes.  Every class lives on the one source Picard
+    presentation, ``picard_group(md.source)``, which the twist classes must
+    share.  The data go through :func:`validate_morphism_data` first;
     its fan checks are cached by fan, so a second check of the same data
     does not certify again.
     """
     validate_morphism_data(md)
-    presentation = _grading(md)
-    classes = [degree(p, md.source, presentation) for p in md.polys]
+    presentation = picard_group(md.source)
+    classes = [degree(p, md.source) for p in md.polys]
     d = md.target.lattice_rank
     for l in range(d):
         total = presentation.zero_class()
@@ -282,19 +282,7 @@ def check_condition_a(md: MorphismData) -> bool:
     return True
 
 
-def _grading(md: MorphismData) -> PicardPresentation:
-    """The presentation the classes of ``md`` live on."""
-    return md.chi[0].presentation if md.chi else _source_presentation(md.source)
-
-
-@fan_cache
-def _source_presentation(source: StackyData) -> PicardPresentation:
-    return picard_group(source)
-
-
-def check_condition_b(md: MorphismData,
-                      sample_values: Sequence = DEFAULT_SAMPLE_VALUES,
-                      sample_budget: int = DEFAULT_SAMPLE_BUDGET,
+def check_condition_b(md: MorphismData, sample_budget: int = DEFAULT_SAMPLE_BUDGET,
                       seed: int = 0) -> ConditionBVerdict:
     """Does the polynomial tuple map the source locus into the target locus?
 
@@ -307,11 +295,11 @@ def check_condition_b(md: MorphismData,
 
     Other tuples are decided by :func:`chart_verdict`.  When the charts do
     not prove the tuple, :func:`sample_witness` searches for a rational
-    point with ``sample_values``, ``sample_budget`` and ``seed``; a point
-    found refutes and is the witness.  Otherwise the charts' verdict stands:
-    refuted with the first chart cone whose ideal misses 1, or unknown when
-    the charts spent ``CHART_WORK_LIMIT`` before one missed 1.  The data are
-    validated as in :func:`check_condition_a`.
+    point with ``sample_budget`` and ``seed``; a point found refutes and is
+    the witness.  Otherwise the charts' verdict stands: refuted with the
+    first chart cone whose ideal misses 1, or unknown when the charts spent
+    ``CHART_WORK_LIMIT`` before one missed 1.  The data are validated as in
+    :func:`check_condition_a`.
     """
     validate_morphism_data(md)
     if all(len(p.terms) <= 1 for p in md.polys):
@@ -326,7 +314,7 @@ def check_condition_b(md: MorphismData,
     verdict = chart_verdict(md)
     if verdict.is_proven:
         return verdict
-    witness = sample_witness(md, sample_values, sample_budget, seed)
+    witness = sample_witness(md, sample_budget, seed)
     return witness if witness.is_refuted else verdict
 
 
@@ -348,10 +336,9 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
     before one of them misses 1.  The data are expected to have passed
     :func:`validate_morphism_data`.
     """
-    presentation = _grading(md)
     for p in md.polys:
         if not p.is_zero:
-            degree(p, md.source, presentation)
+            degree(p, md.source)
     collections = primitive_collections(md.target.fan)
     work = _Work(CHART_WORK_LIMIT)
     try:
@@ -369,30 +356,26 @@ def chart_verdict(md: MorphismData) -> ConditionBVerdict:
     return ConditionBVerdict.proven()
 
 
-def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VALUES,
-                   sample_budget: int = DEFAULT_SAMPLE_BUDGET,
+def sample_witness(md: MorphismData, sample_budget: int = DEFAULT_SAMPLE_BUDGET,
                    seed: int = 0) -> ConditionBVerdict:
     """Search for a rational point of the source locus whose image leaves the
     target locus: refuted with that point, or unknown.
 
     For every admissible source zero pattern, smallest first, the free
-    coordinates run over the nonzero ``sample_values``, each an int, an
-    object with ``numerator`` and ``denominator`` (a ``Fraction``), or a
-    ``p`` or ``p/q`` string: all combinations when they fit in what is left
-    of ``sample_budget``, otherwise the rest of the budget as samples drawn
-    one coordinate at a time by ``random.Random(seed).choice``.  The first
-    sample whose image pattern is inadmissible is returned as a point of
-    ``Fraction`` coordinates.
+    coordinates run over the values of ``SAMPLE_VALUES``: all combinations
+    when they fit in what is left of ``sample_budget``, otherwise the rest
+    of the budget as samples drawn one coordinate at a time by
+    ``random.Random(seed).choice``.  The first sample whose image pattern is
+    inadmissible is returned as a point of ``Fraction`` coordinates.
 
-    The samples are evaluated in integers.  With ``D`` the lcm of the sample
-    denominators, each value ``v`` becomes the integer ``v * D``, and each
-    polynomial's integer terms are compiled once per call: a term of total
-    degree ``deg`` is multiplied by ``D**(top - deg)``, ``top`` the
-    polynomial's largest total degree.  At the scaled point the compiled
-    polynomial is the original value times a nonzero integer, so every zero
-    test, and with it every witness, is the one exact rational evaluation
-    gives.  The tuple need not be homogeneous and the data are not validated
-    here.
+    The samples are evaluated in integers.  ``SAMPLE_VALUES`` holds each
+    value times ``D = SAMPLE_DENOMINATOR``, and each polynomial's integer
+    terms are compiled once per call: a term of total degree ``deg`` is
+    multiplied by ``D**(top - deg)``, ``top`` the polynomial's largest total
+    degree.  At the scaled point the compiled polynomial is the original
+    value times a nonzero integer, so every zero test, and with it every
+    witness, is the one exact rational evaluation gives.  The tuple need not
+    be homogeneous and the data are not validated here.
 
     The search pays each sample from a :class:`_Work` of ``CHART_WORK_LIMIT``
     units of its own: one unit per term evaluated, plus the multiplications
@@ -401,13 +384,8 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
     an exhausted ``sample_budget`` does.
     """
     target_fan = md.target.fan
-    # Free coordinates take nonzero values only: the zero set of a sample must
-    # be a source cone, and every cone is searched as a pattern of its own.
-    sample_values = [(p, q) for p, q in map(_ratio, sample_values) if p]
-    denominator = lcm(*(q for _, q in sample_values))
-    scaled_values = [p * (denominator // q) for p, q in sample_values]
-    compiled = [_integer_terms(p, denominator) for p in md.polys]
-    value_bits = max((v.bit_length() for v in scaled_values), default=0)
+    compiled = [_integer_terms(p, SAMPLE_DENOMINATOR) for p in md.polys]
+    value_bits = max(v.bit_length() for v in SAMPLE_VALUES)
     import random  # only the sampler draws
     rng = random.Random(seed)
     remaining = sample_budget
@@ -418,13 +396,13 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
             if remaining <= 0:
                 break
             free = [k for k in range(n_source) if k not in pattern]
-            space = len(sample_values) ** len(free)
+            space = len(SAMPLE_VALUES) ** len(free)
             if space <= remaining:
-                assignments = itertools.product(scaled_values, repeat=len(free))
+                assignments = itertools.product(SAMPLE_VALUES, repeat=len(free))
                 remaining -= space
             else:
                 count = remaining
-                assignments = (tuple(map(rng.choice, itertools.repeat(scaled_values, len(free))))
+                assignments = (tuple(map(rng.choice, itertools.repeat(SAMPLE_VALUES, len(free))))
                                for _ in range(count))
                 remaining = 0
             # Terms through a coordinate of the pattern vanish; the others read
@@ -446,26 +424,11 @@ def sample_witness(md: MorphismData, sample_values: Sequence = DEFAULT_SAMPLE_VA
 
                     point = [Fraction(0)] * n_source
                     for k, value in zip(free, assignment):
-                        point[k] = Fraction(value, denominator)
+                        point[k] = Fraction(value, SAMPLE_DENOMINATOR)
                     return ConditionBVerdict.refuted_point(point)
     except _OutOfWork:
         pass
     return ConditionBVerdict.unknown()
-
-
-def _ratio(value) -> tuple[int, int]:
-    """``value`` as a reduced pair (p, q) of ints with q > 0: an int, an
-    object with ``numerator`` and ``denominator``, or a ``p`` or ``p/q``
-    string."""
-    if isinstance(value, str):
-        numerator, _, denominator = value.partition("/")
-        p, q = int(numerator), int(denominator or 1)
-    else:
-        p, q = value.numerator, value.denominator
-    if q < 1:
-        raise ValueError(f"sample value {value!r} has no positive denominator")
-    k = gcd(p, q)
-    return p // k, q // k
 
 
 def _integer_terms(p: SparsePolynomial, denominator: int) -> list:

@@ -2,11 +2,11 @@
 
 Everything here deliberately avoids the Smith-normal-form machinery of the
 main code paths: quotients are enumerated through a column-echelon basis and
-breadth-first closure, lattice indices are read off that basis, determinants
-are expanded by cofactors, and group structure is checked element by
-element.  These verifiers are slow and meant for tests and for the
-``--verify`` flag of the command line; from the rest of the package they
-import only the carrier types :class:`~toricdm.lattice.IntegerMatrix` and
+breadth-first closure, lattice indices are read off that basis, and group
+structure is checked element by element.  These verifiers are slow and meant
+for tests and for the ``--verify`` flag of the command line; from the rest
+of the package they import only the carrier types
+:class:`~toricdm.lattice.IntegerMatrix` and
 :class:`~toricdm.lattice.SnfDecomposition`, ``Value`` and ``TooLargeError``.
 """
 
@@ -84,36 +84,6 @@ def _lattice_order(basis: list[list[int]], n: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Determinants by cofactor expansion
-# ---------------------------------------------------------------------------
-
-def det_cofactor(matrix: IntegerMatrix) -> int:
-    """Exact determinant by recursive cofactor expansion along the first row."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    grid = [list(row) for row in matrix.entries]
-
-    def expand(rows: list[list[int]]) -> int:
-        k = len(rows)
-        if k == 0:
-            return 1
-        if k == 1:
-            return rows[0][0]
-        if k == 2:
-            return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        total = 0
-        sign = 1
-        for j in range(k):
-            if rows[0][j]:
-                minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-                total += sign * rows[0][j] * expand(minor)
-            sign = -sign
-        return total
-
-    return expand(grid)
-
-
-# ---------------------------------------------------------------------------
 # Finite group tables
 # ---------------------------------------------------------------------------
 
@@ -176,16 +146,15 @@ def _verify_table(elements, table) -> None:
             raise AssertionError("associativity failed in enumerated table")
 
 
-def _quotient_closure(relations: IntegerMatrix, bound: int
-                      ) -> tuple[set[tuple[int, ...]], list[list[int]]]:
+def _quotient_closure(relations: IntegerMatrix) -> tuple[set[tuple[int, ...]], list[list[int]]]:
     """Canonical representatives of Z^n modulo the column span of
     ``relations``, with the echelon basis that reduces them.
 
     Finiteness is decided first from the echelon basis (the product of its
     leading entries is the quotient order); raises :class:`TooLargeError`
-    when the quotient is infinite or larger than ``bound``.  Representatives
-    are then collected by breadth-first closure from zero, and their count
-    must equal that order.
+    when the quotient is infinite or larger than ``ENUMERATION_BOUND``.
+    Representatives are then collected by breadth-first closure from zero,
+    and their count must equal that order.
     """
     n = relations.rows
     columns = [relations.column(j) for j in range(relations.cols)]
@@ -193,8 +162,8 @@ def _quotient_closure(relations: IntegerMatrix, bound: int
     order = _lattice_order(basis, n)
     if order is None:
         raise TooLargeError("quotient is infinite")
-    if order > bound:
-        raise TooLargeError(f"quotient order {order} exceeds bound {bound}")
+    if order > ENUMERATION_BOUND:
+        raise TooLargeError(f"quotient order {order} exceeds bound {ENUMERATION_BOUND}")
 
     zero = tuple(0 for _ in range(n))
     seen = {_reduce_vector(zero, basis, n)}
@@ -216,12 +185,11 @@ def _quotient_closure(relations: IntegerMatrix, bound: int
     return seen, basis
 
 
-def oracle_quotient_enumerate(relations: IntegerMatrix,
-                              bound: int = ENUMERATION_BOUND) -> FiniteGroupTable:
+def oracle_quotient_enumerate(relations: IntegerMatrix) -> FiniteGroupTable:
     """Enumerate Z^n modulo the column span of ``relations`` as a group table
     over the elements of :func:`_quotient_closure`, with its axioms checked."""
     n = relations.rows
-    seen, basis = _quotient_closure(relations, bound)
+    seen, basis = _quotient_closure(relations)
     elements = tuple(sorted(seen))
     index = {e: i for i, e in enumerate(elements)}
     table = tuple(
@@ -278,12 +246,12 @@ def oracle_verify_snf(a: IntegerMatrix, decomposition: SnfDecomposition) -> bool
         and all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
 
 
-def oracle_divisibility(v: Sequence[int], r: int, relations: IntegerMatrix,
-                        bound: int = ENUMERATION_BOUND) -> bool:
+def oracle_divisibility(v: Sequence[int], r: int, relations: IntegerMatrix) -> bool:
     """Divisibility test decided in the finite group Z^n/(r Z^n + relations).
 
     The class of ``v`` is divisible by ``r`` exactly when it reduces to zero
-    there.  Raises :class:`TooLargeError` when that group exceeds ``bound``.
+    there.  Raises :class:`TooLargeError` when that group exceeds
+    ``ENUMERATION_BOUND``.
     """
     v = tuple(int(x) for x in v)
     n = relations.rows
@@ -292,7 +260,7 @@ def oracle_divisibility(v: Sequence[int], r: int, relations: IntegerMatrix,
         columns.append(tuple(r if i == k else 0 for i in range(n)))
     basis = _echelon_columns(columns, n)
     order = _lattice_order(basis, n)
-    if order is None or order > bound:
+    if order is None or order > ENUMERATION_BOUND:
         raise TooLargeError("quotient too large to enumerate")
     zero = tuple(0 for _ in range(n))
     return _reduce_vector(v, basis, n) == _reduce_vector(zero, basis, n)
@@ -469,7 +437,7 @@ def _prime_powers(r: int) -> dict[int, int]:
     return factors
 
 
-def oracle_banded_isomorphic(data1, data2, bound: int = ENUMERATION_BOUND) -> bool:
+def oracle_banded_isomorphic(data1, data2) -> bool:
     """Decide prime by prime whether two data sets over one fan define
     isomorphic gerbes banded by the chain group, with bands matched by the
     Chinese-remainder identification.
@@ -502,6 +470,6 @@ def oracle_banded_isomorphic(data1, data2, bound: int = ENUMERATION_BOUND) -> bo
     for p, listed in parts1.items():
         for (k, row1), (_, row2) in zip(listed, parts2[p]):
             diff = tuple(a - b for a, b in zip(row1, row2))
-            if not oracle_divisibility(diff, p ** k, relations, bound):
+            if not oracle_divisibility(diff, p ** k, relations):
                 return False
     return True

@@ -2,7 +2,7 @@
 
 The input datum bundles a simplicial fan with a chosen lattice point on each
 ray, a list of root orders r_1..r_R, and an R x n integer matrix b.  From it
-this module builds the exponent matrices of the defining torus homomorphism,
+this module builds the exponent matrix of the defining torus homomorphism,
 the acting quotient group, generic and per-cone isotropy groups, the
 rigidification, the splitting over the sublattice spanned by the rays, and
 the associated stacky fan.
@@ -97,28 +97,18 @@ def validate_data(data: StackyData) -> ValidationReport:
     return ValidationReport()
 
 
-def build_matrices(data: StackyData) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """The exponent blocks of the defining homomorphism.
-
-    The first matrix stacks the ray coordinates over the rows of b, giving a
-    (d+R) x n matrix; the second is zero on the first d rows with the root
-    orders on the diagonal below, giving (d+R) x R.
-    """
-    d, n, big_r = data.lattice_rank, data.ray_count, data.root_count
-    rows = [[data.fan.rays[k][l] for k in range(n)] for l in range(d)]
-    rows.extend(data.b.to_rows())
-    b_matrix = IntegerMatrix.from_rows(rows, n)
-    q_rows = [[0] * big_r for _ in range(d)]
-    for i in range(big_r):
-        q_rows.append([data.r[i] if j == i else 0 for j in range(big_r)])
-    q_matrix = IntegerMatrix.from_rows(q_rows, big_r)
-    return b_matrix, q_matrix
-
-
 def psi_exponents(data: StackyData) -> IntegerMatrix:
-    """The full (d+R) x (n+R) exponent matrix of the torus homomorphism."""
-    b_matrix, q_matrix = build_matrices(data)
-    return b_matrix.hstack(q_matrix)
+    """The (d+R) x (n+R) exponent matrix of the torus homomorphism.
+
+    Its first n columns stack the ray coordinates over the rows of b; its
+    last R columns are zero on the first d rows, with the root orders on
+    the diagonal below.
+    """
+    big_r = data.root_count
+    rows = [[ray[l] for ray in data.fan.rays] + [0] * big_r for l in range(data.lattice_rank)]
+    rows += [data.b.row(i) + tuple(r if m == i else 0 for m in range(big_r))
+             for i, r in enumerate(data.r)]
+    return IntegerMatrix(data.lattice_rank + big_r, data.ray_count + big_r, rows)
 
 
 def quotient_group(data: StackyData) -> QuotientGroupDesc:

@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from toricdm import (IntegerMatrix, SimplicialFan, StackyData, cokernel, documents, fans,
-                     lattice, morphisms, psi_exponents, smith_normal_form)
+                     gerbes, lattice, psi_exponents, smith_normal_form)
 from toricdm.morphisms import DEFAULT_SAMPLE_BUDGET
 
 
@@ -119,6 +119,43 @@ def chain_by_smith_form(orders):
     diag(r): the reference for ``lattice.cyclic_chain``, which finds them
     by gcds."""
     return cokernel(IntegerMatrix.diagonal(orders)).invariant_factors
+
+
+def exponent_blocks(data):
+    """The blocks of ``stacky.psi_exponents``: its first n columns (the ray
+    coordinates over the rows of b) and its last R (the root orders)."""
+    n = data.ray_count
+    exponents = psi_exponents(data)
+    return (IntegerMatrix(exponents.rows, n, (row[:n] for row in exponents.entries)),
+            IntegerMatrix(exponents.rows, exponents.cols - n,
+                          (row[n:] for row in exponents.entries)))
+
+
+def det_cofactor(matrix: IntegerMatrix) -> int:
+    """Exact determinant by recursive cofactor expansion along the first
+    row: the reference for the stabilizer orders of full-dimensional cones,
+    with no Smith form and no echelon basis, and exponential in the size."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a non-square matrix")
+
+    def expand(rows: list[list[int]]) -> int:
+        k = len(rows)
+        if k == 0:
+            return 1
+        if k == 1:
+            return rows[0][0]
+        if k == 2:
+            return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+        total = 0
+        sign = 1
+        for j in range(k):
+            if rows[0][j]:
+                minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+                total += sign * rows[0][j] * expand(minor)
+            sign = -sign
+        return total
+
+    return expand([list(row) for row in matrix.entries])
 
 
 def fan_wide_stabilizer(data, cone):
@@ -279,7 +316,7 @@ def fresh_fan_caches():
     work or patching a helper does not depend on which fans ran before."""
     for cached in (fans.validate_fan, fans._certifies_complete, fans.ray_smith_form,
                    fans._maximal_normals, fans.primitive_collections,
-                   morphisms._source_presentation):
+                   gerbes.picard_group):
         cached.cache_clear()
 
 

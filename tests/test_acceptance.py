@@ -2,7 +2,8 @@
 
 One test per acceptance criterion; each prints a single PASS/FAIL line with
 its elapsed time and enforces the stated time budget.  Run with ``pytest -s``
-to see the lines as they complete.
+to see the lines as they complete.  ``TestDetCofactor`` checks the
+determinant that criterion 3 takes as its reference.
 """
 
 import json
@@ -11,22 +12,23 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
+
 from toricdm import (FgAbelianGroup, IntegerMatrix, MorphismData,
-                     SparsePolynomial, StackyData, build_matrices, canonicalize,
+                     SparsePolynomial, StackyData, canonicalize,
                      check_condition_a, check_condition_b, check_two_isomorphic,
                      cli, cokernel_with_projection, documents, gerbe_class,
                      generic_stabilizer,
                      is_admissible_zero_pattern, is_isomorphic_banded,
                      morphisms, picard_group, point_stabilizer, quotient_group, rigidify,
                      smith_normal_form, split_nonspanning)
-from toricdm.oracle import (det_cofactor, oracle_divisibility,
-                            oracle_element_order_census,
+from toricdm.oracle import (oracle_divisibility, oracle_element_order_census,
                             oracle_is_group_isomorphism, oracle_stabilizer_order,
                             oracle_verify_snf)
 
-from conftest import (affine_quotient_data, chain_by_smith_form, make_fan,
-                      p1_root_data, projective_line_fan, random_spanning_data, schema_errors,
-                      serialize_morphism_data, weighted_line_root_data)
+from conftest import (affine_quotient_data, chain_by_smith_form, det_cofactor, exponent_blocks,
+                      make_fan, p1_root_data, projective_line_fan, random_spanning_data,
+                      schema_errors, serialize_morphism_data, weighted_line_root_data)
 
 
 @contextmanager
@@ -60,7 +62,7 @@ def test_criterion_1_cyclic_quotient_family():
 def test_criterion_2_weighted_line_root_fixture():
     with criterion("2 weighted-line root fixture", 1.0):
         data = weighted_line_root_data()
-        b, q = build_matrices(data)
+        b, q = exponent_blocks(data)
         assert b.to_rows() == [[-3, 2], [0, 1]]
         assert q.to_rows() == [[0], [2]]
         desc = quotient_group(data)
@@ -94,6 +96,19 @@ def test_criterion_3_stabilizer_order_formula():
                 order = point_stabilizer(data, cone).order()
                 assert order == expected
                 assert order == oracle_stabilizer_order(data, cone)
+
+
+class TestDetCofactor:
+    def test_known_values(self):
+        assert det_cofactor(IntegerMatrix.identity(0)) == 1
+        assert det_cofactor(IntegerMatrix.from_rows([[5]])) == 5
+        assert det_cofactor(IntegerMatrix.from_rows([[1, 2], [3, 4]])) == -2
+        assert det_cofactor(IntegerMatrix.from_rows(
+            [[2, 0, 1], [1, 1, 0], [0, 3, 1]])) == 5
+
+    def test_rejects_rectangular(self):
+        with pytest.raises(ValueError):
+            det_cofactor(IntegerMatrix.zeros(2, 3))
 
 
 def test_criterion_4_classification_parity():

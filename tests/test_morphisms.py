@@ -15,8 +15,8 @@ from toricdm import (MismatchedSourceTargetError, MorphismData,
                      check_two_isomorphic, degree, is_admissible_zero_pattern,
                      picard_group)
 from toricdm import morphisms
-from toricdm.morphisms import (CHART_WORK_LIMIT, DEFAULT_SAMPLE_BUDGET, DEFAULT_SAMPLE_VALUES,
-                               ConditionBVerdict, chart_verdict, sample_witness)
+from toricdm.morphisms import (CHART_WORK_LIMIT, DEFAULT_SAMPLE_BUDGET, ConditionBVerdict,
+                               chart_verdict, sample_witness)
 
 from conftest import (affine_fan, close_under_faces, line_fan, make_fan, product_fan,
                       projective_fan, projective_line_fan, projective_plane_fan,
@@ -276,7 +276,7 @@ class TestOneValidationOnePresentation:
         snf_calls.clear()
         assert check_condition_a(md)
         # only rays_span (1 x 2): the validation compares the classes'
-        # relation matrix with the source rays instead of building its own
+        # presentation with the source's, which is cached, not built again
         assert snf_calls == [(1, 2)]
 
     def test_twist_classes_of_another_fan_are_rejected(self):
@@ -288,9 +288,12 @@ class TestOneValidationOnePresentation:
             check_condition_a(md)
 
     def test_degree_takes_a_presentation(self, snf_calls):
+        # the presentation is cached per datum: degree reuses it, with no
+        # Smith form of its own
         pres = picard_group(P1)
         snf_calls.clear()
-        assert degree(mono(2, 1, (3, 0)), P1, pres) == pres.class_of((0, 3))
+        cls = degree(mono(2, 1, (3, 0)), P1)
+        assert cls == pres.class_of((0, 3)) and cls.presentation is pres
         assert snf_calls == []
 
     def test_both_conditions_certify_the_source_once(self, certificates, snf_calls):
@@ -341,15 +344,18 @@ def fraction_value(reference, point):
     return total
 
 
-def fraction_condition_b(md, sample_values, sample_budget, seed, references=None):
-    """The general-tuple sampler evaluated with ``Fraction`` arithmetic, as
-    it was written before samples were evaluated in integers: the reference
-    for the integer path.  It evaluates ``references``, the ``Fraction``
-    reference of each polynomial (by default read off ``md``).  Zero values
-    are dropped, so that every sample lies on the source locus."""
+# The values the sampler draws, in its order, as ``Fraction``s.
+SAMPLES = tuple(map(Fraction, ("1", "-1", "2", "-2", "3", "-3", "1/2", "-1/2")))
+
+
+def fraction_condition_b(md, sample_budget, seed, references=None):
+    """The general-tuple sampler evaluated with ``Fraction`` arithmetic over
+    ``SAMPLES``, as it was written before samples were evaluated in
+    integers: the reference for the integer path.  It evaluates
+    ``references``, the ``Fraction`` reference of each polynomial (by
+    default read off ``md``)."""
     if references is None:
         references = [reference_of(p) for p in md.polys]
-    sample_values = [v for v in map(Fraction, sample_values) if v]
     rng = random.Random(seed)
     remaining = sample_budget
     n_source = md.source.ray_count
@@ -357,13 +363,13 @@ def fraction_condition_b(md, sample_values, sample_budget, seed, references=None
         if remaining <= 0:
             break
         free = [k for k in range(n_source) if k not in pattern]
-        space = len(sample_values) ** len(free)
+        space = len(SAMPLES) ** len(free)
         if space <= remaining:
-            assignments = itertools.product(sample_values, repeat=len(free))
+            assignments = itertools.product(SAMPLES, repeat=len(free))
             remaining -= space
         else:
             count = remaining
-            assignments = (tuple(rng.choice(sample_values) for _ in free)
+            assignments = (tuple(rng.choice(SAMPLES) for _ in free)
                            for _ in range(count))
             remaining = 0
         for assignment in assignments:
@@ -377,8 +383,6 @@ def fraction_condition_b(md, sample_values, sample_budget, seed, references=None
     return ConditionBVerdict.unknown()
 
 
-SAMPLE_POOL = (Fraction(0), Fraction(-2, 5), Fraction(1, 3), Fraction(7),
-               Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 4))
 COEFFICIENTS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
                 Fraction(-2, 3), Fraction(5, 6), Fraction(-7, 4), Fraction(3, 5))
 SPACES = (P1, P2, StackyData(projective_fan(3)),
@@ -390,12 +394,10 @@ def general_tuples(draw):
     """A tuple with some polynomial of two or more terms, not necessarily
     homogeneous, whose terms often cancel at sample points: products of a
     monomial with factors ``x_i^a - s x_j^b``, ``s = u^a / w^b`` for sample
-    values ``u`` and ``w``, so that the factor vanishes where ``x_i = u`` and
-    ``x_j = w``.  Also the sample values, budget and seed to search it with."""
+    values ``u`` and ``w`` of ``SAMPLES``, so that the factor vanishes where
+    ``x_i = u`` and ``x_j = w``.  Also the budget and seed to search it with."""
     source, target = draw(st.sampled_from(SPACES)), draw(st.sampled_from(SPACES))
     n = source.ray_count
-    values = tuple(draw(st.lists(st.sampled_from(SAMPLE_POOL), min_size=1, max_size=4,
-                                 unique=True)))
     exponent = st.integers(0, 2)
 
     def monomial():
@@ -405,8 +407,8 @@ def general_tuples(draw):
     def factor():
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-        u, w = draw(st.sampled_from(values)), draw(st.sampled_from(values))
-        s = u ** a / w ** b if w else draw(st.sampled_from(COEFFICIENTS))
+        u, w = draw(st.sampled_from(SAMPLES)), draw(st.sampled_from(SAMPLES))
+        s = u ** a / w ** b
         return SparsePolynomial(n, (
             (Fraction(1), tuple(a if k == i else 0 for k in range(n))),
             (-s, tuple(b if k == j else 0 for k in range(n)))))
@@ -422,16 +424,16 @@ def general_tuples(draw):
     assume(any(len(p.terms) > 1 for p in polys))
     budget = draw(st.sampled_from((0, 1, 9, 70, 300)))
     seed = draw(st.integers(0, 2 ** 32))
-    return MorphismData(source, target, tuple(polys), ()), values, budget, seed
+    return MorphismData(source, target, tuple(polys), ()), budget, seed
 
 
 class TestIntegerSampler:
     @settings(max_examples=200, deadline=None)
     @given(general_tuples())
     def test_matches_fraction_evaluation(self, case):
-        md, values, budget, seed = case
-        verdict = sample_witness(md, values, budget, seed)
-        assert verdict == fraction_condition_b(md, values, budget, seed)
+        md, budget, seed = case
+        verdict = sample_witness(md, budget, seed)
+        assert verdict == fraction_condition_b(md, budget, seed)
         assert verdict.status in ("refuted", "unknown")
         if verdict.is_refuted:
             point = verdict.witness_point
@@ -442,25 +444,23 @@ class TestIntegerSampler:
             assert not is_admissible_zero_pattern(md.target.fan, image)
 
     def test_terms_of_different_degrees_cancel(self):
-        # x0^2 - x0/3 and x1 (x0 - 1/3) both vanish at x0 = 1/3; the terms
+        # x0^2 - x0/2 and x1 (x0 - 1/2) both vanish at x0 = 1/2; the terms
         # of each have degrees 2 and 1, so the integer path must scale the
         # lower one by the sample denominator to see the cancellation
-        p0 = SparsePolynomial(2, ((Fraction(1), (2, 0)), (Fraction(-1, 3), (1, 0))))
-        p1 = SparsePolynomial(2, ((Fraction(1), (1, 1)), (Fraction(-1, 3), (0, 1))))
+        p0 = SparsePolynomial(2, ((Fraction(1), (2, 0)), (Fraction(-1, 2), (1, 0))))
+        p1 = SparsePolynomial(2, ((Fraction(1), (1, 1)), (Fraction(-1, 2), (0, 1))))
         md = MorphismData(P1, P1, (p0, p1), ())
-        values = (Fraction(1, 3), Fraction(1))
-        verdict = sample_witness(md, values, 100, 0)
-        assert verdict == ConditionBVerdict.refuted_point((Fraction(1, 3), Fraction(1, 3)))
-        assert verdict == fraction_condition_b(md, values, 100, 0)
+        verdict = sample_witness(md, 100, 0)
+        assert verdict == ConditionBVerdict.refuted_point((Fraction(1, 2), Fraction(1)))
+        assert verdict == fraction_condition_b(md, 100, 0)
 
     def test_zero_sample_value_stays_on_the_source_locus(self):
         # (x0 + x1, x1) is a morphism of P^1: x0 = x1 = 0 is not a point of
-        # the source, so a sample value 0 on both coordinates must not refute
+        # the source, and no sample may put both coordinates there
         md = MorphismData(P1, P1, (binomial_line(), mono(2, 1, (0, 1))), ())
-        values = (Fraction(0), Fraction(1))
-        assert sample_witness(md, values, 100, 0).status == "unknown"
-        assert fraction_condition_b(md, values, 100, 0).status == "unknown"
-        assert check_condition_b(md, values, 100, 0).is_proven
+        assert sample_witness(md, 100, 0).status == "unknown"
+        assert fraction_condition_b(md, 100, 0).status == "unknown"
+        assert check_condition_b(md, 100, 0).is_proven
 
     def test_default_search_matches_fraction_evaluation(self):
         # the full default budget, drawn at random on (P1)^2, for seeds 0-2
@@ -476,8 +476,7 @@ class TestIntegerSampler:
         for seed in range(3):
             verdict = sample_witness(md, seed=seed)
             assert verdict.status == "unknown"
-            assert verdict == fraction_condition_b(
-                md, DEFAULT_SAMPLE_VALUES, DEFAULT_SAMPLE_BUDGET, seed)
+            assert verdict == fraction_condition_b(md, DEFAULT_SAMPLE_BUDGET, seed)
 
 
 def binomial_self_map(k, m, coefficients):
@@ -643,7 +642,7 @@ class TestExactConditionB:
     @given(homogeneous_tuples(), st.integers(0, 2 ** 16))
     def test_sampler_never_refutes_a_proven_tuple(self, md, seed):
         verdict = check_condition_b(md, sample_budget=300, seed=seed)
-        witness = sample_witness(md, DEFAULT_SAMPLE_VALUES, 300, seed)
+        witness = sample_witness(md, 300, seed)
         assert verdict.status in ("proven", "refuted")
         if verdict.is_proven:
             assert not witness.is_refuted
@@ -854,7 +853,7 @@ class TestFractionReference:
         md, references = case
         verdict = check_condition_b(md, sample_budget=300, seed=seed)
         assert verdict.status in ("proven", "refuted")
-        sampled = fraction_condition_b(md, DEFAULT_SAMPLE_VALUES, 300, seed, references)
+        sampled = fraction_condition_b(md, 300, seed, references)
         if any(len(p.terms) > 1 for p in md.polys):
             # the sampler runs unless the charts prove, and then cannot refute
             assert (verdict.witness_point is not None) == sampled.is_refuted

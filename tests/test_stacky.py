@@ -1,13 +1,13 @@
 import pytest
 
 from toricdm import (ConeNotInFanError, FgAbelianGroup, IntegerMatrix,
-                     NonSpanningRaysError, StackyData, build_matrices, dm_torus,
+                     NonSpanningRaysError, StackyData, dm_torus,
                      generic_stabilizer, point_stabilizer,
                      psi_exponents, quotient_group, rigidify, split_nonspanning,
                      stacky_fan, validate_data)
 from toricdm.oracle import oracle_quotient_enumerate, oracle_stabilizer_order
 
-from conftest import (affine_quotient_data, chain_by_smith_form, make_fan,
+from conftest import (affine_quotient_data, chain_by_smith_form, exponent_blocks, make_fan,
                       projective_plane_fan, random_spanning_data, weighted_line_root_data)
 
 
@@ -32,18 +32,18 @@ class TestValidateData:
 
 class TestBuildMatrices:
     def test_weighted_line_root(self):
-        b, q = build_matrices(weighted_line_root_data())
+        b, q = exponent_blocks(weighted_line_root_data())
         assert b.to_rows() == [[-3, 2], [0, 1]]
         assert q.to_rows() == [[0], [2]]
 
     def test_affine_quotient(self):
-        b, q = build_matrices(affine_quotient_data(5))
+        b, q = exponent_blocks(affine_quotient_data(5))
         assert b.to_rows() == [[5]]
         assert q.cols == 0
 
     def test_rigid_line(self):
         data = StackyData(make_fan(1, [(-1,), (1,)], [[0], [1]]))
-        b, q = build_matrices(data)
+        b, q = exponent_blocks(data)
         assert b.to_rows() == [[-1, 1]]
         assert q.cols == 0
 
@@ -58,7 +58,7 @@ class TestPsiExponents:
 
     def test_rigid_equals_first_block(self):
         data = StackyData(projective_plane_fan())
-        assert psi_exponents(data) == build_matrices(data)[0]
+        assert psi_exponents(data) == exponent_blocks(data)[0]
 
 
 class TestQuotientGroup:

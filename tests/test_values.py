@@ -172,7 +172,7 @@ def test_commands_leave_typing_and_random_unloaded(tmp_path):
 
 def test_public_names_load_on_first_use():
     assert {m for m in _modules_after("import toricdm") if m.startswith("toricdm")} == {"toricdm"}
-    assert len(toricdm._MODULE_OF) == 67 and toricdm.__all__ == list(toricdm._MODULE_OF)
+    assert len(toricdm._MODULE_OF) == 65 and toricdm.__all__ == list(toricdm._MODULE_OF)
     for name, module in toricdm._MODULE_OF.items():
         home = getattr(toricdm, module)
         assert home.__name__ == f"toricdm.{module}"
