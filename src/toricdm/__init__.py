@@ -31,7 +31,7 @@ _EXPORTS = {
         oracle_cones_meet_along_common_face oracle_divisibility
         oracle_element_order_census oracle_is_group_isomorphism oracle_quotient_enumerate
         oracle_stabilizer_order oracle_verify_snf""",
-    "stacky": """QuotientGroupDesc StackyData StackyFan dm_torus
+    "stacky": """QuotientGroupDesc StackyData StackyFan character_relations dm_torus
         generic_stabilizer point_stabilizer psi_exponents quotient_group rigidify
         split_nonspanning stacky_fan validate_data""",
 }

@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import documents
-from .errors import DocumentError, TooLargeError, ToricError
+from .errors import DocumentError, ToricError
 from .fans import rays_span
 from .stacky import (dm_torus, point_stabilizer, psi_exponents, quotient_group, rigidify,
                      split_nonspanning, stacky_fan, validate_data)
@@ -236,13 +236,9 @@ def _classify_pair(base, base_canonical, other, verify):
             from . import oracle
 
             relation = gerbes.picard_group(rigidify(base)).relation_matrix
-            agreement = []
-            for (diff, divisible), r in zip(rows, base_canonical.r):
-                try:
-                    agreement.append(oracle.oracle_divisibility(diff, r, relation) == divisible)
-                except TooLargeError:
-                    agreement.append(None)
-            result["oracle_agrees"] = agreement
+            result["oracle_agrees"] = [
+                oracle.oracle_divisibility(diff, r, relation) == divisible
+                for (diff, divisible), r in zip(rows, base_canonical.r)]
     return result
 
 

@@ -111,11 +111,11 @@ class Value:
     A subclass names its fields in order in ``_fields`` and stores them in
     its own ``__init__`` through ``self.__dict__``.  Two values are equal
     when they are of the same class and their field tuples are equal; a
-    value hashes as its field tuple, its repr lists the fields, and it
-    rejects assignment and deletion.  That is what ``@dataclass(frozen=True)``
-    generates, without importing ``dataclasses`` (and ``inspect``) and
-    compiling the methods at start-up, which cost every command-line run
-    about 35 ms.
+    value hashes as its field tuple (computed once), its repr lists the
+    fields, and it rejects assignment and deletion.  That is what
+    ``@dataclass(frozen=True)`` generates, without importing ``dataclasses``
+    (and ``inspect``) and compiling the methods at start-up, which cost
+    every command-line run about 35 ms.
     """
 
     _fields: tuple[str, ...] = ()
@@ -131,7 +131,10 @@ class Value:
         return self is other or self._astuple() == other._astuple()
 
     def __hash__(self):
-        return hash(self._astuple())
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(self._astuple())
+        return cached
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

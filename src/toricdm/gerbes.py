@@ -1,9 +1,9 @@
 """Picard presentation of rigid data and classification of banded gerbes.
 
 The Picard group of a rigid datum is presented as the dual ray lattice modulo
-the image of the character lattice (the column span of the transposed ray
-matrix).  Divisor classes, the twist classes attached to the root data, the
-divisor-chain canonical form and the banded-isomorphism decision all live
+the image of the character lattice, the column span of
+``stacky.character_relations``.  Divisor classes, the twist classes of the
+root data, the divisor-chain canonical form and the banded-isomorphism decision all live
 here; the canonical form is the chain of :func:`lattice.cyclic_chain` with
 the twists pushed through its isomorphism.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import MismatchedUnderlyingDataError, NotInChainFormError, Value
 from .fans import fan_cache
 from .lattice import FgAbelianGroup, IntegerMatrix, cokernel_with_projection, cyclic_chain
-from .stacky import StackyData, rigidify
+from .stacky import StackyData, character_relations, rigidify
 
 
 class PicardPresentation(Value):
@@ -97,7 +97,8 @@ class PicClass(Value):
 
 @fan_cache
 def picard_group(data: StackyData) -> PicardPresentation:
-    """Picard presentation of a rigid datum (no root data allowed).
+    """Picard presentation of a rigid datum (no root data allowed): the
+    cokernel of ``stacky.character_relations``, whose rows are the rays.
 
     When the rays span the lattice the relation columns are independent and
     the free rank of the group is the ray count minus the lattice rank.  The
@@ -108,7 +109,7 @@ def picard_group(data: StackyData) -> PicardPresentation:
     """
     if not data.is_rigid:
         raise ValueError("picard_group expects rigid data; call rigidify first")
-    relation = IntegerMatrix.from_rows(data.fan.rays, data.lattice_rank)
+    relation = character_relations(data)
     group, project = cokernel_with_projection(relation)
     return PicardPresentation(data.ray_count, relation, group, project)
 

@@ -36,11 +36,11 @@ class IntegerMatrix(Value):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntegerMatrix":
-        grid = tuple(tuple(int(x) for x in row) for row in rows)
+    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
+        rows = list(rows)
         if cols is None:
-            cols = len(grid[0]) if grid else 0
-        return cls(len(grid), cols, grid)
+            cols = len(rows[0]) if rows else 0
+        return cls(len(rows), cols, rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":

@@ -8,7 +8,9 @@ tuples differ by the group action (a scalar per coordinate satisfying the
 exponent relations of the target rays).  Every class lives on one source
 Picard presentation, ``gerbes.picard_group(source)``, which is cached per
 datum: the twist classes must share it, and the degrees of both conditions
-are read in it.
+are read in it.  The degree condition (condition A) is the target's
+exponent matrix applied to the source classes of the paper's line bundles:
+one per target ray, with its polynomial as a section, and one per root.
 
 The nondegeneracy condition (condition B) is decided exactly, chart by
 chart, as in Cox's description of morphisms by homogeneous polynomials
@@ -38,8 +40,8 @@ from .errors import (MismatchedSourceTargetError, NotHomogeneousError,
 from .fans import is_admissible_zero_pattern, is_complete, primitive_collections, rays_span
 from .documents import DEFAULT_SAMPLE_BUDGET
 from .gerbes import PicClass, picard_group
-from .lattice import coprime_base, split_power
-from .stacky import StackyData
+from .lattice import IntegerMatrix, coprime_base, split_power
+from .stacky import StackyData, psi_exponents
 
 # The values the refutation search samples, 1, -1, 2, -2, 3, -3, 1/2 and
 # -1/2, each times their common denominator.  None is 0, so the zero set of
@@ -252,34 +254,25 @@ def degree(p: SparsePolynomial, source: StackyData) -> PicClass:
 
 
 def check_condition_a(md: MorphismData) -> bool:
-    """The degree condition on the polynomial classes.
+    """The degree condition: the target's exponent matrix applied to the
+    source classes vanishes.
 
-    Writing chi_rho for the class of the polynomial at target ray rho, this
-    checks that the sum of a_rho-weighted classes vanishes coordinatewise and
-    that for each root index i the b-weighted class sum plus r_i times the
-    chosen twist class vanishes.  Every class lives on the one source Picard
-    presentation, ``picard_group(md.source)``, which the twist classes must
-    share.  The data go through :func:`validate_morphism_data` first;
-    its fan checks are cached by fan, so a second check of the same data
-    does not certify again.
+    The polynomial at target ray rho is a section of a line bundle of class
+    chi_rho, and root i carries the twist class chi_i.  Each row of
+    ``psi_exponents(md.target)`` combines the representatives of the
+    chi_rho, then of the chi_i, and the class of the sum must be zero in
+    the source Picard presentation, ``picard_group(md.source)``, which the
+    twist classes must share.  The data go through
+    :func:`validate_morphism_data` first; its fan checks are cached by fan,
+    so a second check of the same data does not certify again.
     """
     validate_morphism_data(md)
     presentation = picard_group(md.source)
-    classes = [degree(p, md.source) for p in md.polys]
-    d = md.target.lattice_rank
-    for l in range(d):
-        total = presentation.zero_class()
-        for k, cls in enumerate(classes):
-            total = total + md.target.fan.rays[k][l] * cls
-        if not total.is_zero:
-            return False
-    for i in range(md.target.root_count):
-        total = md.target.r[i] * md.chi[i]
-        for k, cls in enumerate(classes):
-            total = total + md.target.b[i, k] * cls
-        if not total.is_zero:
-            return False
-    return True
+    classes = [degree(p, md.source) for p in md.polys] + list(md.chi)
+    combine = IntegerMatrix.column_stack([cls.representative for cls in classes],
+                                         md.source.ray_count)
+    return all(presentation.class_of(combine.apply(row)).is_zero
+               for row in psi_exponents(md.target).entries)
 
 
 def check_condition_b(md: MorphismData, sample_budget: int = DEFAULT_SAMPLE_BUDGET,

@@ -1,11 +1,12 @@
 """Core operations on combinatorial stack data.
 
 The input datum bundles a simplicial fan with a chosen lattice point on each
-ray, a list of root orders r_1..r_R, and an R x n integer matrix b.  From it
-this module builds the exponent matrix of the defining torus homomorphism,
-the acting quotient group, generic and per-cone isotropy groups, the
-rigidification, the splitting over the sublattice spanned by the rays, and
-the associated stacky fan.
+ray, a list of root orders r_1..r_R, and an R x n integer matrix b.  One
+builder, :func:`character_relations`, lays out the transposed exponent
+matrix of the torus homomorphism, and the acting quotient group, the
+isotropy groups and the rigid Picard group are cokernels of its rows.  The
+module also gives the generic isotropy group, the rigidification, the
+splitting over the sublattice the rays span, and the associated stacky fan.
 
 None of these groups depends on how the torsion of the extended group is
 presented (Borisov, Chen and Smith, J. Amer. Math. Soc. 18, 2005), so the
@@ -97,28 +98,36 @@ def validate_data(data: StackyData) -> ValidationReport:
     return ValidationReport()
 
 
-def psi_exponents(data: StackyData) -> IntegerMatrix:
-    """The (d+R) x (n+R) exponent matrix of the torus homomorphism.
-
-    Its first n columns stack the ray coordinates over the rows of b; its
-    last R columns are zero on the first d rows, with the root orders on
-    the diagonal below.
-    """
+def character_relations(data: StackyData, rays: Sequence[int] | None = None) -> IntegerMatrix:
+    """The rows of the transposed exponent matrix: one per ray in ``rays``
+    (all rays by default), its coordinates then its column of b, then one
+    per root, d zeros then r_i e_i.  Every group of the datum is a cokernel
+    of such rows (Borisov, Chen and Smith, 2005, section 4)."""
+    if rays is None:
+        rays = range(data.ray_count)
     big_r = data.root_count
-    rows = [[ray[l] for ray in data.fan.rays] + [0] * big_r for l in range(data.lattice_rank)]
-    rows += [data.b.row(i) + tuple(r if m == i else 0 for m in range(big_r))
+    rows = [data.fan.rays[j] + tuple(data.b[i, j] for i in range(big_r)) for j in rays]
+    rows += [(0,) * data.lattice_rank + tuple(r if m == i else 0 for m in range(big_r))
              for i, r in enumerate(data.r)]
-    return IntegerMatrix(data.lattice_rank + big_r, data.ray_count + big_r, rows)
+    return IntegerMatrix.from_rows(rows, data.lattice_rank + big_r)
+
+
+def psi_exponents(data: StackyData) -> IntegerMatrix:
+    """The (d+R) x (n+R) exponent matrix, the transpose of
+    :func:`character_relations`: its first n columns stack the ray
+    coordinates over the rows of b, and its last R hold the root orders on
+    the diagonal below d zero rows."""
+    return character_relations(data).transpose()
 
 
 def quotient_group(data: StackyData) -> QuotientGroupDesc:
     """Rank and torsion of the acting group.
 
-    The group is the character dual of the cokernel of the transposed exponent
-    matrix; only its isomorphism type (torus rank plus invariant factors) is
-    exposed, and that is the same for a datum and its canonical form.
+    The group is the character dual of the cokernel of
+    :func:`character_relations`; only its isomorphism type (torus rank plus
+    invariant factors) is exposed, the same for a datum and its canonical form.
     """
-    group = cokernel(psi_exponents(data).transpose())
+    group = cokernel(character_relations(data))
     return QuotientGroupDesc(torus_rank=group.free_rank,
                              finite_part=FgAbelianGroup(0, group.invariant_factors))
 
@@ -149,22 +158,16 @@ def point_stabilizer(data: StackyData, cone: Sequence[int] | frozenset[int]) -> 
     """Isotropy group of a point whose coordinates vanish exactly on ``cone``.
 
     The coordinates off the cone are units there, so with k roots the group
-    is Z^{|σ|+k} modulo the exponent rows restricted to the rays of σ and to
-    the roots (Borisov, Chen and Smith, J. Amer. Math. Soc. 18, 2005,
-    section 4): one relation per lattice coordinate (that coordinate of each
-    ray of σ, then k zeros) and one per root (its row of b on σ, then
-    r_i e_i).  The Smith form has |σ| + k rows however many rays the fan
-    has, and the group is finite for every cone of the fan, whose rays are
-    independent.
+    is the cokernel of the rows of :func:`character_relations` for the rays
+    of σ and the roots alone (Borisov, Chen and Smith, J. Amer. Math. Soc.
+    18, 2005, section 4).  The Smith form has |σ| + k rows however many rays
+    the fan has, and the group is finite for every cone of the fan, whose
+    rays are independent.
     """
     cone = frozenset(int(i) for i in cone)
     if not data.fan.is_cone(cone):
         raise ConeNotInFanError(f"cone {sorted(cone)} is not in the fan")
-    big_r = data.root_count
-    rows = [data.fan.rays[j] + tuple(data.b[i, j] for i in range(big_r)) for j in sorted(cone)]
-    rows += [(0,) * data.lattice_rank + tuple(r if m == i else 0 for m in range(big_r))
-             for i, r in enumerate(data.r)]
-    group = cokernel(IntegerMatrix.from_rows(rows, data.lattice_rank + big_r))
+    group = cokernel(character_relations(data, sorted(cone)))
     if group.free_rank:
         raise ArithmeticError("isotropy group came out infinite; invalid input data")
     return group

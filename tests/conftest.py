@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from toricdm import (IntegerMatrix, SimplicialFan, StackyData, cokernel, documents, fans,
-                     gerbes, lattice, psi_exponents, smith_normal_form)
+                     gerbes, lattice, morphisms, psi_exponents, smith_normal_form)
 from toricdm.morphisms import DEFAULT_SAMPLE_BUDGET
 
 
@@ -129,6 +129,31 @@ def exponent_blocks(data):
     return (IntegerMatrix(exponents.rows, n, (row[:n] for row in exponents.entries)),
             IntegerMatrix(exponents.rows, exponents.cols - n,
                           (row[n:] for row in exponents.entries)))
+
+
+def condition_a_reference(md) -> bool:
+    """The degree condition summed class by class in ``PicClass``
+    arithmetic: for each lattice coordinate the ray-weighted sum of the
+    polynomial classes, and for each root the b-weighted sum plus r_i times
+    its twist class, each projected at every step.  The reference for
+    ``morphisms.check_condition_a``, which applies the target's exponent
+    matrix to the class representatives and projects once per row."""
+    morphisms.validate_morphism_data(md)
+    presentation = gerbes.picard_group(md.source)
+    classes = [morphisms.degree(p, md.source) for p in md.polys]
+    for l in range(md.target.lattice_rank):
+        total = presentation.zero_class()
+        for k, cls in enumerate(classes):
+            total = total + md.target.fan.rays[k][l] * cls
+        if not total.is_zero:
+            return False
+    for i in range(md.target.root_count):
+        total = md.target.r[i] * md.chi[i]
+        for k, cls in enumerate(classes):
+            total = total + md.target.b[i, k] * cls
+        if not total.is_zero:
+            return False
+    return True
 
 
 def det_cofactor(matrix: IntegerMatrix) -> int:

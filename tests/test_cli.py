@@ -548,6 +548,15 @@ class TestCommands:
         assert report["results"][0]["divisibility"] == [True]
         assert report["results"][0]["oracle_agrees"] == [True]
 
+    def test_classify_verifies_every_row_at_a_large_root_order(self, tmp_path):
+        # the oracle reduces modulo a full-rank basis, so no row is skipped
+        r = 10 ** 12 + 39
+        docs = [write(tmp_path, f"t{k}.json", dict(p1_root_doc(k), r=[r])) for k in (0, r, 1)]
+        code, report = run_checked(["--verify", "classify", *docs])
+        assert code == 2
+        assert [row["divisibility"] for row in report["results"]] == [[True], [False]]
+        assert [row["oracle_agrees"] for row in report["results"]] == [[True], [True]]
+
     def test_classify_same_file(self, tmp_path):
         a = write(tmp_path, "k3.json", p1_root_doc(3))
         code, report = run_checked(["classify", a, a])

@@ -5,10 +5,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
-from toricdm import (MismatchedSourceTargetError, MorphismData,
+from toricdm import (IntegerMatrix, MismatchedSourceTargetError, MorphismData,
                      NotHomogeneousError, SimplicialFan, SourceNotCompleteError,
                      SparsePolynomial, StackyData, TargetRaysNotSpanningError,
                      ZeroPolynomialError, check_condition_a, check_condition_b,
@@ -18,9 +18,9 @@ from toricdm import morphisms
 from toricdm.morphisms import (CHART_WORK_LIMIT, DEFAULT_SAMPLE_BUDGET, ConditionBVerdict,
                                chart_verdict, sample_witness)
 
-from conftest import (affine_fan, close_under_faces, line_fan, make_fan, product_fan,
-                      projective_fan, projective_line_fan, projective_plane_fan,
-                      weighted_line_root_data)
+from conftest import (affine_fan, close_under_faces, condition_a_reference, line_fan,
+                      make_fan, product_fan, projective_fan, projective_line_fan,
+                      projective_plane_fan, weighted_line_root_data)
 
 P1 = StackyData(projective_line_fan())
 P2 = StackyData(projective_plane_fan())
@@ -133,6 +133,63 @@ class TestConditionA:
         md = duple_map(3)
         scaled = MorphismData(P1, P1, (md.polys[0].scale(-5), md.polys[1].scale(Fraction(-1, 5))), ())
         assert check_condition_a(md) == check_condition_a(scaled)
+
+
+# complete rigid sources, one with torsion in its Picard group, and spanning
+# targets among which the sources recur
+SOURCE_FANS = [projective_line_fan(), line_fan(3, 2), projective_plane_fan(),
+               make_fan(2, [(2, -1), (-1, 2), (-1, -1)], [[0, 1], [1, 2], [0, 2]]),
+               product_fan(projective_line_fan(), projective_line_fan())]
+TARGET_FANS = SOURCE_FANS + [affine_fan(2), make_fan(1, [(3,)], [[0]])]
+
+
+@st.composite
+def rooted_morphisms(draw):
+    """Morphism data into targets with up to three roots and twist classes
+    drawn at random.  Half of them are self-maps of the source fan that
+    raise each variable to one power m, with b = r c and twist classes -m c,
+    so condition A holds unless a twist class is moved off that value."""
+    source = StackyData(draw(st.sampled_from(SOURCE_FANS)))
+    n, presentation = source.ray_count, picard_group(source)
+    r = draw(st.lists(st.integers(1, 6), max_size=3))
+    vectors = lambda size: st.lists(st.integers(-3, 3), min_size=size, max_size=size)
+    if draw(st.booleans()):
+        fan, m = source.fan, draw(st.integers(1, 3))
+        polys = [mono(n, 1, tuple(m * (j == k) for j in range(n))) for k in range(n)]
+        c = [draw(vectors(n)) for _ in r]
+        b = [[order * x for x in row] for order, row in zip(r, c)]
+        chi = [[-m * x for x in row] for row in c]
+        if chi and draw(st.booleans()):
+            chi[0][draw(st.integers(0, n - 1))] += draw(st.integers(1, 3))
+    else:
+        fan = draw(st.sampled_from(TARGET_FANS))
+        exponents = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        polys = []
+        for _ in fan.rays:
+            # a second term joins only when it has the first term's class
+            first, second = draw(exponents), draw(exponents)
+            same = presentation.class_of(first) == presentation.class_of(second)
+            polys.append(SparsePolynomial(n, [(1, first)] + [(2, second)] * same))
+        b = [draw(vectors(fan.ray_count)) for _ in r]
+        chi = [draw(vectors(n)) for _ in r]
+    target = StackyData(fan, r, IntegerMatrix.from_rows(b, fan.ray_count))
+    return MorphismData(source, target, polys, [presentation.class_of(v) for v in chi])
+
+
+class TestConditionAReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rooted_morphisms())
+    def test_agrees_with_the_class_by_class_sum(self, md):
+        assert check_condition_a(md) == condition_a_reference(md)
+
+    def test_draws_both_verdicts_with_roots_and_twists(self):
+        # the property above is not vacuous: it meets rooted targets with
+        # nonzero twist classes on both sides of the condition
+        for verdict in (True, False):
+            find(rooted_morphisms(),
+                 lambda md: any(not cls.is_zero for cls in md.chi)
+                 and condition_a_reference(md) is verdict,
+                 settings=settings(database=None, derandomize=True, max_examples=500))
 
 
 class TestConditionB:

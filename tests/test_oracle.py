@@ -1,7 +1,7 @@
 import pytest
 
 from toricdm import (IntegerMatrix, SnfDecomposition, StackyData, TooLargeError,
-                     smith_normal_form)
+                     picard_group, smith_normal_form)
 from toricdm.oracle import (oracle_divisibility, oracle_element_order_census,
                             oracle_is_group_isomorphism,
                             oracle_quotient_enumerate, oracle_stabilizer_order,
@@ -96,10 +96,18 @@ class TestDivisibility:
         assert not oracle_divisibility((0, 1), 2, relations)
         assert oracle_divisibility((3, -3), 5, relations)
 
-    def test_too_large(self):
-        relations = IntegerMatrix.zeros(4, 0)
-        with pytest.raises(TooLargeError):
-            oracle_divisibility((0, 0, 0, 0), 11, relations)
+    def test_decides_a_thirty_digit_root_order(self):
+        # r times the identity is among the generators, so the quotient is
+        # finite and the test needs no enumeration however large r is
+        fan = make_fan(2, [(2, -1), (-1, 2), (-1, -1)], [[0, 1], [1, 2], [0, 2]])
+        presentation = picard_group(StackyData(fan))
+        assert presentation.group.invariant_factors == (3,)
+        for r in (10 ** 30, 3 * 10 ** 30):
+            vectors = [(0, 0, 0), (1, 0, 0), (r, 0, 0), (r, -r, 3 * r), (r + 1, 2, 0),
+                       (r // 3, r // 3, r // 3), (r + 2, r - 1, 2 * r)]
+            verdicts = [oracle_divisibility(v, r, presentation.relation_matrix) for v in vectors]
+            assert verdicts == [presentation.class_of(v).divisible_by(r) for v in vectors]
+            assert set(verdicts) == {True, False}
 
 
 class TestCensusAndIsomorphism:

@@ -1,7 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricdm import (ConeNotInFanError, FgAbelianGroup, IntegerMatrix,
-                     NonSpanningRaysError, StackyData, dm_torus,
+                     NonSpanningRaysError, StackyData, character_relations, dm_torus,
                      generic_stabilizer, point_stabilizer,
                      psi_exponents, quotient_group, rigidify, split_nonspanning,
                      stacky_fan, validate_data)
@@ -46,6 +50,31 @@ class TestBuildMatrices:
         b, q = exponent_blocks(data)
         assert b.to_rows() == [[-1, 1]]
         assert q.cols == 0
+
+
+class TestCharacterRelations:
+    def test_weighted_line_root(self):
+        # a row per ray (coordinates, then b column), then d zeros and r
+        assert character_relations(weighted_line_root_data()).to_rows() == \
+            [[-3, 0], [2, 1], [0, 2]]
+        assert character_relations(weighted_line_root_data(), [1]).to_rows() == [[2, 1], [0, 2]]
+
+    def test_no_rays_and_no_roots(self):
+        relations = character_relations(StackyData(projective_plane_fan()), [])
+        assert (relations.rows, relations.cols) == (0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.data())
+    def test_rows_of_a_cone_are_rows_of_the_whole(self, seed, draw):
+        data = random_spanning_data(random.Random(seed))
+        cone = sorted(draw.draw(st.sets(st.integers(0, data.ray_count - 1))))
+        whole = character_relations(data)
+        n = data.ray_count
+        assert (whole.rows, whole.cols) == (n + data.root_count,
+                                            data.lattice_rank + data.root_count)
+        assert character_relations(data, cone).entries == \
+            tuple(whole.row(j) for j in cone) + whole.entries[n:]
+        assert psi_exponents(data) == whole.transpose()
 
 
 class TestPsiExponents:

@@ -83,6 +83,19 @@ def test_value_type_contract(cls):
         assert repr(value) == repr(frozen)
 
 
+@pytest.mark.parametrize("cls", list(KWARGS), ids=lambda cls: cls.__name__)
+def test_hash_is_computed_once(cls, monkeypatch):
+    value, again = cls(**KWARGS[cls]), cls(**KWARGS[cls])
+    first = hash(value)
+    assert value == again
+    if cls is not PicClass:  # it hashes its coordinates, fixed at construction
+        monkeypatch.setattr(cls, "_astuple", lambda self: pytest.fail("field tuple rebuilt"))
+    assert hash(value) == first
+    monkeypatch.undo()
+    assert hash(again) == first and hash(value) == hash(again)
+    assert value == again and value != twin(value)
+
+
 def test_subclass_instances_are_not_equal():
     subclass = type("Square", (IntegerMatrix,), {})
     assert subclass(1, 1, ((1,),)) != IntegerMatrix(1, 1, ((1,),))
@@ -172,7 +185,7 @@ def test_commands_leave_typing_and_random_unloaded(tmp_path):
 
 def test_public_names_load_on_first_use():
     assert {m for m in _modules_after("import toricdm") if m.startswith("toricdm")} == {"toricdm"}
-    assert len(toricdm._MODULE_OF) == 65 and toricdm.__all__ == list(toricdm._MODULE_OF)
+    assert len(toricdm._MODULE_OF) == 66 and toricdm.__all__ == list(toricdm._MODULE_OF)
     for name, module in toricdm._MODULE_OF.items():
         home = getattr(toricdm, module)
         assert home.__name__ == f"toricdm.{module}"
